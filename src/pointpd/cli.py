@@ -178,8 +178,7 @@ def cmd_classify(args) -> int:
     complex_ = build_complex(cloud, args.kind, max_scale=args.max_scale)
     classes = classify_all(complex_)
     lines = ["p,q,length,class"]
-    for edge in complex_.edges:  # already sorted by (value, vertices)
-        p, q = edge.vertices
+    for p, q in complex_.edge_vertices.tolist():  # already sorted by (value, vertices)
         length = float(np.linalg.norm(cloud.points[p] - cloud.points[q]))
         lines.append(f"{p},{q},{length!r},{classes[(p, q)].value}")
     print("\n".join(lines))

@@ -291,7 +291,8 @@ def verify_long_wedge(
                     owner.append(idx)
     union = PointCloud(np.asarray(union_points))
 
-    classes = classify_all(build_complex(union, kind))
+    union_complex = build_complex(union, kind)
+    classes = classify_all(union_complex)
     offending = tuple(
         (edge, cls)
         for edge, cls in sorted(classes.items())
@@ -300,7 +301,7 @@ def verify_long_wedge(
         and owner[edge[1]] >= 0
         and cls is not EdgeClass.LONG
     )
-    union_pd = compute_pd(build_complex(union, kind), 1)
+    union_pd = compute_pd(union_complex, 1)
     component_pds = tuple(compute_pd(build_complex(c, kind), 1) for c in components)
     combined = _combined_diagram(list(component_pds))
     return WedgeReport(

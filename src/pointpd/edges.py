@@ -13,7 +13,6 @@ share no code with the classifier.
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy.typing as npt
 
 from .filtration import FilteredComplex
 from .geometry import PointCloud, enclosing_radius_3, non_acute_at
+from .unionfind import UnionFind
 
 Edge = tuple[int, int]
 
@@ -35,51 +35,27 @@ class ConsistencyError(RuntimeError):
     """An edge tested both Short and Long; the taxonomy forbids that."""
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size")
+def _long_mask(complex: FilteredComplex) -> npt.NDArray[np.bool_]:
+    """Per edge: some triangle enters with it over two strictly earlier edges.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def clone(self) -> "_UnionFind":
-        other = _UnionFind.__new__(_UnionFind)
-        other.parent = list(self.parent)
-        other.size = list(self.size)
-        return other
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
+    Faces never enter after their triangle, so a boundary edge either
+    entered strictly earlier or carries the triangle's value exactly.
+    """
+    earlier = complex.edge_values[complex.triangle_edges] < complex.triangle_values[:, None]
+    witness = ~earlier & (earlier.sum(axis=1) == 2)[:, None]
+    mask = np.zeros(len(complex.edge_values), dtype=bool)
+    mask[complex.triangle_edges[witness]] = True
+    return mask
 
 
-def _long_witnessed(complex: FilteredComplex) -> set[Edge]:
-    """Edges having a triangle that enters with them over two earlier edges."""
-    values = complex.value_by_simplex
-    out: set[Edge] = set()
-    for tri in complex.triangles:
-        tv = tri.value
-        for e in itertools.combinations(tri.vertices, 2):
-            if values[e] != tv:
-                continue
-            others = [f for f in itertools.combinations(tri.vertices, 2) if f != e]
-            if all(values[f] < tv for f in others):
-                out.add(e)
-    return out
+def _edge_class(edge: Edge, value: float, short: bool, is_long: bool) -> EdgeClass:
+    if short and is_long:
+        raise ConsistencyError(f"edge {edge} tested both short and long at value {value}")
+    if short:
+        return EdgeClass.SHORT
+    if is_long:
+        return EdgeClass.LONG
+    return EdgeClass.MEDIUM
 
 
 def classify_all(complex: FilteredComplex) -> dict[Edge, EdgeClass]:
@@ -91,38 +67,29 @@ def classify_all(complex: FilteredComplex) -> dict[Edge, EdgeClass]:
         ConsistencyError: if any edge passes both the Short and the Long
             test (the classes are provably disjoint, so this flags a bug).
     """
-    long_witnessed = _long_witnessed(complex)
+    long_mask = _long_mask(complex).tolist()
+    edges = list(zip(*complex.edge_vertices.T.tolist()))
+    values = complex.edge_values.tolist()
     result: dict[Edge, EdgeClass] = {}
-    uf = _UnionFind(complex.n_vertices)
-    edges = complex.edges
+    uf = UnionFind(complex.n_vertices)
     pos = 0
     while pos < len(edges):
         # edges tied at one scale: each Short test sees the others
         group_end = pos
-        value = edges[pos].value
-        while group_end < len(edges) and edges[group_end].value == value:
+        value = values[pos]
+        while group_end < len(edges) and values[group_end] == value:
             group_end += 1
-        group = edges[pos:group_end]
-        for idx, edge in enumerate(group):
+        group = range(pos, group_end)
+        for idx in group:
             probe = uf.clone()
-            for other_idx, other in enumerate(group):
-                if other_idx != idx:
-                    probe.union(other.vertices[0], other.vertices[1])
-            p, q = edge.vertices
+            for other in group:
+                if other != idx:
+                    probe.union(*edges[other])
+            p, q = edges[idx]
             short = probe.find(p) != probe.find(q)
-            is_long = edge.vertices in long_witnessed
-            if short and is_long:
-                raise ConsistencyError(
-                    f"edge {edge.vertices} tested both short and long at value {value}"
-                )
-            if short:
-                result[edge.vertices] = EdgeClass.SHORT
-            elif is_long:
-                result[edge.vertices] = EdgeClass.LONG
-            else:
-                result[edge.vertices] = EdgeClass.MEDIUM
-        for edge in group:
-            uf.union(edge.vertices[0], edge.vertices[1])
+            result[edges[idx]] = _edge_class(edges[idx], value, short, long_mask[idx])
+        for idx in group:
+            uf.union(*edges[idx])
         pos = group_end
     return result
 
@@ -134,28 +101,21 @@ def classify_edge(complex: FilteredComplex, e: int) -> EdgeClass:
         IndexError: index out of range.
         ConsistencyError: as in classify_all.
     """
-    edges = complex.edges
-    if not 0 <= e < len(edges):
-        raise IndexError(f"edge index {e} out of range for {len(edges)} edges")
-    target = edges[e]
-    uf = _UnionFind(complex.n_vertices)
-    for other in edges:
-        if other.value > target.value:
+    m = len(complex.edge_values)
+    if not 0 <= e < m:
+        raise IndexError(f"edge index {e} out of range for {m} edges")
+    edges = list(zip(*complex.edge_vertices.T.tolist()))
+    values = complex.edge_values.tolist()
+    target, target_value = edges[e], values[e]
+    uf = UnionFind(complex.n_vertices)
+    for other, value in zip(edges, values):
+        if value > target_value:
             break
-        if other.vertices != target.vertices:
-            uf.union(other.vertices[0], other.vertices[1])
-    p, q = target.vertices
+        if other != target:
+            uf.union(*other)
+    p, q = target
     short = uf.find(p) != uf.find(q)
-    is_long = target.vertices in _long_witnessed(complex)
-    if short and is_long:
-        raise ConsistencyError(
-            f"edge {target.vertices} tested both short and long at value {target.value}"
-        )
-    if short:
-        return EdgeClass.SHORT
-    if is_long:
-        return EdgeClass.LONG
-    return EdgeClass.MEDIUM
+    return _edge_class(target, target_value, short, bool(_long_mask(complex)[e]))
 
 
 def _check_pair(cloud: PointCloud, p: int, q: int) -> None:

@@ -1,29 +1,46 @@
 """Filtered complexes on point clouds: Vietoris-Rips, Cech, planar alpha.
 
 Only simplices of dimension <= 2 are built; that is all degree-0/1
-persistence needs. Every builder returns a `FilteredComplex` whose
-simplices are stored in filtration order, ties broken by (value,
-dimension, lexicographic vertices) so faces always precede cofaces.
+persistence needs. A `FilteredComplex` stores its simplices as numpy
+arrays, one group per dimension, each sorted by (value, lexicographic
+vertices):
+
+- `edge_vertices` (m, 2) int and `edge_values` (m,) float;
+- `triangle_vertices` (t, 3) int and `triangle_values` (t,) float;
+- `triangle_edges` (t, 3) int: the row in the edge arrays of each
+  triangle's boundary edges (a, b), (a, c), (b, c).
+
+Vertices 0..n-1 are implicit, all at value 0. Merging the groups by
+(value, dimension, vertices) gives the filtration order, in which faces
+always precede cofaces. The `simplices`, `edges`, `triangles`,
+`value_by_simplex` and `value_of` views show the same complex as
+`FilteredSimplex` tuples; they are compatibility views, built lazily on
+first use, and the builders, the reduction and the classifier never read
+them.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 import numpy.typing as npt
-from scipy.spatial import Delaunay, QhullError
 
 from .geometry import COINCIDENT_TOL, PointCloud
 
 # Relative tolerance for deciding that a point sits on a triangle's
 # circumcircle (cocircular degeneracy detection).
 COCIRCULAR_TOL = 1e-9
+
+# Vertex columns of a triangle's boundary edges, in `triangle_edges` order.
+_FACE_COLUMNS = ((0, 1), (0, 2), (1, 2))
+
+# Largest vertex count whose triangle keys (base-n digits) fit in int64.
+_MAX_VERTICES = 2**21 - 1
 
 
 class FiltrationKind(str, Enum):
@@ -47,71 +64,230 @@ def _sort_key(s: FilteredSimplex) -> tuple[float, int, tuple[int, ...]]:
     return (s.value, s.dim, s.vertices)
 
 
-@dataclass(frozen=True)
+class _SimplexView(Sequence):
+    """Read-only `FilteredSimplex` sequence over one dimension's arrays."""
+
+    def __init__(self, vertices: npt.NDArray[np.intp], values: npt.NDArray[np.float64]):
+        self._vertices = vertices
+        self._values = values
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            return tuple(self[i] for i in range(*idx.indices(len(self))))
+        return FilteredSimplex(tuple(self._vertices[idx].tolist()), float(self._values[idx]))
+
+    def __iter__(self):
+        for vertices, value in zip(self._vertices.tolist(), self._values.tolist()):
+            yield FilteredSimplex(tuple(vertices), value)
+
+
+def _row(vertices: npt.NDArray[np.intp], idx: int) -> tuple[int, ...]:
+    return tuple(vertices[idx].tolist())
+
+
+def _sorted_group(
+    n: int,
+    vertices: npt.ArrayLike,
+    values: npt.ArrayLike,
+    width: int,
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64], npt.NDArray[np.int64]]:
+    """Check one dimension's simplices and sort them by (value, vertices).
+
+    Returns the sorted vertices and values, and each simplex's key: its
+    vertex tuple read as digits in base n, which orders keys like tuples.
+    """
+    vertices = np.asarray(vertices, dtype=np.intp).reshape(-1, width)
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    if len(values) != len(vertices):
+        raise ValueError(f"{len(vertices)} simplices of {width} vertices but {len(values)} values")
+    bad = np.flatnonzero(((vertices < 0) | (vertices >= n)).any(axis=1))
+    if bad.size:
+        raise ValueError(f"vertex index out of range in {_row(vertices, bad[0])}")
+    bad = np.flatnonzero((np.diff(vertices, axis=1) <= 0).any(axis=1))
+    if bad.size:
+        raise ValueError(f"simplex vertices must be strictly increasing: {_row(vertices, bad[0])}")
+    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
+    if bad.size:
+        raise ValueError(
+            f"simplex value must be finite and nonnegative: {_row(vertices, bad[0])} at {values[bad[0]]}"
+        )
+    keys = np.zeros(len(values), dtype=np.int64)
+    for col in vertices.T:
+        keys = keys * n + col
+    order = np.argsort(keys, kind="stable")
+    dup = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+    if dup.size:
+        raise ValueError(f"duplicate simplex {_row(vertices, order[dup[0]])}")
+    order = order[np.argsort(values[order], kind="stable")]
+    return vertices[order], values[order], keys[order]
+
+
+def _edge_rows(
+    edge_keys: npt.NDArray[np.int64],
+    n: int,
+    face_keys: npt.NDArray[np.int64],
+) -> npt.NDArray[np.intp]:
+    """Row of the edge with each face key, or -1 where there is none."""
+    m = len(edge_keys)
+    if n * n <= 4 * (m + face_keys.size):
+        # a table over all n*n keys is no larger than the arrays at hand
+        table = np.full(n * n, -1, dtype=np.intp)
+        table[edge_keys] = np.arange(m)
+        return table[face_keys]
+    if m == 0:
+        return np.full(face_keys.shape, -1, dtype=np.intp)
+    order = np.argsort(edge_keys)
+    pos = np.minimum(np.searchsorted(edge_keys[order], face_keys), m - 1)
+    return np.where(edge_keys[order][pos] == face_keys, order[pos], -1)
+
+
 class FilteredComplex:
     """A filtered simplicial complex of dimension <= 2.
 
     Invariants (checked at construction): vertex simplices 0..n-1 all
-    present with value 0; vertex tuples strictly increasing; faces of
-    every simplex present with a value no larger than the simplex's own
-    (so the (value, dim, lex) order is a valid filtration order).
+    present with value 0; vertex tuples strictly increasing; no simplex
+    twice; values finite and nonnegative; faces of every simplex present
+    with a value no larger than the simplex's own (so the (value, dim,
+    lex) order is a valid filtration order).
 
     `max_scale` records the cap the builder used; simplices above the cap
     were omitted at build time.
+
+    `FilteredComplex(n, simplices, kind, max_scale)` takes `FilteredSimplex`
+    tuples, vertices included; `from_arrays` takes the per-dimension
+    arrays. Both sort and validate the same way. Instances are immutable
+    and compare by identity.
     """
 
     n_vertices: int
-    simplices: tuple[FilteredSimplex, ...]
     kind: FiltrationKind
     max_scale: float
+    edge_vertices: npt.NDArray[np.intp]
+    edge_values: npt.NDArray[np.float64]
+    triangle_vertices: npt.NDArray[np.intp]
+    triangle_values: npt.NDArray[np.float64]
+    triangle_edges: npt.NDArray[np.intp]
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted((FilteredSimplex(tuple(s.vertices), float(s.value)) for s in self.simplices), key=_sort_key))
-        object.__setattr__(self, "simplices", ordered)
-        if self.n_vertices < 1:
-            raise ValueError("complex needs at least one vertex")
-        values: dict[tuple[int, ...], float] = {}
-        for s in ordered:
-            v = s.vertices
-            if len(v) not in (1, 2, 3):
+    def __init__(
+        self,
+        n_vertices: int,
+        simplices: Sequence[FilteredSimplex],
+        kind: FiltrationKind | str,
+        max_scale: float,
+    ) -> None:
+        groups: dict[int, list[tuple[tuple[int, ...], float]]] = {1: [], 2: [], 3: []}
+        for s in simplices:
+            v = tuple(s.vertices)
+            if len(v) not in groups:
                 raise ValueError(f"simplex dimension out of range: {v}")
-            if any(not 0 <= i < self.n_vertices for i in v):
-                raise ValueError(f"vertex index out of range in {v}")
-            if tuple(sorted(set(v))) != v:
-                raise ValueError(f"simplex vertices must be strictly increasing: {v}")
-            if not math.isfinite(s.value) or s.value < 0.0:
-                raise ValueError(f"simplex value must be finite and nonnegative: {s}")
-            if v in values:
-                raise ValueError(f"duplicate simplex {v}")
-            values[v] = s.value
-        for i in range(self.n_vertices):
-            if values.get((i,), None) != 0.0:
+            groups[len(v)].append((v, float(s.value)))
+        vertex_values = dict(groups[1])
+        if len(vertex_values) != len(groups[1]):
+            raise ValueError("duplicate vertex simplex")
+        extra = set(vertex_values) - {(i,) for i in range(n_vertices)}
+        if extra:
+            raise ValueError(f"vertex index out of range in {min(extra)}")
+        for i in range(n_vertices):
+            if vertex_values.get((i,)) != 0.0:
                 raise ValueError(f"vertex {i} missing or at nonzero value")
-        for s in ordered:
-            if s.dim == 0:
-                continue
-            for face in itertools.combinations(s.vertices, len(s.vertices) - 1):
-                fv = values.get(face)
-                if fv is None:
-                    raise ValueError(f"face {face} of {s.vertices} missing: complex not face-closed")
-                if fv > s.value:
-                    raise ValueError(
-                        f"face {face} enters at {fv} after coface {s.vertices} at {s.value}"
-                    )
+        self._store(
+            n_vertices,
+            [v for v, _ in groups[2]],
+            [x for _, x in groups[2]],
+            [v for v, _ in groups[3]],
+            [x for _, x in groups[3]],
+            kind,
+            max_scale,
+        )
+
+    @classmethod
+    def from_arrays(
+        cls,
+        n_vertices: int,
+        edge_vertices: npt.ArrayLike,
+        edge_values: npt.ArrayLike,
+        triangle_vertices: npt.ArrayLike,
+        triangle_values: npt.ArrayLike,
+        kind: FiltrationKind | str,
+        max_scale: float,
+    ) -> FilteredComplex:
+        """Complex on vertices 0..n-1 from edge and triangle arrays in any order."""
+        self = cls.__new__(cls)
+        self._store(n_vertices, edge_vertices, edge_values, triangle_vertices, triangle_values, kind, max_scale)
+        return self
+
+    def _store(self, n, edge_vertices, edge_values, triangle_vertices, triangle_values, kind, max_scale) -> None:
+        if n < 1:
+            raise ValueError("complex needs at least one vertex")
+        if n > _MAX_VERTICES:
+            raise ValueError(f"at most {_MAX_VERTICES} vertices are supported")
+        ev, ex, edge_keys = _sorted_group(n, edge_vertices, edge_values, 2)
+        tv, tx, _ = _sorted_group(n, triangle_vertices, triangle_values, 3)
+        triangle_edges = _edge_rows(edge_keys, n, tv[:, [0, 0, 1]] * n + tv[:, [1, 2, 2]])
+        missing = triangle_edges < 0
+        bad = np.flatnonzero(missing.any(axis=1))
+        if bad.size:
+            t = int(bad[0])
+            a, b = _FACE_COLUMNS[int(np.argmax(missing[t]))]
+            raise ValueError(
+                f"face {(int(tv[t, a]), int(tv[t, b]))} of {_row(tv, t)} missing: complex not face-closed"
+            )
+        late = ex[triangle_edges] > tx[:, None]
+        bad = np.flatnonzero(late.any(axis=1))
+        if bad.size:
+            t = int(bad[0])
+            col = int(np.argmax(late[t]))
+            a, b = _FACE_COLUMNS[col]
+            raise ValueError(
+                f"face {(int(tv[t, a]), int(tv[t, b]))} enters at {ex[triangle_edges[t, col]]} "
+                f"after coface {_row(tv, t)} at {tx[t]}"
+            )
+
+        for arr in (ev, ex, tv, tx, triangle_edges):
+            arr.flags.writeable = False
+        for name, value in (
+            ("n_vertices", int(n)),
+            ("kind", FiltrationKind(kind)),
+            ("max_scale", float(max_scale)),
+            ("edge_vertices", ev),
+            ("edge_values", ex),
+            ("triangle_vertices", tv),
+            ("triangle_values", tx),
+            ("triangle_edges", triangle_edges),
+        ):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"FilteredComplex is immutable; cannot set {name!r}")
+
+    def __repr__(self) -> str:
+        return (
+            f"FilteredComplex(n_vertices={self.n_vertices}, edges={len(self.edge_values)}, "
+            f"triangles={len(self.triangle_values)}, kind={self.kind.value!r}, max_scale={self.max_scale!r})"
+        )
+
+    @cached_property
+    def simplices(self) -> tuple[FilteredSimplex, ...]:
+        """Every simplex, vertices included, in filtration order."""
+        vertices = [FilteredSimplex((i,), 0.0) for i in range(self.n_vertices)]
+        return tuple(sorted([*vertices, *self.edges, *self.triangles], key=_sort_key))
 
     @cached_property
     def value_by_simplex(self) -> dict[tuple[int, ...], float]:
         return {s.vertices: s.value for s in self.simplices}
 
     @cached_property
-    def edges(self) -> tuple[FilteredSimplex, ...]:
+    def edges(self) -> Sequence[FilteredSimplex]:
         """Edges in filtration order."""
-        return tuple(s for s in self.simplices if s.dim == 1)
+        return _SimplexView(self.edge_vertices, self.edge_values)
 
     @cached_property
-    def triangles(self) -> tuple[FilteredSimplex, ...]:
+    def triangles(self) -> Sequence[FilteredSimplex]:
         """Triangles in filtration order."""
-        return tuple(s for s in self.simplices if s.dim == 2)
+        return _SimplexView(self.triangle_vertices, self.triangle_values)
 
     def value_of(self, vertices: tuple[int, ...]) -> float:
         key = tuple(sorted(vertices))
@@ -138,8 +314,36 @@ def _distance_matrix(points: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]
     return D
 
 
-def _vertex_simplices(n: int) -> list[FilteredSimplex]:
-    return [FilteredSimplex((i,), 0.0) for i in range(n)]
+def _capped_complex(
+    D: npt.NDArray[np.float64],
+    kind: FiltrationKind,
+    cap: float,
+    triangle_value,
+) -> FilteredComplex:
+    """VR/Cech complex: edges (i < j) at D/2, and every triple i < j < k
+    whose three edges are kept at triangle_value(D_ij, D_ik, D_jk); both
+    only where the value is at most cap."""
+    n = D.shape[0]
+    i, j = np.triu_indices(n, k=1)
+    edge_values = D[i, j] / 2.0
+    kept = edge_values <= cap
+    i, j, edge_values = i[kept], j[kept], edge_values[kept]
+    later = np.zeros((n, n), dtype=bool)  # later[a, b]: edge (a, b) kept, a < b
+    later[i, j] = True
+    rows, k = np.nonzero(later[i] & later[j])
+    i3, j3 = i[rows], j[rows]
+    values = triangle_value(D[i3, j3], D[i3, k], D[j3, k])
+    keep = values <= cap
+    triples = np.stack([i3[keep], j3[keep], k[keep]], axis=1)
+    return FilteredComplex.from_arrays(n, np.stack([i, j], axis=1), edge_values, triples, values[keep], kind, cap)
+
+
+def _max_side_over_two(
+    a: npt.NDArray[np.float64],
+    b: npt.NDArray[np.float64],
+    c: npt.NDArray[np.float64],
+) -> npt.NDArray[np.float64]:
+    return np.maximum(np.maximum(a, b), c) / 2.0
 
 
 def build_vr(
@@ -162,45 +366,34 @@ def build_vr(
     Raises:
         ValueError: coincident points.
     """
-    points = _as_points(cloud)
-    n = points.shape[0]
-    D = _distance_matrix(points)
+    D = _distance_matrix(_as_points(cloud))
     cap = float(max_scale) if max_scale is not None else float(D.max()) / 2.0
-    simplices = _vertex_simplices(n)
-    kept_edge = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = D[i, j] / 2.0
-            if val <= cap:
-                kept_edge[i, j] = True
-                simplices.append(FilteredSimplex((i, j), val))
-    for i, j, k in itertools.combinations(range(n), 3):
-        if not (kept_edge[i, j] and kept_edge[i, k] and kept_edge[j, k]):
-            continue
-        val = max(D[i, j], D[i, k], D[j, k]) / 2.0
-        if val <= cap:
-            simplices.append(FilteredSimplex((i, j, k), val))
-    return FilteredComplex(n, tuple(simplices), FiltrationKind.VR, cap)
+    return _capped_complex(D, FiltrationKind.VR, cap, _max_side_over_two)
 
 
-def _meb_radius_from_sides(a: float, b: float, c: float) -> float:
-    """Minimum enclosing ball radius of a triple given its side lengths.
+def _meb_radius_from_sides(
+    a: npt.NDArray[np.float64],
+    b: npt.NDArray[np.float64],
+    c: npt.NDArray[np.float64],
+) -> npt.NDArray[np.float64]:
+    """Minimum enclosing ball radius of triples given their side lengths.
 
     Same geometry as `geometry.enclosing_radius_3`, but fed the builder's
     own distance floats so that a triangle entering with its longest edge
     carries exactly that edge's value (the edge taxonomy compares the two
-    for equality).
+    for equality). Elementwise, with the float operations of the scalar
+    rule in the same order: half the longest side when the triangle is
+    non-acute or Heron's area underflows to zero, else the circumradius
+    (never below half the longest side).
     """
-    longest = max(a, b, c)
+    longest = np.maximum(np.maximum(a, b), c)
+    half = longest / 2.0
     rest_sq = a * a + b * b + c * c - longest * longest
-    if longest * longest >= rest_sq:
-        return longest / 2.0
     s = (a + b + c) / 2.0
     area_sq = s * (s - a) * (s - b) * (s - c)
-    if area_sq <= 0.0:
-        return longest / 2.0
-    radius = a * b * c / (4.0 * math.sqrt(area_sq))
-    return max(radius, longest / 2.0)
+    acute = ~(longest * longest >= rest_sq) & (area_sq > 0.0)
+    radius = a * b * c / (4.0 * np.sqrt(np.where(acute, area_sq, 1.0)))
+    return np.where(acute, np.maximum(radius, half), half)
 
 
 def build_cech(
@@ -219,26 +412,9 @@ def build_cech(
     Raises:
         ValueError: coincident points.
     """
-    points = _as_points(cloud)
-    n = points.shape[0]
-    D = _distance_matrix(points)
-    diam = float(D.max())
-    cap = float(max_scale) if max_scale is not None else diam / math.sqrt(3.0)
-    simplices = _vertex_simplices(n)
-    kept_edge = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            val = D[i, j] / 2.0
-            if val <= cap:
-                kept_edge[i, j] = True
-                simplices.append(FilteredSimplex((i, j), val))
-    for i, j, k in itertools.combinations(range(n), 3):
-        if not (kept_edge[i, j] and kept_edge[i, k] and kept_edge[j, k]):
-            continue
-        val = _meb_radius_from_sides(float(D[i, j]), float(D[i, k]), float(D[j, k]))
-        if val <= cap:
-            simplices.append(FilteredSimplex((i, j, k), val))
-    return FilteredComplex(n, tuple(simplices), FiltrationKind.CECH, cap)
+    D = _distance_matrix(_as_points(cloud))
+    cap = float(max_scale) if max_scale is not None else float(D.max()) / math.sqrt(3.0)
+    return _capped_complex(D, FiltrationKind.CECH, cap, _meb_radius_from_sides)
 
 
 def _circumcircle_2d(
@@ -289,21 +465,23 @@ def _lex_smallest_triangulation(cycle: list[int]) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-def _collinear_path_complex(points: npt.NDArray[np.float64]) -> list[FilteredSimplex]:
+def _collinear_path_complex(points: npt.NDArray[np.float64]) -> FilteredComplex:
     """Path complex for collinear points: consecutive edges at half-length."""
     n = points.shape[0]
-    simplices = _vertex_simplices(n)
-    if n == 1:
-        return simplices
-    # order along the line spanned by the farthest pair
-    D = _distance_matrix(points)
-    i0, j0 = np.unravel_index(int(D.argmax()), D.shape)
-    axis = points[j0] - points[i0]
-    order = sorted(range(n), key=lambda k: float(np.dot(points[k] - points[i0], axis)))
-    for a, b in zip(order, order[1:]):
-        i, j = min(a, b), max(a, b)
-        simplices.append(FilteredSimplex((i, j), D[i, j] / 2.0))
-    return simplices
+    edges: list[tuple[int, int]] = []
+    values: list[float] = []
+    if n > 1:
+        # order along the line spanned by the farthest pair
+        D = _distance_matrix(points)
+        i0, j0 = np.unravel_index(int(D.argmax()), D.shape)
+        axis = points[j0] - points[i0]
+        order = sorted(range(n), key=lambda k: float(np.dot(points[k] - points[i0], axis)))
+        for a, b in zip(order, order[1:]):
+            i, j = min(a, b), max(a, b)
+            edges.append((i, j))
+            values.append(float(D[i, j] / 2.0))
+    cap = max(values, default=0.0)
+    return FilteredComplex.from_arrays(n, edges, values, [], [], FiltrationKind.DELAUNAY, cap)
 
 
 def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredComplex:
@@ -319,6 +497,9 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     Raises:
         ValueError: ambient dimension != 2, or coincident points.
     """
+    # imported here so that the VR and Cech paths never load scipy.spatial
+    from scipy.spatial import Delaunay, QhullError
+
     points = _as_points(cloud)
     n = points.shape[0]
     if points.shape[1] != 2:
@@ -326,17 +507,13 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     D = _distance_matrix(points)
 
     if n <= 2 or _all_collinear(points):
-        simplices = _collinear_path_complex(points)
-        cap = max((s.value for s in simplices), default=0.0)
-        return FilteredComplex(n, tuple(simplices), FiltrationKind.DELAUNAY, cap)
+        return _collinear_path_complex(points)
 
     try:
         tess = Delaunay(points)
     except QhullError:
         if _all_collinear(points, tol=1e-8):
-            simplices = _collinear_path_complex(points)
-            cap = max((s.value for s in simplices), default=0.0)
-            return FilteredComplex(n, tuple(simplices), FiltrationKind.DELAUNAY, cap)
+            return _collinear_path_complex(points)
         raise
 
     triangles = {tuple(sorted(int(v) for v in tri)) for tri in tess.simplices}
@@ -346,27 +523,32 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     for tri in triangles:
         _, radius = _circumcircle_2d(points[tri[0]], points[tri[1]], points[tri[2]])
         longest = max(D[tri[0], tri[1]], D[tri[0], tri[2]], D[tri[1], tri[2]])
-        tri_value[tri] = max(radius, longest / 2.0)
+        tri_value[tri] = float(max(radius, longest / 2.0))
 
     edge_tris: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for tri in triangles:
-        for e in itertools.combinations(tri, 2):
+        for e in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])):
             edge_tris.setdefault(e, []).append(tri)
 
-    simplices = _vertex_simplices(n)
-    for (i, j), tris in sorted(edge_tris.items()):
+    edge_values: dict[tuple[int, int], float] = {}
+    for (i, j), tris in edge_tris.items():
         mid = (points[i] + points[j]) / 2.0
-        rad = D[i, j] / 2.0
+        rad = float(D[i, j] / 2.0)
         dist = np.sqrt(((points - mid) ** 2).sum(axis=1))
         dist[i] = np.inf
         dist[j] = np.inf
         gabriel = bool(dist.min() >= rad)
-        val = rad if gabriel else min(tri_value[t] for t in tris)
-        simplices.append(FilteredSimplex((i, j), val))
-    for tri, val in sorted(tri_value.items()):
-        simplices.append(FilteredSimplex(tri, val))
-    cap = max(s.value for s in simplices)
-    return FilteredComplex(n, tuple(simplices), FiltrationKind.DELAUNAY, cap)
+        edge_values[(i, j)] = rad if gabriel else min(tri_value[t] for t in tris)
+    cap = max([0.0, *edge_values.values(), *tri_value.values()])
+    return FilteredComplex.from_arrays(
+        n,
+        list(edge_values),
+        list(edge_values.values()),
+        list(tri_value),
+        list(tri_value.values()),
+        FiltrationKind.DELAUNAY,
+        cap,
+    )
 
 
 def _all_collinear(points: npt.NDArray[np.float64], tol: float = 1e-12) -> bool:
@@ -433,4 +615,4 @@ def build_complex(
 
 def critical_scales(complex: FilteredComplex) -> list[float]:
     """Strictly increasing list of all distinct simplex values."""
-    return sorted({s.value for s in complex.simplices})
+    return sorted({0.0, *complex.edge_values.tolist(), *complex.triangle_values.tolist()})

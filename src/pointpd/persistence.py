@@ -1,9 +1,10 @@
 """Persistence diagrams by boundary reduction over GF(2), plus metrics.
 
-Columns of the boundary matrices are Python ints used as bitmasks, so a
-column addition is one XOR and the pivot is bit_length() - 1. Triangle
-columns are reduced first; their pivots are edges known positive, and the
-edge-column pass skips those (clearing).
+Triangle columns of the boundary matrix are Python ints used as bitmasks
+over the edge rows, so a column addition is one XOR and the pivot is
+bit_length() - 1. Edge columns need no reduction: a union-find pass over
+the edges in filtration order tells the edges that merge two components
+(dim-0 deaths) from those that close a cycle.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy.typing as npt
 
 from .filtration import FilteredComplex
 from .geometry import PointCloud
+from .unionfind import UnionFind
 
 Pair = tuple[float, float]
 
@@ -97,84 +99,41 @@ def _reduce(columns: list[int]) -> tuple[dict[int, int], list[int]]:
 def compute_pd(complex: FilteredComplex, dim: int) -> PersistenceDiagram:
     """Persistence diagram of the complex in dimension 0 or 1.
 
-    Simplices are already stored sorted by (value, dimension, vertices);
-    reduction follows that order. Dim-0 pairs come from vertex/edge
-    pivots with one infinite bar per component at the cap; dim-1 pairs
-    from edge/triangle pivots, with unpaired creating edges reported as
-    infinite against the truncation scale.
+    Edges and triangles are stored sorted by (value, vertices), so
+    reduction follows the filtration order. An edge kills a component
+    exactly when its endpoints lie in different components as it enters,
+    so one union-find pass gives the dim-0 deaths, with one infinite bar
+    per component at the cap. Dim-1 pairs come from the triangle
+    columns' edge pivots; an edge that closes a cycle and is no pivot is
+    reported as infinite against the truncation scale.
     """
     if dim not in (0, 1):
         raise ValueError("only dimensions 0 and 1 are supported")
-    edges = complex.edges
-    triangles = complex.triangles
+    uf = UnionFind(complex.n_vertices)
+    merges = [uf.union(i, j) for i, j in zip(*complex.edge_vertices.T.tolist())]
+    edge_values = complex.edge_values.tolist()
 
-    cleared: set[int] = set()
-    tri_pairs: dict[int, int] = {}
-    if dim == 1:
-        edge_pos = {e.vertices: i for i, e in enumerate(edges)}
-        tri_cols = []
-        for t in triangles:
-            a, b, c = t.vertices
-            mask = (
-                (1 << edge_pos[(a, b)])
-                | (1 << edge_pos[(a, c)])
-                | (1 << edge_pos[(b, c)])
-            )
-            tri_cols.append(mask)
-        tri_pairs, _ = _reduce(tri_cols)
-        cleared = set(tri_pairs.keys())
+    if dim == 0:
+        pairs = [(0.0, value) for value, merged in zip(edge_values, merges) if merged and value > 0.0]
+        pairs.extend((0.0, math.inf) for _ in range(complex.n_vertices - sum(merges)))
+        return PersistenceDiagram(0, tuple(pairs), complex.max_scale)
 
-    if dim == 1:
-        pairs = []
-        for edge_idx, tri_idx in tri_pairs.items():
-            birth = edges[edge_idx].value
-            death = triangles[tri_idx].value
-            if death > birth:
-                pairs.append((birth, death))
-        # any unpaired positive edge is a class still alive at the cap
-        surviving = _positive_edges(complex, skip=cleared)
-        pairs.extend((edges[i].value, math.inf) for i in surviving)
-        return PersistenceDiagram(1, tuple(pairs), complex.max_scale)
-
-    # dim 0: reduce edge columns over vertex rows, skipping cleared ones
-    pair_deaths = []
-    paired_vertices: set[int] = set()
-    pivot_mask: dict[int, int] = {}
-    for idx, e in enumerate(edges):
-        if idx in cleared:
-            continue
-        i, j = e.vertices
-        col = (1 << i) | (1 << j)
-        low = col.bit_length() - 1
-        while low >= 0 and low in pivot_mask:
-            col ^= pivot_mask[low]
-            low = col.bit_length() - 1
-        if low >= 0:
-            pivot_mask[low] = col
-            paired_vertices.add(low)
-            if e.value > 0.0:
-                pair_deaths.append((0.0, e.value))
-    n_infinite = complex.n_vertices - len(paired_vertices)
-    pair_deaths.extend((0.0, math.inf) for _ in range(n_infinite))
-    return PersistenceDiagram(0, tuple(pair_deaths), complex.max_scale)
-
-
-def _positive_edges(complex: FilteredComplex, skip: set[int]) -> list[int]:
-    """Indices of edge columns that reduce to zero, excluding `skip`."""
-    pivot_mask: dict[int, int] = {}
-    zeros = []
-    for idx, e in enumerate(complex.edges):
-        i, j = e.vertices
-        col = (1 << i) | (1 << j)
-        low = col.bit_length() - 1
-        while low >= 0 and low in pivot_mask:
-            col ^= pivot_mask[low]
-            low = col.bit_length() - 1
-        if low >= 0:
-            pivot_mask[low] = col
-        elif idx not in skip:
-            zeros.append(idx)
-    return zeros
+    tri_cols = [(1 << a) | (1 << b) | (1 << c) for a, b, c in zip(*complex.triangle_edges.T.tolist())]
+    tri_pairs, _ = _reduce(tri_cols)
+    tri_values = complex.triangle_values.tolist()
+    pairs = []
+    for edge_idx, tri_idx in tri_pairs.items():
+        birth = edge_values[edge_idx]
+        death = tri_values[tri_idx]
+        if death > birth:
+            pairs.append((birth, death))
+    # any unpaired cycle-closing edge is a class still alive at the cap
+    pairs.extend(
+        (value, math.inf)
+        for idx, (value, merged) in enumerate(zip(edge_values, merges))
+        if not merged and idx not in tri_pairs
+    )
+    return PersistenceDiagram(1, tuple(pairs), complex.max_scale)
 
 
 def mst(cloud: PointCloud | npt.NDArray[np.float64]) -> list[tuple[tuple[int, int], float]]:
@@ -192,19 +151,10 @@ def mst(cloud: PointCloud | npt.NDArray[np.float64]) -> list[tuple[tuple[int, in
         for i in range(n)
         for j in range(i + 1, n)
     )
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    uf = UnionFind(n)
     out = []
     for d, i, j in candidates:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
+        if uf.union(i, j):
             out.append(((i, j), d))
             if len(out) == n - 1:
                 break

@@ -1,0 +1,38 @@
+"""Disjoint-set forest shared by the dim-0 reduction, Kruskal and the classifier."""
+
+from __future__ import annotations
+
+
+class UnionFind:
+    """Union by size with path compression over vertices 0..n-1."""
+
+    __slots__ = ("parent", "size")
+
+    def __init__(self, n: int):
+        self.parent = list(range(n))
+        self.size = [1] * n
+
+    def clone(self) -> "UnionFind":
+        other = UnionFind.__new__(UnionFind)
+        other.parent = list(self.parent)
+        other.size = list(self.size)
+        return other
+
+    def find(self, x: int) -> int:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a: int, b: int) -> bool:
+        """Merge the sets of a and b; False when they were already one."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        return True

@@ -4,7 +4,10 @@ Nothing here shares algorithms with the package: diagrams come from
 persistent Betti numbers via GF(2) ranks (not column reduction), the
 3-point enclosing radius from explicit candidate circles (not the law of
 cosines), bottleneck from exhaustive matching, and polygon triangulations
-from full enumeration.
+from full enumeration. The one exception is `loop_complex`, a reference
+for exactness rather than for geometry: it restates the VR/Cech value
+rules one triple at a time, so the vectorized builders must match it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -233,3 +236,45 @@ def polygon_triangulations(chain: list[int]) -> list[list[tuple[int, int, int]]]
 def lex_min_triangulation(cycle: list[int]) -> list[tuple[int, int, int]]:
     """Lexicographically smallest triangulation by full enumeration."""
     return min(sorted(t) for t in polygon_triangulations(list(cycle)))
+
+
+# ------------------------------------------------------ reference builders
+
+
+def _meb_radius_scalar(a: float, b: float, c: float) -> float:
+    """Enclosing radius from side lengths, the builders' rule for one triple."""
+    longest = max(a, b, c)
+    rest_sq = a * a + b * b + c * c - longest * longest
+    if longest * longest >= rest_sq:
+        return longest / 2.0
+    s = (a + b + c) / 2.0
+    area_sq = s * (s - a) * (s - b) * (s - c)
+    if area_sq <= 0.0:
+        return longest / 2.0
+    radius = a * b * c / (4.0 * math.sqrt(area_sq))
+    return max(radius, longest / 2.0)
+
+
+def loop_complex(D, kind: str, cap: float):
+    """Edges and triangles of the VR or Cech complex by plain loops.
+
+    D is the builder's own distance matrix, so every value can be compared
+    for exact equality. Returns (edges, triangles), each a list of
+    (vertices, value) sorted by (value, vertices).
+    """
+    n = len(D)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if D[i, j] / 2.0 <= cap:
+                edges.append(((i, j), float(D[i, j] / 2.0)))
+    kept = {e for e, _ in edges}
+    triangles = []
+    for i, j, k in itertools.combinations(range(n), 3):
+        if not {(i, j), (i, k), (j, k)} <= kept:
+            continue
+        a, b, c = float(D[i, j]), float(D[i, k]), float(D[j, k])
+        value = max(a, b, c) / 2.0 if kind == "vr" else _meb_radius_scalar(a, b, c)
+        if value <= cap:
+            triangles.append(((i, j, k), value))
+    return sorted(edges, key=lambda s: (s[1], s[0])), sorted(triangles, key=lambda s: (s[1], s[0]))

@@ -4,9 +4,13 @@ import numpy as np
 import pytest
 
 from pointpd.filtration import (
+    _FACE_COLUMNS,
+    _MAX_VERTICES,
     FilteredComplex,
     FilteredSimplex,
     FiltrationKind,
+    _distance_matrix,
+    _edge_rows,
     _lex_smallest_triangulation,
     build_cech,
     build_complex,
@@ -17,7 +21,7 @@ from pointpd.filtration import (
 from pointpd.geometry import PointCloud
 from pointpd.persistence import compute_pd, diagram_equal
 
-from oracles import lex_min_triangulation, oracle_meb3
+from oracles import lex_min_triangulation, loop_complex, oracle_meb3
 
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 KINDS = ["vr", "cech", "delaunay"]
@@ -26,6 +30,25 @@ KINDS = ["vr", "cech", "delaunay"]
 def random_cloud(seed: int, n: int, dim: int) -> PointCloud:
     rng = np.random.default_rng(seed)
     return PointCloud(rng.random((n, dim)))
+
+
+def grid(angle: float = 0.0) -> np.ndarray:
+    """5x5 unit grid rotated by `angle`: many ties and right triangles."""
+    points = np.array([[x, y] for x in range(5) for y in range(5)], dtype=np.float64)
+    c, s = math.cos(angle), math.sin(angle)
+    return points @ np.array([[c, -s], [s, c]]).T
+
+
+# (points, max_scale) inputs on which the vectorized VR/Cech builders must
+# reproduce the plain-loop reference exactly
+LOOP_REFERENCE_CASES = {
+    "random_2d": (random_cloud(11, 30, 2).points, None),
+    "random_3d": (random_cloud(12, 24, 3).points, None),
+    "grid": (grid(), None),
+    # right triangles sit on the switch between the non-acute and Heron rules
+    "grid_rotated": (grid(0.3), None),
+    "random_capped": (random_cloud(13, 40, 2).points, 0.12),
+}
 
 
 class TestFilteredComplex:
@@ -75,6 +98,58 @@ class TestFilteredComplex:
     def test_rejects_missing_vertex(self):
         with pytest.raises(ValueError, match="vertex"):
             FilteredComplex(2, (FilteredSimplex((0,), 0.0),), FiltrationKind.VR, 1.0)
+
+    def test_rejects_duplicate_triangle_and_too_many_vertices(self):
+        verts = [[0, 1], [0, 2], [1, 2]]
+        with pytest.raises(ValueError, match="duplicate"):
+            FilteredComplex.from_arrays(3, verts, [1.0] * 3, [[0, 1, 2], [0, 1, 2]], [1.0, 2.0], "vr", 2.0)
+        with pytest.raises(ValueError, match="at most"):
+            FilteredComplex.from_arrays(_MAX_VERTICES + 1, [], [], [], [], "vr", 1.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_tuple_constructor_round_trips_arrays(self, kind):
+        cx = build_complex(random_cloud(4, 12, 2), kind)
+        again = FilteredComplex(cx.n_vertices, cx.simplices[::-1], kind, cx.max_scale)
+        for name in ("edge_vertices", "edge_values", "triangle_vertices", "triangle_values", "triangle_edges"):
+            assert np.array_equal(getattr(again, name), getattr(cx, name))
+
+    def test_is_immutable(self):
+        cx = build_vr(SQUARE)
+        with pytest.raises(AttributeError):
+            cx.max_scale = 2.0
+        with pytest.raises(ValueError):
+            cx.edge_values[0] = 0.0
+
+    @pytest.mark.parametrize("n", [6, 60])
+    def test_edge_rows_table_and_sorted_lookup_agree(self, n):
+        # n = 6 takes the dense key table, n = 60 the sorted search
+        rng = np.random.default_rng(n)
+        pairs = sorted({tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(8)})
+        keys = np.array([i * n + j for i, j in pairs], dtype=np.int64)
+        queries = np.array([[i * n + j for i in range(3) for j in range(i + 1, 4)]], dtype=np.int64)
+        row_of = {int(k): r for r, k in enumerate(keys)}
+        want = [[row_of.get(int(q), -1) for q in queries[0]]]
+        assert _edge_rows(keys, n, queries).tolist() == want
+
+
+class TestLoopReference:
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    @pytest.mark.parametrize("case", sorted(LOOP_REFERENCE_CASES))
+    def test_vectorized_build_equals_loops(self, kind, case):
+        points, cap = LOOP_REFERENCE_CASES[case]
+        cx = build_complex(points, kind, max_scale=cap)
+        want_edges, want_triangles = loop_complex(_distance_matrix(points), kind, cx.max_scale)
+        if cap is not None:
+            n = len(points)
+            assert 0 < len(want_edges) < n * (n - 1) // 2
+        got_edges = [(tuple(v), x) for v, x in zip(cx.edge_vertices.tolist(), cx.edge_values.tolist())]
+        got_triangles = [
+            (tuple(v), x) for v, x in zip(cx.triangle_vertices.tolist(), cx.triangle_values.tolist())
+        ]
+        assert got_edges == want_edges
+        assert got_triangles == want_triangles
+        faces = cx.edge_vertices[cx.triangle_edges]
+        assert np.array_equal(faces, cx.triangle_vertices[:, _FACE_COLUMNS])
 
 
 class TestVR:
