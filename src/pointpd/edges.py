@@ -81,10 +81,12 @@ def classify_all(complex: FilteredComplex) -> dict[Edge, EdgeClass]:
             group_end += 1
         group = range(pos, group_end)
         for idx in group:
-            probe = uf.clone()
-            for other in group:
-                if other != idx:
-                    probe.union(*edges[other])
+            probe = uf  # a lone edge needs no copy: nothing else enters with it
+            if len(group) > 1:
+                probe = uf.clone()
+                for other in group:
+                    if other != idx:
+                        probe.union(*edges[other])
             p, q = edges[idx]
             short = probe.find(p) != probe.find(q)
             result[edges[idx]] = _edge_class(edges[idx], value, short, long_mask[idx])

@@ -1,14 +1,14 @@
-"""Persistence diagrams by boundary reduction over GF(2), plus metrics.
+"""Persistence diagrams by union-find and cohomology over GF(2), plus metrics.
 
-Triangle columns of the boundary matrix are Python ints used as bitmasks
-over the edge rows, so a column addition is one XOR and the pivot is
-bit_length() - 1. Edge columns need no reduction: a union-find pass over
-the edges in filtration order tells the edges that merge two components
-(dim-0 deaths) from those that close a cycle.
+Dim 1 reduces the coboundary matrix, which has the boundary matrix's pairs
+(de Silva, Morozov & Vejdemo-Johansson, "Dualities in persistent
+(co)homology", Inverse Problems 2011), with two shortcuts from Bauer,
+"Ripser" (J. Appl. Comput. Topol. 2021): clearing and apparent pairs.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -74,65 +74,65 @@ class GapStats:
     persistences: tuple[float, ...]
 
 
-def _reduce(columns: list[int]) -> tuple[dict[int, int], list[int]]:
-    """GF(2) column reduction in the given order.
-
-    Returns (pairs, zero_columns): pairs maps pivot row -> column index,
-    zero_columns lists indices of columns that reduced to zero.
-    """
-    pivot_col_mask: dict[int, int] = {}
-    pivot_col_idx: dict[int, int] = {}
-    zeros: list[int] = []
-    for idx, col in enumerate(columns):
-        low = col.bit_length() - 1
-        while low >= 0 and low in pivot_col_mask:
-            col ^= pivot_col_mask[low]
-            low = col.bit_length() - 1
-        if low >= 0:
-            pivot_col_mask[low] = col
-            pivot_col_idx[low] = idx
-        else:
-            zeros.append(idx)
-    return pivot_col_idx, zeros
+def _coboundary(triangle_edges_flat: npt.NDArray[np.intp], edge: int) -> set[int]:
+    """Rows of the triangles that have the edge as a face."""
+    return set((np.flatnonzero(triangle_edges_flat == edge) // 3).tolist())
 
 
 def compute_pd(complex: FilteredComplex, dim: int) -> PersistenceDiagram:
     """Persistence diagram of the complex in dimension 0 or 1.
 
-    Edges and triangles are stored sorted by (value, vertices), so
-    reduction follows the filtration order. An edge kills a component
-    exactly when its endpoints lie in different components as it enters,
-    so one union-find pass gives the dim-0 deaths, with one infinite bar
-    per component at the cap. Dim-1 pairs come from the triangle
-    columns' edge pivots; an edge that closes a cycle and is no pivot is
-    reported as infinite against the truncation scale.
+    Dim 0: an edge that joins two components is a death, and each
+    component left at the cap is an infinite bar. Dim 1: cohomology over
+    the cycle-closing edges, youngest first, with the merge edges cleared.
+    A column whose oldest coface is still free pairs with it unbuilt (an
+    apparent pair; off ties, every Long edge does so at zero persistence).
+    The rest are built and reduced; one that reduces to zero is a class
+    alive at the cap (death = inf). Zero-persistence pairs are dropped.
     """
     if dim not in (0, 1):
         raise ValueError("only dimensions 0 and 1 are supported")
     uf = UnionFind(complex.n_vertices)
     merges = [uf.union(i, j) for i, j in zip(*complex.edge_vertices.T.tolist())]
-    edge_values = complex.edge_values.tolist()
 
     if dim == 0:
-        pairs = [(0.0, value) for value, merged in zip(edge_values, merges) if merged and value > 0.0]
-        pairs.extend((0.0, math.inf) for _ in range(complex.n_vertices - sum(merges)))
+        deaths = complex.edge_values[merges].tolist()
+        pairs = [(0.0, value) for value in deaths if value > 0.0]
+        pairs.extend((0.0, math.inf) for _ in range(complex.n_vertices - len(deaths)))
         return PersistenceDiagram(0, tuple(pairs), complex.max_scale)
 
-    tri_cols = [(1 << a) | (1 << b) | (1 << c) for a, b, c in zip(*complex.triangle_edges.T.tolist())]
-    tri_pairs, _ = _reduce(tri_cols)
-    tri_values = complex.triangle_values.tolist()
-    pairs = []
-    for edge_idx, tri_idx in tri_pairs.items():
-        birth = edge_values[edge_idx]
-        death = tri_values[tri_idx]
-        if death > birth:
-            pairs.append((birth, death))
-    # any unpaired cycle-closing edge is a class still alive at the cap
-    pairs.extend(
-        (value, math.inf)
-        for idx, (value, merged) in enumerate(zip(edge_values, merges))
-        if not merged and idx not in tri_pairs
-    )
+    flat = complex.triangle_edges.ravel()
+    t = len(complex.triangle_values)  # the pivot of a zero column; never a key of `columns`
+    first = np.full(len(merges), t, dtype=np.intp)
+    np.minimum.at(first, flat, np.repeat(np.arange(t), 3))
+    oldest = first.tolist()
+    # pivot triangle -> its column: the edge id while unreduced, else a row set
+    columns: dict[int, int | set[int]] = {}
+    born, died = [], []
+    for edge in reversed(range(len(merges))):
+        if merges[edge]:
+            continue
+        pivot, column = oldest[edge], edge
+        if pivot in columns:
+            column = _coboundary(flat, edge)
+            heap = sorted(column)  # rows of the column and stale rows, popped lazily
+            while pivot in columns:
+                other = columns[pivot]
+                if isinstance(other, int):
+                    other = columns[pivot] = _coboundary(flat, other)
+                column ^= other
+                for row in other:
+                    heapq.heappush(heap, row)
+                while heap and heap[0] not in column:
+                    heapq.heappop(heap)
+                pivot = heap[0] if heap else t
+        if pivot < t:
+            columns[pivot] = column
+        born.append(edge)
+        died.append(pivot)
+    births = complex.edge_values[born]
+    deaths = np.append(complex.triangle_values, math.inf)[died]
+    pairs = zip(births[deaths > births].tolist(), deaths[deaths > births].tolist())
     return PersistenceDiagram(1, tuple(pairs), complex.max_scale)
 
 

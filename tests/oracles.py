@@ -4,10 +4,11 @@ Nothing here shares algorithms with the package: diagrams come from
 persistent Betti numbers via GF(2) ranks (not column reduction), the
 3-point enclosing radius from explicit candidate circles (not the law of
 cosines), bottleneck from exhaustive matching, and polygon triangulations
-from full enumeration. The one exception is `loop_complex`, a reference
-for exactness rather than for geometry: it restates the VR/Cech value
-rules one triple at a time, so the vectorized builders must match it bit
-for bit.
+from full enumeration. Two references for exactness are the exceptions.
+`loop_complex` restates the VR/Cech value rules one triple at a time, so
+the vectorized builders must match it bit for bit. `boundary_pd1` is the
+textbook boundary-matrix reduction the package used to run, so the
+package's cohomology route must give the very same pairs, float for float.
 """
 
 from __future__ import annotations
@@ -140,6 +141,42 @@ def oracle_pd(cx, dim: int) -> tuple[list[tuple[float, float]], list[float]]:
         if mu:
             infinite.extend([scales[i]] * mu)
     return finite, infinite
+
+
+def boundary_pd1(cx) -> list[tuple[float, float]]:
+    """Sorted degree-1 pairs by reducing the triangle columns of the boundary matrix.
+
+    Columns are Python ints used as bitmasks over the edge rows (a column
+    addition is one XOR, the pivot is bit_length() - 1), reduced left to
+    right in filtration order. A cycle-closing edge that no column takes
+    as its pivot is an infinite bar. Zero-persistence pairs are dropped.
+    """
+    comps = _Components(cx.n_vertices)
+    closes_cycle = []
+    for a, b in cx.edge_vertices.tolist():
+        before = comps.count
+        comps.union(a, b)
+        closes_cycle.append(comps.count == before)
+    edge_values = cx.edge_values.tolist()
+    tri_values = cx.triangle_values.tolist()
+    reduced: dict[int, int] = {}
+    pairs = []
+    for tri, (a, b, c) in enumerate(cx.triangle_edges.tolist()):
+        col = (1 << a) | (1 << b) | (1 << c)
+        low = col.bit_length() - 1
+        while low >= 0 and low in reduced:
+            col ^= reduced[low]
+            low = col.bit_length() - 1
+        if low >= 0:
+            reduced[low] = col
+            if tri_values[tri] > edge_values[low]:
+                pairs.append((edge_values[low], tri_values[tri]))
+    pairs.extend(
+        (value, INF)
+        for edge, (value, cycle) in enumerate(zip(edge_values, closes_cycle))
+        if cycle and edge not in reduced
+    )
+    return sorted(pairs)
 
 
 def assert_diagram_matches(diagram, cx, dim: int, tol: float = 1e-9) -> None:

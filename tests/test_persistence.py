@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pointpd.edges import EdgeClass, classify_all
 from pointpd.filtration import build_complex, build_vr
@@ -17,7 +19,8 @@ from pointpd.persistence import (
     mst,
 )
 
-from oracles import assert_diagram_matches, oracle_bottleneck
+from oracles import assert_diagram_matches, boundary_pd1, oracle_bottleneck
+from test_filtration import grid
 
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 ROOT_HALF = math.sqrt(2.0) / 2.0
@@ -117,6 +120,83 @@ class TestOracleAgreement:
         cx = build_vr(cloud, max_scale=0.3)
         for pd_dim in (0, 1):
             assert_diagram_matches(compute_pd(cx, pd_dim), cx, pd_dim)
+
+
+# (n, ambient dim, kind) of the clouds behind one `pd`/`classify` call in
+# perfbench's rips_query workload
+RIPS_SHAPES = [
+    (97, 2, "vr"), (68, 2, "cech"), (88, 2, "vr"), (72, 2, "cech"), (85, 3, "vr"),
+    (101, 2, "vr"), (64, 3, "cech"), (60, 2, "cech"), (110, 2, "vr"),
+]
+
+
+class TestBoundaryReference:
+    """Cohomology with clearing and apparent pairs gives the boundary reduction's pairs."""
+
+    @staticmethod
+    def assert_same_pairs(cx) -> None:
+        assert compute_pd(cx, 1).pairs == tuple(boundary_pd1(cx))
+
+    @pytest.mark.parametrize("n,dim_ambient,kind", RIPS_SHAPES)
+    def test_benchmark_shapes(self, n, dim_ambient, kind):
+        self.assert_same_pairs(build_complex(random_cloud(n, n, dim_ambient), kind))
+
+    @pytest.mark.parametrize("angle", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", ["vr", "cech", "delaunay"])
+    def test_grids_with_ties(self, angle, kind):
+        self.assert_same_pairs(build_complex(grid(angle), kind))
+
+    @pytest.mark.parametrize("cap,lone_edges", [(0.12, True), (0.2, False)])
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    def test_capped(self, cap, lone_edges, kind):
+        cx = build_complex(random_cloud(77, 60, 2), kind, max_scale=cap)
+        # classes alive at the cap, and at 0.12 edges with no coface at all
+        assert math.inf in {death for _, death in compute_pd(cx, 1).pairs}
+        assert (len(np.unique(cx.triangle_edges)) < len(cx.edge_values)) == lone_edges
+        self.assert_same_pairs(cx)
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    def test_regular_polygon(self, kind):
+        # a few columns, but 96 (vr) and 189 (cech) column additions in all
+        angles = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
+        self.assert_same_pairs(build_complex(np.stack([np.cos(angles), np.sin(angles)], axis=1), kind))
+
+    def test_delaunay(self):
+        self.assert_same_pairs(build_complex(random_cloud(150, 150, 2), "delaunay"))
+
+    @pytest.mark.parametrize("kind", ["vr", "cech", "delaunay"])
+    def test_collinear(self, kind):
+        cloud = np.stack([np.arange(9.0) ** 1.5, 0.5 * np.arange(9.0) ** 1.5], axis=1)
+        self.assert_same_pairs(build_complex(cloud, kind))
+
+
+@st.composite
+def grid_clouds(draw):
+    """Three to twelve distinct points of a small integer grid, so distances tie often."""
+    dim = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(3, 12))
+    coords = st.tuples(*[st.integers(0, 4)] * dim)
+    return np.array(draw(st.lists(coords, min_size=n, max_size=n, unique=True)), dtype=np.float64)
+
+
+class TestTiedCloudProperties:
+    @given(cloud=grid_clouds(), kind=st.sampled_from(["vr", "cech"]), cap=st.sampled_from([None, 1.0, 1.25]))
+    def test_matches_rank_oracle(self, cloud, kind, cap):
+        cx = build_complex(cloud, kind, max_scale=cap)
+        for pd_dim in (0, 1):
+            assert_diagram_matches(compute_pd(cx, pd_dim), cx, pd_dim, tol=0.0)
+
+    @given(cloud=grid_clouds(), cap=st.sampled_from([None, 1.0, 1.25]), data=st.data())
+    def test_vr_dim1_invariant_under_permutation(self, cloud, cap, data):
+        order = data.draw(st.permutations(range(len(cloud))))
+        want = compute_pd(build_complex(cloud, "vr", max_scale=cap), 1)
+        assert compute_pd(build_complex(cloud[list(order)], "vr", max_scale=cap), 1) == want
+
+    @pytest.mark.xfail(strict=True, reason="a Cech triangle value depends on the vertex order in its last bit")
+    def test_cech_dim1_invariant_under_permutation(self):
+        cloud = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
+        want = compute_pd(build_complex(cloud, "cech"), 1)
+        assert compute_pd(build_complex(cloud[[1, 0, 2]], "cech"), 1) == want
 
 
 class TestMst:
