@@ -510,7 +510,10 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
         return _collinear_path_complex(points)
 
     try:
-        tess = Delaunay(points)
+        # Qhull lifts its input onto a paraboloid, so far from the origin the
+        # lift loses the bits that decide the triangulation; it sees the
+        # centred cloud, and every value below comes from the original points.
+        tess = Delaunay(points - points.mean(axis=0))
     except QhullError:
         if _all_collinear(points, tol=1e-8):
             return _collinear_path_complex(points)

@@ -4,12 +4,24 @@ Dim 1 reduces the coboundary matrix, which has the boundary matrix's pairs
 (de Silva, Morozov & Vejdemo-Johansson, "Dualities in persistent
 (co)homology", Inverse Problems 2011), with two shortcuts from Bauer,
 "Ripser" (J. Appl. Comput. Topol. 2021): clearing and apparent pairs.
+
+The bottleneck distance is the smallest candidate threshold (0, an L-inf
+distance between two points or a half-persistence) with a perfect matching
+of the diagonal-augmented graph, found by bisection from the exact lower
+bound.
+Its diagonal blocks are complete, so by Mendelsohn-Dulmage the test splits
+into two matchings of the sparse point-to-point graph, each covering the
+points of one diagram that are too far from the diagonal. An iterative
+Hopcroft-Karp matcher, with no recursion limit, checks both; per bisection
+step that is one O(mk) comparison over row-sorted costs plus O(E sqrt V)
+matching. diagram_equal with a tolerance uses the same matcher.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,28 +173,87 @@ def mst(cloud: PointCloud | npt.NDArray[np.float64]) -> list[tuple[tuple[int, in
     return out
 
 
-def _kuhn_match(n_left: int, n_right: int, adj: list[list[int]]) -> int:
-    """Maximum bipartite matching size (augmenting paths)."""
-    match_right = [-1] * n_right
+def _saturates(adj: list[list[int]], n_right: int) -> bool:
+    """True iff some matching covers every left vertex; adj[u] lists u's right neighbours.
 
-    def try_augment(u: int, seen: list[bool]) -> bool:
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                if match_right[v] == -1 or try_augment(match_right[v], seen):
-                    match_right[v] = u
-                    return True
-        return False
+    Hopcroft-Karp (SIAM J. Comput. 1973) seeded by a greedy pass that takes
+    each vertex's first free neighbour. The depth-first search keeps its own
+    stack, so no recursion limit applies at any diagram size.
+    """
+    mate_left = [-1] * len(adj)
+    mate_right = [-1] * n_right
+    for u, nbrs in enumerate(adj):
+        for v in nbrs:
+            if mate_right[v] < 0:
+                mate_left[u], mate_right[v] = v, u
+                break
+    free = [u for u, v in enumerate(mate_left) if v < 0]
+    while free:
+        # layers of the alternating paths from the free left vertices
+        layer = [-1] * len(adj)
+        for u in free:
+            layer[u] = 0
+        queue, found = list(free), False
+        for u in queue:
+            for v in adj[u]:
+                w = mate_right[v]
+                if w < 0:
+                    found = True
+                elif layer[w] < 0:
+                    layer[w] = layer[u] + 1
+                    queue.append(w)
+        if not found:
+            return False
+        # augment along layer-increasing paths; nxt[u] is u's next untried neighbour
+        nxt = [0] * len(adj)
+        for root in free:
+            stack = [root]
+            while stack:
+                u = stack[-1]
+                if nxt[u] == len(adj[u]):
+                    layer[u] = -1  # no augmenting path through u in this phase
+                    stack.pop()
+                    continue
+                v = adj[u][nxt[u]]
+                nxt[u] += 1
+                w = mate_right[v]
+                if w < 0:
+                    for x in stack:
+                        y = adj[x][nxt[x] - 1]
+                        mate_left[x], mate_right[y] = y, x
+                    break
+                if layer[w] == layer[u] + 1:
+                    stack.append(w)
+        free = [u for u in free if mate_left[u] < 0]
+    return True
 
-    size = 0
-    for u in range(n_left):
-        if try_augment(u, [False] * n_right):
-            size += 1
-    return size
+
+def _linf_matrix(a: npt.NDArray[np.float64], b: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    """L-inf distances between the (birth, death) rows of a and those of b."""
+    return np.maximum(np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1]))
 
 
-def _linf(a: Pair, b: Pair) -> float:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+def _finite_array(diagram: PersistenceDiagram) -> npt.NDArray[np.float64]:
+    return np.array(diagram.finite_pairs, dtype=np.float64).reshape(-1, 2)
+
+
+def _cover_test(cost: npt.NDArray[np.float64], half: npt.NDArray[np.float64]) -> Callable[[float], bool]:
+    """covered(delta): can every row with half > delta be matched to a column within delta?
+
+    Each row is sorted once, so its neighbours at delta are a prefix, nearest
+    first, which is also the order the greedy seed tries them in.
+    """
+    order = np.argsort(cost, axis=1, kind="stable")
+    ranked = np.take_along_axis(cost, order, axis=1)
+
+    def covered(delta: float) -> bool:
+        forced = half > delta
+        near = ranked[forced] <= delta
+        flat = order[forced][near].tolist()
+        ends = np.cumsum(near.sum(axis=1)).tolist()
+        return _saturates([flat[s:e] for s, e in zip([0, *ends], ends)], cost.shape[1])
+
+    return covered
 
 
 def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
@@ -191,6 +262,14 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
     Finite points may match each other or their diagonal projection;
     infinite bars must match each other (count mismatch gives +inf, and
     matched infinite bars contribute their birth difference).
+
+    The answer is the smallest candidate (0, an L-inf distance between two
+    points, or a point's half-persistence) at which a perfect matching of
+    the diagonal-augmented graph exists, found by bisection from the
+    largest point-wise lower bound. The diagonal blocks are complete, so by
+    Mendelsohn-Dulmage a threshold is feasible iff a matching of the
+    point-to-point graph covers every point of d1 farther than it from the
+    diagonal, and another covers every such point of d2.
     """
     if d1.dim != d2.dim:
         raise ValueError("diagrams of different dimensions are not comparable")
@@ -200,45 +279,29 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
         return math.inf
     floor = max((abs(a - b) for a, b in zip(inf1, inf2)), default=0.0)
 
-    pts1 = list(d1.finite_pairs)
-    pts2 = list(d2.finite_pairs)
-    m, k = len(pts1), len(pts2)
-    if m == 0 and k == 0:
+    pts1, pts2 = _finite_array(d1), _finite_array(d2)
+    if len(pts1) == 0 and len(pts2) == 0:
         return floor
-    diag1 = [(d - b) / 2.0 for b, d in pts1]
-    diag2 = [(d - b) / 2.0 for b, d in pts2]
-    candidates = sorted(
-        {0.0}
-        | {_linf(a, b) for a in pts1 for b in pts2}
-        | set(diag1)
-        | set(diag2)
+    cost = _linf_matrix(pts1, pts2)
+    half1 = (pts1[:, 1] - pts1[:, 0]) / 2.0
+    half2 = (pts2[:, 1] - pts2[:, 0]) / 2.0
+    candidates = np.unique(np.concatenate([[0.0], cost.ravel(), half1, half2]))
+    # each point goes to the diagonal or to its nearest partner at best
+    lower = max(
+        np.minimum(half1, cost.min(axis=1, initial=math.inf)).max(initial=0.0),
+        np.minimum(half2, cost.min(axis=0, initial=math.inf)).max(initial=0.0),
     )
-
-    def feasible(delta: float) -> bool:
-        # left: pts1 then k diagonal slots; right: pts2 then m diagonal slots
-        adj: list[list[int]] = []
-        for i in range(m):
-            row = [j for j in range(k) if _linf(pts1[i], pts2[j]) <= delta]
-            if diag1[i] <= delta:
-                row.extend(range(k, k + m))
-            adj.append(row)
-        for j in range(k):
-            row = list(range(k, k + m))  # diagonal slot matches diagonal slot
-            if diag2[j] <= delta:
-                row = [j] + row
-            adj.append(row)
-        return _kuhn_match(m + k, k + m, adj) == m + k
-
-    lo, hi = 0, len(candidates) - 1
-    if not feasible(candidates[hi]):  # cannot happen: max candidate always works
-        return math.inf
+    rows_covered = _cover_test(cost, half1)
+    cols_covered = _cover_test(cost.T, half2)
+    lo, hi = int(np.searchsorted(candidates, lower)), len(candidates) - 1  # the largest is feasible
     while lo < hi:
         mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
+        delta = float(candidates[mid])
+        if rows_covered(delta) and cols_covered(delta):
             hi = mid
         else:
             lo = mid + 1
-    return max(floor, candidates[lo])
+    return max(floor, float(candidates[lo]))
 
 
 def diagram_equal(d1: PersistenceDiagram, d2: PersistenceDiagram, tol: float = 0.0) -> bool:
@@ -257,13 +320,11 @@ def diagram_equal(d1: PersistenceDiagram, d2: PersistenceDiagram, tol: float = 0
         return False
     if any(abs(a - b) > tol for a, b in zip(inf1, inf2)):
         return False
-    pts1 = list(d1.finite_pairs)
-    pts2 = list(d2.finite_pairs)
     if tol == 0.0:
-        return sorted(pts1) == sorted(pts2)
-    m = len(pts1)
-    adj = [[j for j in range(m) if _linf(pts1[i], pts2[j]) <= tol] for i in range(m)]
-    return _kuhn_match(m, m, adj) == m
+        return sorted(d1.finite_pairs) == sorted(d2.finite_pairs)
+    # the bottleneck feasibility test with every point forced, as no pair may go to the diagonal
+    cost = _linf_matrix(_finite_array(d1), _finite_array(d2))
+    return _cover_test(cost, np.full(len(cost), math.inf))(tol)
 
 
 def gap_stats(diagram: PersistenceDiagram) -> GapStats:

@@ -4,11 +4,15 @@ Nothing here shares algorithms with the package: diagrams come from
 persistent Betti numbers via GF(2) ranks (not column reduction), the
 3-point enclosing radius from explicit candidate circles (not the law of
 cosines), bottleneck from exhaustive matching, and polygon triangulations
-from full enumeration. Two references for exactness are the exceptions.
+from full enumeration. Three references for exactness are the exceptions.
 `loop_complex` restates the VR/Cech value rules one triple at a time, so
 the vectorized builders must match it bit for bit. `boundary_pd1` is the
 textbook boundary-matrix reduction the package used to run, so the
 package's cohomology route must give the very same pairs, float for float.
+`kuhn_bottleneck` is the dense bisection-plus-Kuhn matching the package
+used to run, so its sparse matcher must return the very same float.
+`scipy_bottleneck` is a third, independent route for diagrams too large
+for the recursive one: the same bisection with scipy's Hopcroft-Karp.
 """
 
 from __future__ import annotations
@@ -252,6 +256,123 @@ def oracle_bottleneck(pairs1, pairs2) -> float:
                     cost = max(cost, diag(pts2[j]))
                 best = min(best, cost)
     return best
+
+
+def _linf(a, b) -> float:
+    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
+
+
+def _kuhn_match(n_left: int, n_right: int, adj: list[list[int]]) -> int:
+    """Maximum bipartite matching size (recursive augmenting paths)."""
+    match_right = [-1] * n_right
+
+    def try_augment(u: int, seen: list[bool]) -> bool:
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                if match_right[v] == -1 or try_augment(match_right[v], seen):
+                    match_right[v] = u
+                    return True
+        return False
+
+    size = 0
+    for u in range(n_left):
+        if try_augment(u, [False] * n_right):
+            size += 1
+    return size
+
+
+def kuhn_bottleneck(d1, d2) -> float:
+    """Bottleneck distance of two PersistenceDiagrams, infinite bars included.
+
+    Bisection over every candidate (0, L-inf distances, half-persistences)
+    with a Kuhn matching of the full (m + k) x (k + m) diagonal-augmented
+    graph per step. Recursion depth grows with the diagram: small inputs only.
+    """
+    inf1 = sorted(b for b, _ in d1.infinite_pairs)
+    inf2 = sorted(b for b, _ in d2.infinite_pairs)
+    if len(inf1) != len(inf2):
+        return INF
+    floor = max((abs(a - b) for a, b in zip(inf1, inf2)), default=0.0)
+
+    pts1 = list(d1.finite_pairs)
+    pts2 = list(d2.finite_pairs)
+    m, k = len(pts1), len(pts2)
+    if m == 0 and k == 0:
+        return floor
+    diag1 = [(d - b) / 2.0 for b, d in pts1]
+    diag2 = [(d - b) / 2.0 for b, d in pts2]
+    candidates = sorted(
+        {0.0}
+        | {_linf(a, b) for a in pts1 for b in pts2}
+        | set(diag1)
+        | set(diag2)
+    )
+
+    def feasible(delta: float) -> bool:
+        # left: pts1 then k diagonal slots; right: pts2 then m diagonal slots
+        adj: list[list[int]] = []
+        for i in range(m):
+            row = [j for j in range(k) if _linf(pts1[i], pts2[j]) <= delta]
+            if diag1[i] <= delta:
+                row.extend(range(k, k + m))
+            adj.append(row)
+        for j in range(k):
+            row = list(range(k, k + m))  # diagonal slot matches diagonal slot
+            if diag2[j] <= delta:
+                row = [j] + row
+            adj.append(row)
+        return _kuhn_match(m + k, k + m, adj) == m + k
+
+    lo, hi = 0, len(candidates) - 1
+    if not feasible(candidates[hi]):  # cannot happen: max candidate always works
+        return INF
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(candidates[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return max(floor, candidates[lo])
+
+
+def scipy_bottleneck(pairs1, pairs2) -> float:
+    """Bottleneck distance over finite pairs by scipy's Hopcroft-Karp.
+
+    Bisection over the sorted candidates; each step asks
+    maximum_bipartite_matching for a perfect matching of the full
+    diagonal-augmented graph (left: pairs1 then a diagonal slot per pairs2
+    entry; right: pairs2 then a slot per pairs1 entry; slots match slots).
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    a = np.asarray(pairs1, dtype=float).reshape(-1, 2)
+    b = np.asarray(pairs2, dtype=float).reshape(-1, 2)
+    m, k = len(a), len(b)
+    if m + k == 0:
+        return 0.0
+    cost = np.maximum(np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1]))
+    half_a = (a[:, 1] - a[:, 0]) / 2.0
+    half_b = (b[:, 1] - b[:, 0]) / 2.0
+    candidates = np.unique(np.concatenate([[0.0], cost.ravel(), half_a, half_b]))
+
+    def perfect(t: float) -> bool:
+        adj = np.zeros((m + k, k + m), dtype=bool)
+        adj[:m, :k] = cost <= t
+        adj[np.arange(m), k + np.arange(m)] = half_a <= t
+        adj[m + np.arange(k), np.arange(k)] = half_b <= t
+        adj[m:, k:] = True
+        return bool(np.all(maximum_bipartite_matching(csr_matrix(adj), perm_type="column") >= 0))
+
+    lo, hi = 0, len(candidates) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if perfect(float(candidates[mid])):
+            hi = mid
+        else:
+            lo = mid + 1
+    return float(candidates[lo])
 
 
 # ------------------------------------------------- polygon triangulations

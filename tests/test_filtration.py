@@ -19,7 +19,7 @@ from pointpd.filtration import (
     critical_scales,
 )
 from pointpd.geometry import PointCloud
-from pointpd.persistence import compute_pd, diagram_equal
+from pointpd.persistence import bottleneck_distance, compute_pd, diagram_equal
 
 from oracles import lex_min_triangulation, loop_complex, oracle_meb3
 
@@ -302,6 +302,15 @@ class TestDelaunay:
         cx = build_delaunay_2d(cloud)
         want = {tuple(sorted(int(v) for v in t)) for t in Delaunay(cloud.points).simplices}
         assert {t.vertices for t in cx.triangles} == want
+
+    def test_translation_invariant(self):
+        # far from the origin Qhull used to triangulate differently
+        for seed in range(200):
+            cloud = np.random.default_rng(seed).random((12, 2))
+            here = compute_pd(build_delaunay_2d(cloud), 1)
+            there = compute_pd(build_delaunay_2d(cloud + 1e6), 1)
+            assert len(there) == len(here)
+            assert bottleneck_distance(here, there) <= 1e-9
 
 
 class TestLexSmallestTriangulation:

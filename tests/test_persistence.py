@@ -19,7 +19,13 @@ from pointpd.persistence import (
     mst,
 )
 
-from oracles import assert_diagram_matches, boundary_pd1, oracle_bottleneck
+from oracles import (
+    assert_diagram_matches,
+    boundary_pd1,
+    kuhn_bottleneck,
+    oracle_bottleneck,
+    scipy_bottleneck,
+)
 from test_filtration import grid
 
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -282,6 +288,97 @@ class TestBottleneck:
         assert bottleneck_distance(d1, d2) == pytest.approx(
             bottleneck_distance(d2, d1)
         )
+
+
+def jittered_cloud(key, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A unit-square cloud and a copy with each point moved at most 0.002."""
+    rng = np.random.default_rng(key)
+    points = rng.random((n, 2))
+    angle = rng.uniform(0.0, 2.0 * math.pi, n)
+    radius = 0.002 * np.sqrt(rng.random(n))
+    return points, points + np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=1)
+
+
+def alpha_diagrams(points, moved) -> tuple[PersistenceDiagram, PersistenceDiagram]:
+    return compute_pd(build_complex(points, "delaunay"), 1), compute_pd(build_complex(moved, "delaunay"), 1)
+
+
+@st.composite
+def diagrams(draw, grid: bool):
+    """Up to eight finite pairs and two infinite bars; on the 0.1 grid values tie often."""
+    if grid:
+        birth, length = st.integers(0, 10).map(lambda i: i / 10), st.integers(1, 5).map(lambda i: i / 10)
+    else:
+        birth, length = st.floats(0.0, 1.0), st.floats(1e-6, 1.0)
+    finite = draw(st.lists(st.tuples(birth, length).map(lambda p: (p[0], p[0] + p[1])), max_size=8))
+    infinite = draw(st.lists(birth.map(lambda b: (b, math.inf)), max_size=2))
+    return PersistenceDiagram(1, tuple(finite + infinite))
+
+
+class TestBottleneckExact:
+    """bottleneck_distance returns the very float of the dense Kuhn reference."""
+
+    def assert_exact(self, d1, d2):
+        assert bottleneck_distance(d1, d2) == kuhn_bottleneck(d1, d2)
+        assert bottleneck_distance(d2, d1) == kuhn_bottleneck(d2, d1)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random(self, seed):
+        rng = np.random.default_rng(seed + 2000)
+        def sample(k):
+            return tuple((b, b + rng.random() + 1e-3) for b in rng.random(k))
+        self.assert_exact(PersistenceDiagram(1, sample(rng.integers(0, 12))), PersistenceDiagram(1, sample(rng.integers(0, 12))))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_ties_on_a_grid(self, seed):
+        rng = np.random.default_rng(seed + 3000)
+        def sample(k):
+            return tuple((b / 10, b / 10 + d / 10) for b, d in zip(rng.integers(0, 10, k), rng.integers(1, 6, k)))
+        self.assert_exact(PersistenceDiagram(1, sample(rng.integers(1, 12))), PersistenceDiagram(1, sample(rng.integers(1, 12))))
+
+    @pytest.mark.parametrize(
+        "pairs1, pairs2",
+        [
+            (((0.1, 0.5), (0.2, 0.3), (0.4, 0.9)), ((0.15, 0.45),)),
+            (((0.1, 0.5), (0.2, 0.3)), ()),
+            ((), ((0.0, 0.7),)),
+            (((0.1, 0.5), (0.3, math.inf)), ((0.1, 0.6), (0.2, 0.3), (0.35, math.inf))),
+            (((0.0, math.inf),), ((0.5, math.inf),)),
+            (((0.2, 0.3), (0.0, math.inf)), ((0.0, math.inf),)),
+            (((0.2, 0.3),), ((0.0, math.inf),)),
+        ],
+    )
+    def test_unequal_counts_empty_sides_and_infinite_bars(self, pairs1, pairs2):
+        self.assert_exact(PersistenceDiagram(1, pairs1), PersistenceDiagram(1, pairs2))
+
+    @pytest.mark.parametrize("n", [100, 150, 200])
+    def test_alpha_jitter_pairs(self, n):
+        self.assert_exact(*alpha_diagrams(*jittered_cloud([1, 3, 0, n], n)))
+
+    @given(data=st.data(), grid=st.booleans())
+    def test_property(self, data, grid):
+        self.assert_exact(data.draw(diagrams(grid)), data.draw(diagrams(grid)))
+
+
+class TestLargeDiagrams:
+    def test_alpha_600(self):
+        # the seed-independent n = 600 cloud of the alpha_stability benchmark workload
+        points, moved = jittered_cloud([0, 3, 0, 5], 600)
+        d1, d2 = alpha_diagrams(points, moved)
+        assert min(len(d1), len(d2)) > 500
+        got = bottleneck_distance(d1, d2)
+        assert got <= float(np.max(np.linalg.norm(moved - points, axis=1)))
+        assert got == scipy_bottleneck(d1.finite_pairs, d2.finite_pairs)
+
+    def test_diagram_equal_long_augmenting_paths(self):
+        # pair i lies within tol of shifted pairs i - 1 and i, so matching
+        # in index order needs augmenting paths as long as the diagram
+        m, step = 2000, 1e-9
+        d = PersistenceDiagram(1, tuple((i * step, i * step + 1.0) for i in range(m)))
+        shifted = PersistenceDiagram(1, tuple((b + 0.9 * step, e + 0.9 * step) for b, e in d.pairs))
+        assert diagram_equal(d, shifted, tol=step)
+        assert diagram_equal(shifted, d, tol=step)
+        assert not diagram_equal(d, shifted, tol=0.5 * step)
 
 
 class TestDiagramEqual:
