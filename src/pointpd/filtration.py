@@ -21,6 +21,7 @@ them.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from enum import Enum
@@ -303,9 +304,13 @@ def _as_points(cloud: PointCloud | npt.NDArray[np.float64]) -> npt.NDArray[np.fl
     return PointCloud(np.asarray(cloud, dtype=np.float64)).points
 
 
+def _norms(diff: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    """Euclidean lengths along the last axis; every builder measures distances this way."""
+    return np.sqrt((diff * diff).sum(axis=-1))
+
+
 def _distance_matrix(points: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    diff = points[:, None, :] - points[None, :, :]
-    D = np.sqrt((diff * diff).sum(axis=2))
+    D = _norms(points[:, None, :] - points[None, :, :])
     n = points.shape[0]
     # the edge taxonomy assumes distinct points; a zero-length edge would
     # classify meaninglessly, so reject up front in every builder
@@ -417,71 +422,67 @@ def build_cech(
     return _capped_complex(D, FiltrationKind.CECH, cap, _meb_radius_from_sides)
 
 
-def _circumcircle_2d(
-    a: npt.NDArray[np.float64],
-    b: npt.NDArray[np.float64],
-    c: npt.NDArray[np.float64],
-) -> tuple[npt.NDArray[np.float64], float]:
-    """Circumcenter and circumradius of a nondegenerate planar triangle."""
-    u = b - a
-    v = c - a
-    den = 2.0 * (u[0] * v[1] - u[1] * v[0])
-    if den == 0.0:
-        raise ValueError("degenerate (collinear) triangle has no circumcircle")
-    uu = float(u[0] * u[0] + u[1] * u[1])
-    vv = float(v[0] * v[0] + v[1] * v[1])
-    ux = (v[1] * uu - u[1] * vv) / den
-    uy = (u[0] * vv - v[0] * uu) / den
-    center = a + np.array([ux, uy])
-    radius = math.hypot(ux, uy)
-    return center, radius
-
-
 def _lex_smallest_triangulation(cycle: list[int]) -> list[tuple[int, int, int]]:
     """Lexicographically smallest triangulation of a convex polygon.
 
     `cycle` lists vertex ids in convex (cyclic) order. The smallest
     realizable triangle in a convex polygon is always the one on the
     three smallest ids; picking it splits the polygon into arcs, and
-    recursing on each arc keeps the sorted triangle list minimal.
+    doing the same on each arc keeps the sorted triangle list minimal.
     """
-    if len(cycle) < 3:
-        return []
-    chosen = sorted(sorted(cycle)[:3])
-    pos = {v: idx for idx, v in enumerate(cycle)}
-    anchors = sorted((pos[v] for v in chosen))
-    out = [tuple(chosen)]
-    for t in range(3):
-        start = anchors[t]
-        end = anchors[(t + 1) % 3]
-        arc = []
-        idx = start
-        while True:
-            arc.append(cycle[idx])
-            if idx == end:
-                break
-            idx = (idx + 1) % len(cycle)
-        out.extend(_lex_smallest_triangulation(arc))
+    out = []
+    arcs = [cycle]
+    while arcs:
+        arc = arcs.pop()
+        if len(arc) < 3:
+            continue
+        chosen = sorted(arc)[:3]
+        out.append(tuple(chosen))
+        a, b, c = sorted(arc.index(v) for v in chosen)
+        arcs += [arc[a : b + 1], arc[b : c + 1], arc[c:] + arc[: a + 1]]
     return sorted(out)
 
 
 def _collinear_path_complex(points: npt.NDArray[np.float64]) -> FilteredComplex:
     """Path complex for collinear points: consecutive edges at half-length."""
-    n = points.shape[0]
-    edges: list[tuple[int, int]] = []
-    values: list[float] = []
-    if n > 1:
-        # order along the line spanned by the farthest pair
-        D = _distance_matrix(points)
-        i0, j0 = np.unravel_index(int(D.argmax()), D.shape)
-        axis = points[j0] - points[i0]
-        order = sorted(range(n), key=lambda k: float(np.dot(points[k] - points[i0], axis)))
-        for a, b in zip(order, order[1:]):
-            i, j = min(a, b), max(a, b)
-            edges.append((i, j))
-            values.append(float(D[i, j] / 2.0))
-    cap = max(values, default=0.0)
-    return FilteredComplex.from_arrays(n, edges, values, [], [], FiltrationKind.DELAUNAY, cap)
+    # order along the line spanned by the farthest pair
+    D = _distance_matrix(points)
+    i0, j0 = np.unravel_index(int(D.argmax()), D.shape)
+    axis = points[j0] - points[i0]
+    order = np.array(sorted(range(len(points)), key=lambda k: float(np.dot(points[k] - points[i0], axis))))
+    edges = np.sort(np.stack([order[:-1], order[1:]], axis=1), axis=1)
+    values = D[edges[:, 0], edges[:, 1]] / 2.0
+    cap = float(values.max(initial=0.0))
+    return FilteredComplex.from_arrays(len(points), edges, values, [], [], FiltrationKind.DELAUNAY, cap)
+
+
+# Ball queries are widened so that the KD-tree's rounding never drops a point the float tests flag.
+_QUERY_SLACK = 1.0 + 1e-6
+
+
+def _circumcircles(points: npt.NDArray[np.float64], tris: npt.NDArray[np.intp]):
+    """Circumcentres (t, 2) and circumradii (t,) of planar triangles (t, 3)."""
+    a = points[tris[:, 0]]
+    u = points[tris[:, 1]] - a
+    v = points[tris[:, 2]] - a
+    den = 2.0 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+    if (den == 0.0).any():
+        raise ValueError("degenerate (collinear) triangle has no circumcircle")
+    uu = u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1]
+    vv = v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]
+    ux = (v[:, 1] * uu - u[:, 1] * vv) / den
+    uy = (u[:, 0] * vv - v[:, 0] * uu) / den
+    # math.hypot, not np.hypot: the two differ in the last bit on some inputs
+    radii = np.fromiter(map(math.hypot, ux.tolist(), uy.tolist()), dtype=np.float64, count=len(ux))
+    return a + np.stack([ux, uy], axis=1), radii
+
+
+def _ball_candidates(tree, points, centers, radii):
+    """(ball row, point, distance to centre) for the points in each widened ball, rows ascending."""
+    hits = tree.query_ball_point(centers, radii * _QUERY_SLACK, return_sorted=False)
+    rows = np.repeat(np.arange(len(hits)), np.fromiter(map(len, hits), dtype=np.intp, count=len(hits)))
+    cols = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=len(rows))
+    return rows, cols, _norms(points[cols] - centers[rows])
 
 
 def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredComplex:
@@ -494,17 +495,26 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     smallest triangulation of the convex polygon). All-collinear input
     degrades to the path complex with edges at half-length.
 
+    The cocircular, Gabriel and coincidence tests run only on the hits of
+    `scipy.spatial.cKDTree` queries (balls at circumcentres and edge
+    midpoints, pairs within 2 * COINCIDENT_TOL): O(n log n + t) time, and
+    no n x n array off the collinear path.
+
     Raises:
-        ValueError: ambient dimension != 2, or coincident points.
+        ValueError: ambient dimension != 2, coincident points, or a point
+            inside a circumcircle by more than the cocircular tolerance.
     """
     # imported here so that the VR and Cech paths never load scipy.spatial
-    from scipy.spatial import Delaunay, QhullError
+    from scipy.spatial import Delaunay, QhullError, cKDTree
 
     points = _as_points(cloud)
     n = points.shape[0]
     if points.shape[1] != 2:
         raise ValueError("Delaunay implemented for the plane only")
-    D = _distance_matrix(points)
+    tree = cKDTree(points)
+    close = tree.query_pairs(2.0 * COINCIDENT_TOL, output_type="ndarray")
+    if (_norms(points[close[:, 0]] - points[close[:, 1]]) < COINCIDENT_TOL).any():
+        raise ValueError("coincident points are not allowed")
 
     if n <= 2 or _all_collinear(points):
         return _collinear_path_complex(points)
@@ -519,44 +529,35 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
             return _collinear_path_complex(points)
         raise
 
-    triangles = {tuple(sorted(int(v) for v in tri)) for tri in tess.simplices}
-    triangles = _canonicalize_cocircular(points, triangles)
+    tris = np.sort(tess.simplices.astype(np.intp), axis=1)
+    centers, radii = _circumcircles(points, tris)
+    tol = COCIRCULAR_TOL * np.maximum(1.0, radii)
+    rows, cols, dist = _ball_candidates(tree, points, centers, radii + tol)
+    inside = (radii[rows] - dist > tol[rows]) & (cols[:, None] != tris[rows]).all(axis=1)
+    if inside.any():
+        k = int(np.argmax(inside))
+        raise ValueError(f"not Delaunay: point {cols[k]} is inside the circumcircle of {_row(tris, rows[k])}")
+    on_circle = np.abs(dist - radii[rows]) <= tol[rows]
+    if (np.bincount(rows[on_circle], minlength=len(tris)) >= 4).any():
+        tris = _canonicalize_cocircular(points, tris, rows[on_circle], cols[on_circle])
+        _, radii = _circumcircles(points, tris)
 
-    tri_value: dict[tuple[int, int, int], float] = {}
-    for tri in triangles:
-        _, radius = _circumcircle_2d(points[tri[0]], points[tri[1]], points[tri[2]])
-        longest = max(D[tri[0], tri[1]], D[tri[0], tri[2]], D[tri[1], tri[2]])
-        tri_value[tri] = float(max(radius, longest / 2.0))
-
-    edge_tris: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-    for tri in triangles:
-        for e in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])):
-            edge_tris.setdefault(e, []).append(tri)
-
-    edge_values: dict[tuple[int, int], float] = {}
-    for (i, j), tris in edge_tris.items():
-        mid = (points[i] + points[j]) / 2.0
-        rad = float(D[i, j] / 2.0)
-        dist = np.sqrt(((points - mid) ** 2).sum(axis=1))
-        dist[i] = np.inf
-        dist[j] = np.inf
-        gabriel = bool(dist.min() >= rad)
-        edge_values[(i, j)] = rad if gabriel else min(tri_value[t] for t in tris)
-    cap = max([0.0, *edge_values.values(), *tri_value.values()])
-    return FilteredComplex.from_arrays(
-        n,
-        list(edge_values),
-        list(edge_values.values()),
-        list(tri_value),
-        list(tri_value.values()),
-        FiltrationKind.DELAUNAY,
-        cap,
-    )
+    faces = tris[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
+    _, first, inverse = np.unique(faces[:, 0] * n + faces[:, 1], return_index=True, return_inverse=True)
+    edges = faces[first]
+    lengths = _norms(points[edges[:, 0]] - points[edges[:, 1]])
+    tri_values = np.maximum(radii, lengths[inverse].reshape(-1, 3).max(axis=1) / 2.0)
+    incident_min = np.full(len(edges), np.inf)
+    np.minimum.at(incident_min, inverse, np.repeat(tri_values, 3))
+    half = lengths / 2.0
+    rows, cols, dist = _ball_candidates(tree, points, (points[edges[:, 0]] + points[edges[:, 1]]) / 2.0, half)
+    blocked = (dist < half[rows]) & (cols != edges[rows, 0]) & (cols != edges[rows, 1])
+    edge_values = np.where(np.bincount(rows[blocked], minlength=len(edges)) > 0, incident_min, half)
+    cap = max(0.0, float(edge_values.max()), float(tri_values.max()))
+    return FilteredComplex.from_arrays(n, edges, edge_values, tris, tri_values, FiltrationKind.DELAUNAY, cap)
 
 
 def _all_collinear(points: npt.NDArray[np.float64], tol: float = 1e-12) -> bool:
-    if points.shape[0] <= 2:
-        return True
     centered = points - points.mean(axis=0)
     scale = float(np.abs(centered).max())
     if scale == 0.0:
@@ -565,37 +566,36 @@ def _all_collinear(points: npt.NDArray[np.float64], tol: float = 1e-12) -> bool:
     return bool(sv[1] <= tol * max(1.0, sv[0]))
 
 
-def _canonicalize_cocircular(
-    points: npt.NDArray[np.float64],
-    triangles: set[tuple[int, int, int]],
-) -> set[tuple[int, int, int]]:
-    """Replace each cocircular group's triangles with the canonical choice."""
-    groups: dict[frozenset[int], None] = {}
-    for tri in triangles:
-        center, radius = _circumcircle_2d(points[tri[0]], points[tri[1]], points[tri[2]])
-        dist = np.sqrt(((points - center) ** 2).sum(axis=1))
-        on_circle = np.nonzero(np.abs(dist - radius) <= COCIRCULAR_TOL * max(1.0, radius))[0]
-        if on_circle.size >= 4:
-            groups[frozenset(int(v) for v in on_circle)] = None
-    if not groups:
-        return triangles
-    out = set(triangles)
-    for group in groups:
+def _canonicalize_cocircular(points, tris, rows, cols) -> npt.NDArray[np.intp]:
+    """Replace each cocircular group's triangles with the canonical choice.
+
+    Point cols[k] is on the circumcircle of triangle rows[k] (rows
+    ascending); a triangle with 4+ such points names a group. Each group in
+    turn drops the triangles inside it and adds its lexicographically
+    smallest triangulation, so a triangle is kept iff the last group
+    holding its vertices added it, or no group holds them.
+    """
+    keys = list(map(tuple, tris.tolist()))
+    starts = np.searchsorted(rows, np.arange(len(keys) + 1))
+    circle = {keys[r]: frozenset(cols[starts[r] : starts[r + 1]].tolist()) for r in np.flatnonzero(np.diff(starts) >= 4)}
+    # groups apply in the iteration order of a set of the triangles, which
+    # matters only where near-cocircular groups share 3+ points
+    groups = list(dict.fromkeys(circle[t] for t in set(keys) if t in circle))
+    containing: dict[int, list[int]] = {}
+    for g, group in enumerate(groups):
+        for v in group:
+            containing.setdefault(v, []).append(g)
+
+    def last_group(t: tuple[int, ...]) -> int:
+        return max((g for g in containing.get(t[0], ()) if {t[1], t[2]} <= groups[g]), default=-1)
+
+    out = {t for t in keys if last_group(t) < 0}
+    for g, group in enumerate(groups):
         members = sorted(group)
-        out = {t for t in out if not set(t) <= group}
         center = points[members].mean(axis=0)
-        cycle = sorted(
-            members,
-            key=lambda v: math.atan2(points[v][1] - center[1], points[v][0] - center[0]),
-        )
-        out.update(_lex_smallest_triangulation(cycle))
-    return out
-
-
-_BUILDERS = {
-    FiltrationKind.VR: build_vr,
-    FiltrationKind.CECH: build_cech,
-}
+        cycle = sorted(members, key=lambda v: math.atan2(points[v][1] - center[1], points[v][0] - center[0]))
+        out.update(t for t in _lex_smallest_triangulation(cycle) if last_group(t) == g)
+    return np.array(sorted(out), dtype=np.intp)
 
 
 def build_complex(
@@ -613,7 +613,7 @@ def build_complex(
         if max_scale is not None:
             raise ValueError("the Delaunay filtration does not take a scale cap")
         return build_delaunay_2d(cloud)
-    return _BUILDERS[kind](cloud, max_scale)
+    return (build_vr if kind is FiltrationKind.VR else build_cech)(cloud, max_scale)
 
 
 def critical_scales(complex: FilteredComplex) -> list[float]:

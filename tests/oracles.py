@@ -4,7 +4,7 @@ Nothing here shares algorithms with the package: diagrams come from
 persistent Betti numbers via GF(2) ranks (not column reduction), the
 3-point enclosing radius from explicit candidate circles (not the law of
 cosines), bottleneck from exhaustive matching, and polygon triangulations
-from full enumeration. Three references for exactness are the exceptions.
+from full enumeration. The exactness references below are the exceptions.
 `loop_complex` restates the VR/Cech value rules one triple at a time, so
 the vectorized builders must match it bit for bit. `boundary_pd1` is the
 textbook boundary-matrix reduction the package used to run, so the
@@ -13,6 +13,10 @@ package's cohomology route must give the very same pairs, float for float.
 used to run, so its sparse matcher must return the very same float.
 `scipy_bottleneck` is a third, independent route for diagrams too large
 for the recursive one: the same bisection with scipy's Hopcroft-Karp.
+`loop_delaunay` is the per-simplex planar alpha builder the package used to
+run: it tests every circumcircle and diametral disk against every point and
+reads lengths from the dense distance matrix, so the array builder with its
+KD-tree candidates must return the very same complex, float for float.
 """
 
 from __future__ import annotations
@@ -436,3 +440,114 @@ def loop_complex(D, kind: str, cap: float):
         if value <= cap:
             triangles.append(((i, j, k), value))
     return sorted(edges, key=lambda s: (s[1], s[0])), sorted(triangles, key=lambda s: (s[1], s[0]))
+
+
+def _circumcircle_2d(a, b, c):
+    """Circumcenter and circumradius of a nondegenerate planar triangle."""
+    u = b - a
+    v = c - a
+    den = 2.0 * (u[0] * v[1] - u[1] * v[0])
+    if den == 0.0:
+        raise ValueError("degenerate (collinear) triangle has no circumcircle")
+    uu = float(u[0] * u[0] + u[1] * u[1])
+    vv = float(v[0] * v[0] + v[1] * v[1])
+    ux = (v[1] * uu - u[1] * vv) / den
+    uy = (u[0] * vv - v[0] * uu) / den
+    center = a + np.array([ux, uy])
+    radius = math.hypot(ux, uy)
+    return center, radius
+
+
+def _canonicalize_cocircular(points, triangles):
+    """Replace each cocircular group's triangles with the canonical choice."""
+    from pointpd.filtration import COCIRCULAR_TOL, _lex_smallest_triangulation
+
+    groups: dict[frozenset[int], None] = {}
+    for tri in triangles:
+        center, radius = _circumcircle_2d(points[tri[0]], points[tri[1]], points[tri[2]])
+        dist = np.sqrt(((points - center) ** 2).sum(axis=1))
+        on_circle = np.nonzero(np.abs(dist - radius) <= COCIRCULAR_TOL * max(1.0, radius))[0]
+        if on_circle.size >= 4:
+            groups[frozenset(int(v) for v in on_circle)] = None
+    if not groups:
+        return triangles
+    out = set(triangles)
+    for group in groups:
+        members = sorted(group)
+        out = {t for t in out if not set(t) <= group}
+        center = points[members].mean(axis=0)
+        cycle = sorted(
+            members,
+            key=lambda v: math.atan2(points[v][1] - center[1], points[v][0] - center[0]),
+        )
+        out.update(_lex_smallest_triangulation(cycle))
+    return out
+
+
+def loop_delaunay(cloud):
+    """The planar alpha complex one simplex at a time, over dense distances.
+
+    Each triangle's circumcircle and each edge's diametral disk is tested
+    against every point of the cloud, with edge lengths read from the full
+    n x n distance matrix. The array builder must match it bit for bit.
+    """
+    from scipy.spatial import Delaunay, QhullError
+
+    from pointpd.filtration import (
+        FilteredComplex,
+        FiltrationKind,
+        _all_collinear,
+        _as_points,
+        _collinear_path_complex,
+        _distance_matrix,
+    )
+
+    points = _as_points(cloud)
+    n = points.shape[0]
+    if points.shape[1] != 2:
+        raise ValueError("Delaunay implemented for the plane only")
+    D = _distance_matrix(points)
+
+    if n <= 2 or _all_collinear(points):
+        return _collinear_path_complex(points)
+
+    try:
+        tess = Delaunay(points - points.mean(axis=0))
+    except QhullError:
+        if _all_collinear(points, tol=1e-8):
+            return _collinear_path_complex(points)
+        raise
+
+    triangles = {tuple(sorted(int(v) for v in tri)) for tri in tess.simplices}
+    triangles = _canonicalize_cocircular(points, triangles)
+
+    tri_value: dict[tuple[int, int, int], float] = {}
+    for tri in triangles:
+        _, radius = _circumcircle_2d(points[tri[0]], points[tri[1]], points[tri[2]])
+        longest = max(D[tri[0], tri[1]], D[tri[0], tri[2]], D[tri[1], tri[2]])
+        tri_value[tri] = float(max(radius, longest / 2.0))
+
+    edge_tris: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for tri in triangles:
+        for e in ((tri[0], tri[1]), (tri[0], tri[2]), (tri[1], tri[2])):
+            edge_tris.setdefault(e, []).append(tri)
+
+    edge_values: dict[tuple[int, int], float] = {}
+    for (i, j), tris in edge_tris.items():
+        mid = (points[i] + points[j]) / 2.0
+        rad = float(D[i, j] / 2.0)
+        dist = np.sqrt(((points - mid) ** 2).sum(axis=1))
+        dist[i] = np.inf
+        dist[j] = np.inf
+        gabriel = bool(dist.min() >= rad)
+        edge_values[(i, j)] = rad if gabriel else min(tri_value[t] for t in tris)
+    cap = max([0.0, *edge_values.values(), *tri_value.values()])
+    return FilteredComplex.from_arrays(
+        n,
+        list(edge_values),
+        list(edge_values.values()),
+        list(tri_value),
+        list(tri_value.values()),
+        FiltrationKind.DELAUNAY,
+        cap,
+    )

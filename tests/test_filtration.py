@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pointpd.filtration import (
     _FACE_COLUMNS,
@@ -21,7 +24,7 @@ from pointpd.filtration import (
 from pointpd.geometry import PointCloud
 from pointpd.persistence import bottleneck_distance, compute_pd, diagram_equal
 
-from oracles import lex_min_triangulation, loop_complex, oracle_meb3
+from oracles import lex_min_triangulation, loop_complex, loop_delaunay, oracle_meb3
 
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 KINDS = ["vr", "cech", "delaunay"]
@@ -311,6 +314,110 @@ class TestDelaunay:
             there = compute_pd(build_delaunay_2d(cloud + 1e6), 1)
             assert len(there) == len(here)
             assert bottleneck_distance(here, there) <= 1e-9
+
+
+def regular_polygon(k: int) -> np.ndarray:
+    angles = 2.0 * math.pi * np.arange(k) / k
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+def delaunay_reference_corpus() -> dict[str, dict[str, np.ndarray]]:
+    """Planar clouds, by family, on which the array builder must equal `loop_delaunay`."""
+    six_by_five = np.array([[x, y] for x in range(6) for y in range(5)], dtype=np.float64)
+
+    def rotated(angle: float) -> np.ndarray:
+        c, s = math.cos(angle), math.sin(angle)
+        return six_by_five @ np.array([[c, -s], [s, c]]).T
+
+    return {
+        "random": {f"seed {s}": np.random.default_rng(s).random((3 + s % 58, 2)) for s in range(300)},
+        "lattices": {
+            f"seed {s}": np.unique(np.random.default_rng(1000 + s).integers(0, 7, (4 + s, 2)), axis=0).astype(float)
+            for s in range(20)
+        },
+        "grids": {
+            "6x5": six_by_five,
+            # at 0.07 rad and x1.74 a point sits on a diametral circle to the last bit,
+            # while the smallest incident triangle value rounds above half the edge
+            "rotated 0.07": rotated(0.07),
+            "rotated 0.3": rotated(0.3),
+            "scaled 1.74": six_by_five * 1.74,
+            "scaled 1e5": six_by_five * 1e5,
+            "shifted 1e6": six_by_five + 1e6,
+        },
+        "polygons": {
+            "regular 12-gon": regular_polygon(12),
+            "regular 8-gon and an interior point": np.vstack([regular_polygon(8), [[0.1, 0.05]]]),
+        },
+        "large": {
+            "n=150": random_cloud(150, 150, 2).points,
+            "n=600": random_cloud(600, 600, 2).points,
+            # the seed-independent n = 600 cloud of the alpha_stability benchmark workload
+            "alpha n=600": np.random.default_rng([0, 3, 0, 5]).random((600, 2)),
+        },
+    }
+
+
+def assert_same_complex(got: FilteredComplex, want: FilteredComplex) -> None:
+    for field in ("edge_vertices", "edge_values", "triangle_vertices", "triangle_values", "triangle_edges"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    assert got.max_scale == want.max_scale
+
+
+class TestDelaunayReference:
+    @pytest.mark.parametrize("family", sorted(delaunay_reference_corpus()))
+    def test_equals_per_simplex_builder(self, family):
+        for name, points in delaunay_reference_corpus()[family].items():
+            try:
+                assert_same_complex(build_delaunay_2d(points), loop_delaunay(points))
+            except AssertionError as err:
+                raise AssertionError(f"{family} {name}: {err}") from None
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=4, max_size=30, unique=True))
+    def test_integer_grid_points(self, coords):
+        # small integer grids are full of cocircular groups of 4+ points
+        points = np.array(coords, dtype=np.float64)
+        assert_same_complex(build_delaunay_2d(points), loop_delaunay(points))
+
+    def test_certificate_rejects_a_non_delaunay_triangulation(self, monkeypatch):
+        import scipy.spatial
+
+        # a convex kite: (3) lies inside the circumcircle of (0, 1, 2), so
+        # the Delaunay diagonal is (1, 3), not (0, 2)
+        kite = np.array([[0.0, 0.0], [1.0, -0.3], [2.0, 0.0], [1.0, 0.3]])
+        assert {t.vertices for t in build_delaunay_2d(kite).triangles} == {(0, 1, 3), (1, 2, 3)}
+
+        class WrongDiagonal:
+            def __init__(self, points):
+                self.simplices = np.array([[0, 1, 2], [0, 2, 3]])
+
+        monkeypatch.setattr(scipy.spatial, "Delaunay", WrongDiagonal)
+        with pytest.raises(ValueError, match=r"point 3 is inside the circumcircle of \(0, 1, 2\)"):
+            build_delaunay_2d(kite)
+
+
+class TestDelaunayScale:
+    def test_large_cloud_stays_small(self):
+        points = np.random.default_rng(5000).random((5000, 2))
+        tracemalloc.start()
+        try:
+            cx = build_delaunay_2d(points)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cx.triangle_values) > 9900
+        assert peak < 64 * 2**20  # a 5000 x 5000 distance matrix alone is 191 MiB
+
+    @pytest.mark.parametrize("gap, coincident", [(5e-13, True), (1e-11, False)])
+    def test_near_pair_in_large_cloud(self, gap, coincident):
+        points = np.random.default_rng(5001).random((5000, 2))
+        points[4321] = points[17] + [gap, 0.0]
+        if coincident:
+            with pytest.raises(ValueError, match="coincident"):
+                build_delaunay_2d(points)
+        else:
+            cx = build_delaunay_2d(points)
+            assert [17, 4321] in cx.edge_vertices.tolist()
 
 
 class TestLexSmallestTriangulation:
