@@ -26,12 +26,15 @@ import math
 from collections.abc import Sequence
 from enum import Enum
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 import numpy.typing as npt
 
 from .geometry import COINCIDENT_TOL, PointCloud
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 # Relative tolerance for deciding that a point sits on a triangle's
 # circumcircle (cocircular degeneracy detection).
@@ -456,11 +459,9 @@ def _collinear_path_complex(points: npt.NDArray[np.float64]) -> FilteredComplex:
     return FilteredComplex.from_arrays(len(points), edges, values, [], [], FiltrationKind.DELAUNAY, cap)
 
 
-# Ball queries are widened so that the KD-tree's rounding never drops a point the float tests flag.
-_QUERY_SLACK = 1.0 + 1e-6
-
-
-def _circumcircles(points: npt.NDArray[np.float64], tris: npt.NDArray[np.intp]):
+def _circumcircles(
+    points: npt.NDArray[np.float64], tris: npt.NDArray[np.intp]
+) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
     """Circumcentres (t, 2) and circumradii (t,) of planar triangles (t, 3)."""
     a = points[tris[:, 0]]
     u = points[tris[:, 1]] - a
@@ -477,12 +478,15 @@ def _circumcircles(points: npt.NDArray[np.float64], tris: npt.NDArray[np.intp]):
     return a + np.stack([ux, uy], axis=1), radii
 
 
-def _ball_candidates(tree, points, centers, radii):
+def _ball_candidates(
+    tree: cKDTree, centers: npt.NDArray[np.float64], radii: npt.NDArray[np.float64]
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp], npt.NDArray[np.float64]]:
     """(ball row, point, distance to centre) for the points in each widened ball, rows ascending."""
-    hits = tree.query_ball_point(centers, radii * _QUERY_SLACK, return_sorted=False)
+    # widened so that the KD-tree's rounding never drops a point the float tests flag
+    hits = tree.query_ball_point(centers, radii * (1.0 + 1e-6), return_sorted=False)
     rows = np.repeat(np.arange(len(hits)), np.fromiter(map(len, hits), dtype=np.intp, count=len(hits)))
     cols = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=len(rows))
-    return rows, cols, _norms(points[cols] - centers[rows])
+    return rows, cols, _norms(tree.data[cols] - centers[rows])
 
 
 def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredComplex:
@@ -501,8 +505,8 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     no n x n array off the collinear path.
 
     Raises:
-        ValueError: ambient dimension != 2, coincident points, or a point
-            inside a circumcircle by more than the cocircular tolerance.
+        ValueError: ambient dimension != 2, coincident points, or a point inside
+            a circumcircle by more than the cocircular tolerance plus coordinate rounding.
     """
     # imported here so that the VR and Cech paths never load scipy.spatial
     from scipy.spatial import Delaunay, QhullError, cKDTree
@@ -532,8 +536,10 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     tris = np.sort(tess.simplices.astype(np.intp), axis=1)
     centers, radii = _circumcircles(points, tris)
     tol = COCIRCULAR_TOL * np.maximum(1.0, radii)
-    rows, cols, dist = _ball_candidates(tree, points, centers, radii + tol)
-    inside = (radii[rows] - dist > tol[rows]) & (cols[:, None] != tris[rows]).all(axis=1)
+    rows, cols, dist = _ball_candidates(tree, centers, radii + tol)
+    # centres round at the size of the coordinates; the certificate allows for that too
+    slack = tol + 8.0 * np.finfo(np.float64).eps * float(np.abs(points).max())
+    inside = (radii[rows] - dist > slack[rows]) & (cols[:, None] != tris[rows]).all(axis=1)
     if inside.any():
         k = int(np.argmax(inside))
         raise ValueError(f"not Delaunay: point {cols[k]} is inside the circumcircle of {_row(tris, rows[k])}")
@@ -545,12 +551,11 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     faces = tris[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
     _, first, inverse = np.unique(faces[:, 0] * n + faces[:, 1], return_index=True, return_inverse=True)
     edges = faces[first]
-    lengths = _norms(points[edges[:, 0]] - points[edges[:, 1]])
-    tri_values = np.maximum(radii, lengths[inverse].reshape(-1, 3).max(axis=1) / 2.0)
+    half = _norms(points[edges[:, 0]] - points[edges[:, 1]]) / 2.0
+    tri_values = np.maximum(radii, half[inverse].reshape(-1, 3).max(axis=1))
     incident_min = np.full(len(edges), np.inf)
     np.minimum.at(incident_min, inverse, np.repeat(tri_values, 3))
-    half = lengths / 2.0
-    rows, cols, dist = _ball_candidates(tree, points, (points[edges[:, 0]] + points[edges[:, 1]]) / 2.0, half)
+    rows, cols, dist = _ball_candidates(tree, (points[edges[:, 0]] + points[edges[:, 1]]) / 2.0, half)
     blocked = (dist < half[rows]) & (cols != edges[rows, 0]) & (cols != edges[rows, 1])
     edge_values = np.where(np.bincount(rows[blocked], minlength=len(edges)) > 0, incident_min, half)
     cap = max(0.0, float(edge_values.max()), float(tri_values.max()))
@@ -558,6 +563,8 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
 
 
 def _all_collinear(points: npt.NDArray[np.float64], tol: float = 1e-12) -> bool:
+    if points.shape[0] <= 2:
+        return True
     centered = points - points.mean(axis=0)
     scale = float(np.abs(centered).max())
     if scale == 0.0:
@@ -566,36 +573,28 @@ def _all_collinear(points: npt.NDArray[np.float64], tol: float = 1e-12) -> bool:
     return bool(sv[1] <= tol * max(1.0, sv[0]))
 
 
-def _canonicalize_cocircular(points, tris, rows, cols) -> npt.NDArray[np.intp]:
-    """Replace each cocircular group's triangles with the canonical choice.
-
-    Point cols[k] is on the circumcircle of triangle rows[k] (rows
-    ascending); a triangle with 4+ such points names a group. Each group in
-    turn drops the triangles inside it and adds its lexicographically
-    smallest triangulation, so a triangle is kept iff the last group
-    holding its vertices added it, or no group holds them.
-    """
+def _canonicalize_cocircular(
+    points: npt.NDArray[np.float64], tris: npt.NDArray[np.intp], rows: npt.NDArray[np.intp], cols: npt.NDArray[np.intp]
+) -> npt.NDArray[np.intp]:
+    """Replace each cocircular group's triangles with the canonical choice; cols[k] is on the circle of rows[k]."""
     keys = list(map(tuple, tris.tolist()))
     starts = np.searchsorted(rows, np.arange(len(keys) + 1))
     circle = {keys[r]: frozenset(cols[starts[r] : starts[r + 1]].tolist()) for r in np.flatnonzero(np.diff(starts) >= 4)}
-    # groups apply in the iteration order of a set of the triangles, which
-    # matters only where near-cocircular groups share 3+ points
-    groups = list(dict.fromkeys(circle[t] for t in set(keys) if t in circle))
-    containing: dict[int, list[int]] = {}
-    for g, group in enumerate(groups):
-        for v in group:
-            containing.setdefault(v, []).append(g)
-
-    def last_group(t: tuple[int, ...]) -> int:
-        return max((g for g in containing.get(t[0], ()) if {t[1], t[2]} <= groups[g]), default=-1)
-
-    out = {t for t in keys if last_group(t) < 0}
-    for g, group in enumerate(groups):
+    out = set(keys)
+    # groups apply in set-of-triangles order, which matters only where near-cocircular groups share 3+ points
+    for group in dict.fromkeys(circle[t] for t in set(keys) if t in circle):
         members = sorted(group)
+        out = {t for t in out if not set(t) <= group}
         center = points[members].mean(axis=0)
         cycle = sorted(members, key=lambda v: math.atan2(points[v][1] - center[1], points[v][0] - center[0]))
-        out.update(t for t in _lex_smallest_triangulation(cycle) if last_group(t) == g)
+        out.update(_lex_smallest_triangulation(cycle))
     return np.array(sorted(out), dtype=np.intp)
+
+
+_BUILDERS = {
+    FiltrationKind.VR: build_vr,
+    FiltrationKind.CECH: build_cech,
+}
 
 
 def build_complex(
@@ -613,7 +612,7 @@ def build_complex(
         if max_scale is not None:
             raise ValueError("the Delaunay filtration does not take a scale cap")
         return build_delaunay_2d(cloud)
-    return (build_vr if kind is FiltrationKind.VR else build_cech)(cloud, max_scale)
+    return _BUILDERS[kind](cloud, max_scale)
 
 
 def critical_scales(complex: FilteredComplex) -> list[float]:

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -378,6 +379,24 @@ class TestDelaunayReference:
         # small integer grids are full of cocircular groups of 4+ points
         points = np.array(coords, dtype=np.float64)
         assert_same_complex(build_delaunay_2d(points), loop_delaunay(points))
+
+    @pytest.mark.parametrize("shift", [1e7, 3e7, 1e8, 1e9])
+    @pytest.mark.parametrize("angle", [0.3, 1.0])
+    def test_certificate_far_from_origin(self, angle, shift):
+        # far out, the grid's cocircular groups are cocircular only to within
+        # the rounding of the circumcentres, which the certificate must allow
+        c, s = math.cos(angle), math.sin(angle)
+        six_by_five = np.array([[x, y] for x in range(6) for y in range(5)], dtype=np.float64)
+        points = six_by_five @ np.array([[c, -s], [s, c]]).T + shift
+        try:
+            want = loop_delaunay(points)
+        except ValueError as err:
+            # the per-simplex builder can meet a triangle that rounds flat; the
+            # array builder must then fail the same way, not with a certificate error
+            with pytest.raises(ValueError, match=re.escape(str(err))):
+                build_delaunay_2d(points)
+        else:
+            assert_same_complex(build_delaunay_2d(points), want)
 
     def test_certificate_rejects_a_non_delaunay_triangulation(self, monkeypatch):
         import scipy.spatial
