@@ -27,10 +27,10 @@ from .edges import classify_all
 from .constructions import (
     HypothesisError,
     TailSpec,
+    _tail_check,
     attach_tail,
     generate_tail,
     generate_trivial_family,
-    validate_tail,
     verify_long_wedge,
     verify_tail_theorem,
 )
@@ -98,24 +98,35 @@ def _int_range(text: str) -> list[int]:
     return list(range(lo, hi + 1, step))
 
 
-def _tail_fields(text: str) -> dict[str, str]:
-    """`vertex=0;n=10;cone=0.2;seed=7[;smin=..;smax=..;direction=x,y]`."""
-    fields: dict[str, str] = {}
-    for part in text.split(";"):
-        if not part:
-            continue
-        if "=" not in part:
-            raise argparse.ArgumentTypeError(f"expected key=value, got {part!r}")
-        key, _, value = part.partition("=")
-        fields[key.strip()] = value.strip()
-    known = {"vertex", "n", "cone", "seed", "smin", "smax", "direction"}
-    unknown = set(fields) - known
-    if unknown:
-        raise argparse.ArgumentTypeError(f"unknown tail fields: {sorted(unknown)}")
-    for required in ("vertex", "n"):
-        if required not in fields:
-            raise argparse.ArgumentTypeError(f"tail spec needs {required}=")
-    return fields
+# `family --tail` field -> the tail flag that parses it
+_TAIL_KEYS = {"vertex": "--vertex", "n": "--n", "cone": "--cone", "seed": "--seed",
+              "smin": "--spacing-min", "smax": "--spacing-max", "direction": "--direction"}
+
+
+class _FieldParser(argparse.ArgumentParser):
+    """Reports a bad field as a bad value of the enclosing option."""
+
+    def error(self, message: str):
+        raise argparse.ArgumentTypeError(message)
+
+
+def _tail_fields(text: str) -> argparse.Namespace:
+    """`vertex=0;n=10;cone=0.2;seed=7[;smin=..;smax=..;direction=x,y]`.
+
+    Parsed by the tail flags themselves, so the defaults and checks are
+    theirs; direction is None when absent.
+    """
+    parser = _FieldParser(prog="--tail", add_help=False, allow_abbrev=False)
+    _add_tail_flags(parser)
+    parser.add_argument("--vertex", type=int, required=True)
+    parser.add_argument("--direction", type=_direction, default=None)
+    argv = []
+    for part in filter(None, text.split(";")):
+        key, sep, value = part.partition("=")
+        if not sep or key.strip() not in _TAIL_KEYS:
+            raise argparse.ArgumentTypeError(f"expected key=value with a known key, got {part!r}")
+        argv.append(f"{_TAIL_KEYS[key.strip()]}={value.strip()}")
+    return parser.parse_args(argv)
 
 
 def _threads() -> int:
@@ -192,8 +203,9 @@ def cmd_make_tail(args) -> int:
         raise ValueError("--vertex and --direction must match --dim")
     ray = Ray(vertex, direction)
     tail = generate_tail(_tail_spec_from_args(args, ray))
-    check = validate_tail(tail, args.kind)
-    pd1 = compute_pd(build_complex(tail, args.kind), 1)
+    complex_ = build_complex(tail, args.kind)
+    check = _tail_check(complex_)
+    pd1 = compute_pd(complex_, 1)
     counts = Counter(cls.value for cls in check.classes.values())
     report = {
         "command": "make-tail",
@@ -222,31 +234,23 @@ def cmd_attach(args) -> int:
     ray = Ray(cloud.points[args.vertex_index], args.direction)
     tail = generate_tail(_tail_spec_from_args(args, ray))
     union, rep = attach_tail(cloud, args.vertex_index, ray, tail)
-    omega = angular_deviation(tail, ray) if tail.n_points >= 2 else 0.0
-    if not rep.hypothesis_ok:
-        _emit({
-            "command": "attach",
-            "mu": rep.mu,
-            "theta": rep.theta,
-            "omega": omega,
-            "hypothesis_ok": False,
-        })
-        print(
-            f"error: mu >= theta + pi/2 violated: mu={rep.mu}, theta={rep.theta}",
-            file=sys.stderr,
-        )
-        return 3
-    thm = verify_tail_theorem(cloud, args.vertex_index, ray, tail, args.kind)
     report = {
         "command": "attach",
-        "mu": thm.mu,
-        "theta": thm.theta,
-        "omega": omega,
-        "hypothesis_ok": True,
-        "pd1_empty": thm.tail_trivial,
-        "union_equals_base_plus_tail": thm.union_equals_base_plus_tail,
-        "union_equals_base": thm.union_equals_base,
+        "mu": rep.mu,
+        "theta": rep.theta,
+        "omega": angular_deviation(tail, ray) if tail.n_points >= 2 else 0.0,
+        "hypothesis_ok": rep.hypothesis_ok,
     }
+    try:
+        thm = verify_tail_theorem(cloud, args.vertex_index, ray, tail, args.kind)
+    except HypothesisError:  # exit 3 after the angles are reported
+        _emit(report)
+        raise
+    report.update(
+        pd1_empty=thm.tail_trivial,
+        union_equals_base_plus_tail=thm.union_equals_base_plus_tail,
+        union_equals_base=thm.union_equals_base,
+    )
     _emit(report)
     if args.out:
         write_cloud(union, args.out)
@@ -271,27 +275,13 @@ def cmd_verify_wedge(args) -> int:
 def cmd_family(args) -> int:
     base = read_cloud(args.base)
     tails: list[tuple[int, TailSpec]] = []
-    for fields in args.tail:
-        vi = int(fields["vertex"])
-        if not 0 <= vi < base.n_points:
-            raise IndexError(f"tail vertex index {vi} out of range")
-        direction = (
-            _direction(fields["direction"])
-            if "direction" in fields
-            else _axis(base.dim)
-        )
+    for tail in args.tail:
+        if not 0 <= tail.vertex < base.n_points:
+            raise IndexError(f"tail vertex index {tail.vertex} out of range")
+        direction = tail.direction if tail.direction is not None else _axis(base.dim)
         if direction.shape[0] != base.dim:
             raise ValueError("tail direction must match the base dimension")
-        ray = Ray(base.points[vi], direction)
-        spec = TailSpec(
-            ray=ray,
-            n=int(fields["n"]),
-            spacing_min=float(fields.get("smin", 0.5)),
-            spacing_max=float(fields.get("smax", 1.5)),
-            cone_half_angle=_cone(fields.get("cone", "0.2")),
-            seed=int(fields.get("seed", 0)),
-        )
-        tails.append((vi, spec))
+        tails.append((tail.vertex, _tail_spec_from_args(tail, Ray(base.points[tail.vertex], direction))))
     family = generate_trivial_family(base, tails, args.kind, variants=args.variants)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:

@@ -16,12 +16,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .edges import EdgeClass, classify_all
-from .filtration import FiltrationKind, build_complex
+from .filtration import FilteredComplex, FiltrationKind, _norms, build_complex
 from .geometry import (
     ANGLE_TOL,
     COINCIDENT_TOL,
     PointCloud,
     Ray,
+    _as_cloud,
     angular_deviation,
     angular_thickness,
     min_ray_angle,
@@ -175,15 +176,17 @@ def validate_tail(
     filtrations that omit some skip edges (Delaunay), absent edges are
     vacuously fine, but a missing successive edge is a failure.
     """
-    if not isinstance(tail, PointCloud):
-        tail = PointCloud(np.asarray(tail, dtype=np.float64))
-    n = tail.n_points
-    if n == 1:
+    tail = _as_cloud(tail)
+    if tail.n_points == 1:
         return TailCheck(True, {}, ())
-    complex = build_complex(tail, kind)
+    return _tail_check(build_complex(tail, kind))
+
+
+def _tail_check(complex: FilteredComplex) -> TailCheck:
+    """validate_tail on the tail's already built filtration."""
     classes = classify_all(complex)
     failures: list[tuple[Edge, EdgeClass | None]] = []
-    for i in range(n - 1):
+    for i in range(complex.n_vertices - 1):
         if (i, i + 1) not in classes:
             failures.append(((i, i + 1), None))
     for edge, cls in sorted(classes.items()):
@@ -237,59 +240,45 @@ def verify_long_wedge(
     """Check the wedge property and the diagram sum identity.
 
     The components must share exactly one common point, each containing
-    it exactly once. Every edge of the union's filtration running between
-    two distinct components must be Long; when that holds, the union's
-    degree-1 diagram should equal the multiset union of the component
-    diagrams. Both verdicts are reported; a True wedge with a failed
-    diagram identity is a theorem-violation diagnostic for the caller.
+    it exactly once; one tolerance test on every pair of points decides
+    the common point, the components' meetings and the union. Every edge
+    of the union's filtration running between two distinct components
+    must be Long; when that holds, the union's degree-1 diagram should
+    equal the multiset union of the component diagrams. Both verdicts are
+    reported; a True wedge with a failed diagram identity is a
+    theorem-violation diagnostic for the caller.
 
     Raises:
         ValueError: no components, or the sharing precondition fails.
     """
     if not components:
         raise ValueError("need at least one component")
-    first = components[0]
-    shared: list[np.ndarray] = []
-    for p in first.points:
-        if all(
-            np.any(np.linalg.norm(c.points - p, axis=1) <= COINCIDENT_TOL)
-            for c in components[1:]
-        ):
-            shared.append(p)
-    if len(components) == 1:
-        shared = [first.points[0]]  # irrelevant placeholder; no cross edges exist
-        v = None
-    else:
+    points = np.concatenate([c.points for c in components])
+    owner = np.repeat(np.arange(len(components)), [c.n_points for c in components])
+    order = np.arange(len(points))
+    if len(components) > 1:
+        # near[i, j]: points i and j coincide
+        near = _norms(points[:, None, :] - points[None, :, :]) <= COINCIDENT_TOL
+        in_all = [near[owner == 0][:, owner == c].any(axis=1) for c in range(1, len(components))]
+        shared = np.flatnonzero(np.logical_and.reduce(in_all))
         if len(shared) != 1:
             raise ValueError(
                 f"components must share exactly one common point, found {len(shared)}"
             )
         v = shared[0]
-        for idx, comp in enumerate(components):
-            hits = int(np.sum(np.linalg.norm(comp.points - v, axis=1) <= COINCIDENT_TOL))
+        for idx, hits in enumerate(np.bincount(owner[near[v]], minlength=len(components)).tolist()):
             if hits != 1:
                 raise ValueError(f"component {idx} contains the common point {hits} times")
         for a in range(len(components)):
             for b in range(a + 1, len(components)):
-                pa, pb = components[a].points, components[b].points
-                cross = np.linalg.norm(pa[:, None, :] - pb[None, :, :], axis=2)
-                if int(np.sum(cross <= COINCIDENT_TOL)) != 1:
+                if int(near[owner == a][:, owner == b].sum()) != 1:
                     raise ValueError(
                         f"components {a} and {b} must intersect in the common point only"
                     )
-
-    if v is None:
-        union_points = [p for p in first.points]
-        owner = [0] * len(union_points)
-    else:
-        union_points = [v]
-        owner = [-1]  # the common point belongs to every component
-        for idx, comp in enumerate(components):
-            for p in comp.points:
-                if float(np.linalg.norm(p - v)) > COINCIDENT_TOL:
-                    union_points.append(p)
-                    owner.append(idx)
-    union = PointCloud(np.asarray(union_points))
+        order = np.concatenate([[v], np.flatnonzero(~near[v])])
+        owner[v] = -1  # the common point belongs to every component
+    union = PointCloud(points[order])
+    owner = owner[order].tolist()
 
     union_complex = build_complex(union, kind)
     classes = classify_all(union_complex)

@@ -13,13 +13,15 @@ share no code with the classifier.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterator
 from enum import Enum
 
 import numpy as np
 import numpy.typing as npt
 
 from .filtration import FilteredComplex
-from .geometry import PointCloud, enclosing_radius_3, non_acute_at
+from .geometry import PointCloud, _as_cloud, enclosing_radius_3, non_acute_at
 from .unionfind import UnionFind
 
 Edge = tuple[int, int]
@@ -48,14 +50,37 @@ def _long_mask(complex: FilteredComplex) -> npt.NDArray[np.bool_]:
     return mask
 
 
-def _edge_class(edge: Edge, value: float, short: bool, is_long: bool) -> EdgeClass:
-    if short and is_long:
-        raise ConsistencyError(f"edge {edge} tested both short and long at value {value}")
-    if short:
-        return EdgeClass.SHORT
-    if is_long:
-        return EdgeClass.LONG
-    return EdgeClass.MEDIUM
+def _edge_classes(complex: FilteredComplex) -> list[EdgeClass]:
+    """Class of every edge, in the complex's edge order.
+
+    Raises:
+        ConsistencyError: for the first edge in filtration order that
+            passes both the Short and the Long test.
+    """
+    edges = list(zip(*complex.edge_vertices.T.tolist()))
+    values = complex.edge_values.tolist()
+    short = [False] * len(edges)
+    uf = UnionFind(complex.n_vertices)
+    for _, tied in itertools.groupby(range(len(edges)), key=values.__getitem__):
+        tied = list(tied)  # edges entering at one scale: each Short test sees the others
+        for idx in tied:
+            p, q = edges[idx]
+            probe = uf  # earlier edges decide unless tied ones could still join p and q
+            if len(tied) > 1 and uf.find(p) != uf.find(q):
+                probe = uf.clone()
+                for other in tied:
+                    if other != idx:
+                        probe.union(*edges[other])
+            short[idx] = probe.find(p) != probe.find(q)
+        for idx in tied:
+            uf.union(*edges[idx])
+    short_mask = np.array(short, dtype=bool)
+    long_mask = _long_mask(complex)
+    both = np.flatnonzero(short_mask & long_mask)
+    if both.size:
+        e = int(both[0])
+        raise ConsistencyError(f"edge {edges[e]} tested both short and long at value {values[e]}")
+    return np.where(short_mask, EdgeClass.SHORT, np.where(long_mask, EdgeClass.LONG, EdgeClass.MEDIUM)).tolist()
 
 
 def classify_all(complex: FilteredComplex) -> dict[Edge, EdgeClass]:
@@ -67,37 +92,14 @@ def classify_all(complex: FilteredComplex) -> dict[Edge, EdgeClass]:
         ConsistencyError: if any edge passes both the Short and the Long
             test (the classes are provably disjoint, so this flags a bug).
     """
-    long_mask = _long_mask(complex).tolist()
-    edges = list(zip(*complex.edge_vertices.T.tolist()))
-    values = complex.edge_values.tolist()
-    result: dict[Edge, EdgeClass] = {}
-    uf = UnionFind(complex.n_vertices)
-    pos = 0
-    while pos < len(edges):
-        # edges tied at one scale: each Short test sees the others
-        group_end = pos
-        value = values[pos]
-        while group_end < len(edges) and values[group_end] == value:
-            group_end += 1
-        group = range(pos, group_end)
-        for idx in group:
-            probe = uf  # a lone edge needs no copy: nothing else enters with it
-            if len(group) > 1:
-                probe = uf.clone()
-                for other in group:
-                    if other != idx:
-                        probe.union(*edges[other])
-            p, q = edges[idx]
-            short = probe.find(p) != probe.find(q)
-            result[edges[idx]] = _edge_class(edges[idx], value, short, long_mask[idx])
-        for idx in group:
-            uf.union(*edges[idx])
-        pos = group_end
-    return result
+    edges = zip(*complex.edge_vertices.T.tolist())
+    return dict(zip(edges, _edge_classes(complex)))
 
 
 def classify_edge(complex: FilteredComplex, e: int) -> EdgeClass:
     """Class of the edge at index `e` in the complex's edge list.
+
+    Reads the same whole-complex pass as classify_all, ties included.
 
     Raises:
         IndexError: index out of range.
@@ -106,18 +108,7 @@ def classify_edge(complex: FilteredComplex, e: int) -> EdgeClass:
     m = len(complex.edge_values)
     if not 0 <= e < m:
         raise IndexError(f"edge index {e} out of range for {m} edges")
-    edges = list(zip(*complex.edge_vertices.T.tolist()))
-    values = complex.edge_values.tolist()
-    target, target_value = edges[e], values[e]
-    uf = UnionFind(complex.n_vertices)
-    for other, value in zip(edges, values):
-        if value > target_value:
-            break
-        if other != target:
-            uf.union(*other)
-    p, q = target
-    short = uf.find(p) != uf.find(q)
-    return _edge_class(target, target_value, short, bool(_long_mask(complex)[e]))
+    return _edge_classes(complex)[e]
 
 
 def _check_pair(cloud: PointCloud, p: int, q: int) -> None:
@@ -128,26 +119,27 @@ def _check_pair(cloud: PointCloud, p: int, q: int) -> None:
         raise ValueError("an edge needs two distinct vertices")
 
 
+def _vr_witnesses(cloud: PointCloud, p: int, q: int) -> Iterator[int]:
+    """Third points strictly closer to both p and q than they are to each other."""
+    _check_pair(cloud, p, q)
+    pts = cloud.points
+    d_pq = float(np.linalg.norm(pts[p] - pts[q]))
+    return (
+        v
+        for v in range(cloud.n_points)
+        if v not in (p, q)
+        and float(np.linalg.norm(pts[p] - pts[v])) < d_pq
+        and float(np.linalg.norm(pts[q] - pts[v])) < d_pq
+    )
+
+
 def long_by_vr(cloud: PointCloud | npt.NDArray[np.float64], p: int, q: int) -> bool:
     """Distance characterization of Long for Vietoris-Rips.
 
     True iff some third point v is strictly closer to both p and q than
     they are to each other.
     """
-    if not isinstance(cloud, PointCloud):
-        cloud = PointCloud(np.asarray(cloud, dtype=np.float64))
-    _check_pair(cloud, p, q)
-    pts = cloud.points
-    d_pq = float(np.linalg.norm(pts[p] - pts[q]))
-    for v in range(cloud.n_points):
-        if v in (p, q):
-            continue
-        if (
-            float(np.linalg.norm(pts[p] - pts[v])) < d_pq
-            and float(np.linalg.norm(pts[q] - pts[v])) < d_pq
-        ):
-            return True
-    return False
+    return next(_vr_witnesses(_as_cloud(cloud), p, q), None) is not None
 
 
 def long_by_cech(cloud: PointCloud | npt.NDArray[np.float64], p: int, q: int) -> bool:
@@ -158,22 +150,11 @@ def long_by_cech(cloud: PointCloud | npt.NDArray[np.float64], p: int, q: int) ->
     length already covers all three points. For a triple that covering
     condition is the same as a non-acute angle at v.
     """
-    if not isinstance(cloud, PointCloud):
-        cloud = PointCloud(np.asarray(cloud, dtype=np.float64))
-    _check_pair(cloud, p, q)
+    cloud = _as_cloud(cloud)
+    witnesses = _vr_witnesses(cloud, p, q)
     pts = cloud.points
-    d_pq = float(np.linalg.norm(pts[p] - pts[q]))
-    for v in range(cloud.n_points):
-        if v in (p, q):
-            continue
-        if not (
-            float(np.linalg.norm(pts[p] - pts[v])) < d_pq
-            and float(np.linalg.norm(pts[q] - pts[v])) < d_pq
-        ):
-            continue
-        if enclosing_radius_3(pts[p], pts[q], pts[v]) <= d_pq / 2.0:
-            return True
-    return False
+    half = float(np.linalg.norm(pts[p] - pts[q])) / 2.0
+    return any(enclosing_radius_3(pts[p], pts[q], pts[v]) <= half for v in witnesses)
 
 
 def long_by_delaunay(cloud: PointCloud | npt.NDArray[np.float64], p: int, q: int) -> bool:
@@ -182,8 +163,7 @@ def long_by_delaunay(cloud: PointCloud | npt.NDArray[np.float64], p: int, q: int
     True iff some third point sees the segment [p, q] under a non-acute
     angle. Only meaningful for edges of the Delaunay triangulation.
     """
-    if not isinstance(cloud, PointCloud):
-        cloud = PointCloud(np.asarray(cloud, dtype=np.float64))
+    cloud = _as_cloud(cloud)
     if cloud.dim != 2:
         raise ValueError("the Delaunay characterization is planar only")
     _check_pair(cloud, p, q)

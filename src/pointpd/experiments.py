@@ -98,9 +98,7 @@ def sample_uniform_cube(n: int, dim: int, rng: np.random.Generator) -> PointClou
     return PointCloud(rng.random((n, dim)))
 
 
-def _default_source(seed: int, kind: FiltrationKind) -> CloudSource:
-    del kind
-
+def _default_source(seed: int) -> CloudSource:
     def source(n: int, dim: int, trial: int) -> PointCloud:
         return sample_uniform_cube(n, dim, derive_rng(seed, n, dim, trial))
 
@@ -129,7 +127,7 @@ def persistence_histogram(
     (for injected test clouds); the default draws uniform cubes. Trials
     run on `workers` threads, aggregated in trial order either way.
     """
-    source = cloud_source or _default_source(cfg.seed, cfg.kind)
+    source = cloud_source or _default_source(cfg.seed)
 
     def job(trial: int) -> tuple[tuple[float, float], ...]:
         cloud = source(cfg.n_points, cfg.dim, trial)
@@ -171,7 +169,7 @@ def gap_ratio_sweep(
         raise ValueError("ranges must be non-empty")
     if trials < 1:
         raise ValueError("need at least one trial")
-    source = cloud_source or _default_source(seed, kind)
+    source = cloud_source or _default_source(seed)
     rows = []
     for n in n_range:
         for dim in dim_range:

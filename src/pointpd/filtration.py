@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 import numpy.typing as npt
 
-from .geometry import COINCIDENT_TOL, PointCloud
+from .geometry import COINCIDENT_TOL, PointCloud, _as_cloud
 
 if TYPE_CHECKING:
     from scipy.spatial import cKDTree
@@ -301,12 +301,6 @@ class FilteredComplex:
             raise KeyError(f"simplex {key} not in complex") from None
 
 
-def _as_points(cloud: PointCloud | npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    if isinstance(cloud, PointCloud):
-        return cloud.points
-    return PointCloud(np.asarray(cloud, dtype=np.float64)).points
-
-
 def _norms(diff: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
     """Euclidean lengths along the last axis; every builder measures distances this way."""
     return np.sqrt((diff * diff).sum(axis=-1))
@@ -323,14 +317,21 @@ def _distance_matrix(points: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]
 
 
 def _capped_complex(
-    D: npt.NDArray[np.float64],
+    points: npt.NDArray[np.float64],
     kind: FiltrationKind,
-    cap: float,
+    max_scale: float | None,
+    default_divisor: float,
     triangle_value,
 ) -> FilteredComplex:
     """VR/Cech complex: edges (i < j) at D/2, and every triple i < j < k
     whose three edges are kept at triangle_value(D_ij, D_ik, D_jk); both
-    only where the value is at most cap."""
+    only where the value is at most the cap, max(D) / default_divisor
+    unless max_scale is given. A NaN or negative cap would keep only the
+    vertices, so it is rejected."""
+    D = _distance_matrix(points)
+    cap = float(D.max()) / default_divisor if max_scale is None else float(max_scale)
+    if not cap >= 0.0:
+        raise ValueError(f"max_scale must be a nonnegative number, got {cap}")
     n = D.shape[0]
     i, j = np.triu_indices(n, k=1)
     edge_values = D[i, j] / 2.0
@@ -372,11 +373,9 @@ def build_vr(
         The filtered complex, max_scale field set to the cap used.
 
     Raises:
-        ValueError: coincident points.
+        ValueError: coincident points, or a NaN or negative cap.
     """
-    D = _distance_matrix(_as_points(cloud))
-    cap = float(max_scale) if max_scale is not None else float(D.max()) / 2.0
-    return _capped_complex(D, FiltrationKind.VR, cap, _max_side_over_two)
+    return _capped_complex(_as_cloud(cloud).points, FiltrationKind.VR, max_scale, 2.0, _max_side_over_two)
 
 
 def _meb_radius_from_sides(
@@ -418,11 +417,9 @@ def build_cech(
     triangle and the complex tops out as a full 2-skeleton.
 
     Raises:
-        ValueError: coincident points.
+        ValueError: coincident points, or a NaN or negative cap.
     """
-    D = _distance_matrix(_as_points(cloud))
-    cap = float(max_scale) if max_scale is not None else float(D.max()) / math.sqrt(3.0)
-    return _capped_complex(D, FiltrationKind.CECH, cap, _meb_radius_from_sides)
+    return _capped_complex(_as_cloud(cloud).points, FiltrationKind.CECH, max_scale, math.sqrt(3.0), _meb_radius_from_sides)
 
 
 def _lex_smallest_triangulation(cycle: list[int]) -> list[tuple[int, int, int]]:
@@ -511,7 +508,7 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     # imported here so that the VR and Cech paths never load scipy.spatial
     from scipy.spatial import Delaunay, QhullError, cKDTree
 
-    points = _as_points(cloud)
+    points = _as_cloud(cloud).points
     n = points.shape[0]
     if points.shape[1] != 2:
         raise ValueError("Delaunay implemented for the plane only")

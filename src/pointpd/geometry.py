@@ -66,6 +66,13 @@ class PointCloud:
         return float(np.sqrt((diff * diff).sum(axis=2)).max())
 
 
+def _as_cloud(cloud: PointCloud | npt.ArrayLike) -> PointCloud:
+    """The cloud itself, or a validated PointCloud of the given coordinates."""
+    if isinstance(cloud, PointCloud):
+        return cloud
+    return PointCloud(np.asarray(cloud, dtype=np.float64))
+
+
 @dataclass(frozen=True)
 class Ray:
     """Ray from `vertex` in unit direction `direction`.

@@ -28,7 +28,7 @@ import numpy as np
 import numpy.typing as npt
 
 from .filtration import FilteredComplex
-from .geometry import PointCloud
+from .geometry import PointCloud, _as_cloud
 from .unionfind import UnionFind
 
 Pair = tuple[float, float]
@@ -154,8 +154,7 @@ def mst(cloud: PointCloud | npt.NDArray[np.float64]) -> list[tuple[tuple[int, in
     Ties are broken by lexicographic edge order, so the result is
     deterministic. Returns ((i, j), length) in acceptance order.
     """
-    if not isinstance(cloud, PointCloud):
-        cloud = PointCloud(np.asarray(cloud, dtype=np.float64))
+    cloud = _as_cloud(cloud)
     pts = cloud.points
     n = cloud.n_points
     candidates = sorted(
@@ -308,8 +307,10 @@ def diagram_equal(d1: PersistenceDiagram, d2: PersistenceDiagram, tol: float = 0
     """True iff the multisets match under a perfect pairing within L-inf tol.
 
     No diagonal matching: cardinalities must agree exactly. tol = 0 is
-    exact multiset equality.
+    exact multiset equality; a negative or NaN tol raises ValueError.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a nonnegative number, got {tol}")
     if d1.dim != d2.dim:
         raise ValueError("diagrams of different dimensions are not comparable")
     if len(d1.pairs) != len(d2.pairs):

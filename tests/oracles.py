@@ -497,12 +497,12 @@ def loop_delaunay(cloud):
         FilteredComplex,
         FiltrationKind,
         _all_collinear,
-        _as_points,
         _collinear_path_complex,
         _distance_matrix,
     )
+    from pointpd.geometry import _as_cloud
 
-    points = _as_points(cloud)
+    points = _as_cloud(cloud).points
     n = points.shape[0]
     if points.shape[1] != 2:
         raise ValueError("Delaunay implemented for the plane only")

@@ -89,6 +89,19 @@ class TestPd:
         assert code == 2
         assert "bad.txt:2" in err
 
+    @pytest.mark.parametrize("cap", ["nan", "-1"])
+    def test_nan_or_negative_cap_rejected(self, capsys, square, cap):
+        code, out, err = run(capsys, ["pd", square, "--dim", "0", f"--max-scale={cap}"])
+        assert code == 2
+        assert out == ""
+        assert "max_scale must be a nonnegative number" in err
+
+    @pytest.mark.parametrize("cap", ["inf", "0"])
+    def test_infinite_and_zero_caps_accepted(self, capsys, square, cap):
+        code, out, _ = run(capsys, ["pd", square, "--dim", "0", "--max-scale", cap])
+        assert code == 0
+        assert out.splitlines()[0] == "dim,birth,death"
+
     def test_unknown_flag(self, capsys, square):
         code, _, err = run(capsys, ["pd", square, "--frobnicate"])
         assert code == 2
@@ -247,6 +260,12 @@ class TestVerifyWedge:
         assert report["is_long_wedge"] is False
         assert report["offending_edges"]
 
+    def test_negative_tolerance_rejected(self, capsys, square):
+        code, out, err = run(capsys, ["verify-wedge", square, "--tol=-1"])
+        assert code == 2
+        assert out == ""
+        assert "tol must be a nonnegative number" in err
+
     def test_disjoint_components_rejected(self, capsys, square, tmp_path):
         far = tmp_path / "far.txt"
         far.write_text("9 9\n10 9\n")
@@ -304,6 +323,16 @@ class TestFamily:
             capsys, ["family", "--base", segment, "--tail", "vertex=0;n=3;bogus=1"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("field", ["cone=2", "cone=-1", "direction=0,0", "n=abc", "smin=x"])
+    def test_bad_tail_field_exits_2(self, capsys, segment, field):
+        code, out, err = run(
+            capsys, ["family", "--base", segment, "--tail", f"vertex=1;n=3;{field}"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+        assert "--tail" in err
 
     def test_base_with_cycle_rejected(self, capsys, square):
         code, _, err = run(

@@ -232,6 +232,22 @@ class TestVerifyLongWedge:
         with pytest.raises(ValueError, match="exactly one common point"):
             verify_long_wedge([SQUARE, overlap], "vr")
 
+    def test_component_holding_the_common_point_twice(self):
+        # (0, 0) is the only point of `a` found in `b`, but `b` holds it
+        # twice within the coincidence tolerance
+        a = PointCloud([[0.0, 0.0], [1.0, 0.0]])
+        b = PointCloud([[0.0, 0.0], [0.5e-12, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="component 1 contains the common point 2 times"):
+            verify_long_wedge([a, b], "vr")
+
+    def test_components_meeting_beyond_the_common_point(self):
+        # all three share (0, 0); b and c also share (-1, -1)
+        a = PointCloud([[0.0, 0.0], [1.0, 0.0]])
+        b = PointCloud([[0.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+        c = PointCloud([[0.0, 0.0], [-1.0, -1.0], [0.0, -1.0]])
+        with pytest.raises(ValueError, match="components 1 and 2 must intersect in the common point only"):
+            verify_long_wedge([a, b, c], "vr")
+
 
 class TestVerifyTailTheorem:
     @pytest.mark.parametrize("kind", ["vr", "cech", "delaunay"])

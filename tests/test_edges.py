@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pointpd.edges import (
+    ConsistencyError,
     EdgeClass,
     classify_all,
     classify_edge,
@@ -14,6 +17,9 @@ from pointpd.edges import (
 from pointpd.filtration import build_complex
 from pointpd.geometry import PointCloud
 from pointpd.persistence import mst
+
+from test_filtration import grid
+from test_persistence import grid_clouds
 
 S, M, L = EdgeClass.SHORT, EdgeClass.MEDIUM, EdgeClass.LONG
 
@@ -124,12 +130,40 @@ class TestClassifyEdge:
         for idx, e in enumerate(cx.edges):
             assert classify_edge(cx, idx) is all_classes[e.vertices]
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_classify_all_on_grid(self, kind):
+        # the 5x5 grid ties dozens of edges at each length
+        cx = build_complex(grid(), kind)
+        all_classes = classify_all(cx)
+        for idx, (p, q) in enumerate(cx.edge_vertices.tolist()):
+            assert classify_edge(cx, idx) is all_classes[(p, q)]
+
+    @given(cloud=grid_clouds(), kind=st.sampled_from(["vr", "cech"]), cap=st.sampled_from([None, 1.0, 1.25]))
+    def test_matches_classify_all_on_tied_clouds(self, cloud, kind, cap):
+        cx = build_complex(cloud, kind, max_scale=cap)
+        all_classes = classify_all(cx)
+        for idx, (p, q) in enumerate(cx.edge_vertices.tolist()):
+            assert classify_edge(cx, idx) is all_classes[(p, q)]
+
     def test_index_bounds(self):
         cx = build_complex(SQUARE, "vr")
         with pytest.raises(IndexError):
             classify_edge(cx, len(cx.edges))
         with pytest.raises(IndexError):
             classify_edge(cx, -1)
+
+
+class TestConsistencyCheck:
+    def test_first_edge_in_both_classes_is_reported(self, monkeypatch):
+        # no valid complex has a Short Long edge, so force every edge Long
+        import pointpd.edges as edges
+
+        monkeypatch.setattr(edges, "_long_mask", lambda cx: np.ones(len(cx.edge_values), dtype=bool))
+        cx = build_complex(T345, "vr")
+        with pytest.raises(ConsistencyError, match=r"^edge \(0, 1\) tested both short and long at value 1\.5$"):
+            classify_all(cx)
+        with pytest.raises(ConsistencyError, match="tested both short and long"):
+            classify_edge(cx, 1)
 
 
 class TestLemmaOracles:

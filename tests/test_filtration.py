@@ -542,6 +542,20 @@ class TestBuildComplex:
         with pytest.raises(ValueError):
             build_complex(SQUARE, "rips")
 
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    @pytest.mark.parametrize("cap", [math.nan, -1.0, -math.inf])
+    def test_nan_or_negative_cap_rejected(self, kind, cap):
+        # every `value <= cap` test would be False and leave the vertices alone
+        with pytest.raises(ValueError, match="max_scale must be a nonnegative number"):
+            build_complex(SQUARE, kind, max_scale=cap)
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    def test_zero_and_infinite_caps_accepted(self, kind):
+        assert len(build_complex(SQUARE, kind, max_scale=0.0).edge_values) == 0
+        full = build_complex(SQUARE, kind, max_scale=math.inf)
+        assert full.max_scale == math.inf
+        assert len(full.edge_values) == 6 and len(full.triangle_values) == 4
+
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", range(5))
     def test_random_clouds_build_valid_filtrations(self, kind, seed):

@@ -399,6 +399,16 @@ class TestDiagramEqual:
         d2 = PersistenceDiagram(1, ())
         assert not diagram_equal(d1, d2, tol=10.0)
 
+    @pytest.mark.parametrize("tol", [-1.0, math.nan])
+    def test_negative_or_nan_tolerance_rejected(self, tol):
+        # before the check, two empty diagrams compared equal and two equal
+        # one-pair diagrams did not
+        d = PersistenceDiagram(1, ((0.5, 1.0),))
+        empty = PersistenceDiagram(1, ())
+        for a, b in ((d, d), (empty, empty)):
+            with pytest.raises(ValueError, match="tol must be a nonnegative number"):
+                diagram_equal(a, b, tol)
+
     def test_infinite_bars_compared_by_birth(self):
         d1 = PersistenceDiagram(1, ((0.5, math.inf),))
         d2 = PersistenceDiagram(1, ((0.5 + 1e-12, math.inf),))
