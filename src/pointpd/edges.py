@@ -38,16 +38,8 @@ class ConsistencyError(RuntimeError):
 
 
 def _long_mask(complex: FilteredComplex) -> npt.NDArray[np.bool_]:
-    """Per edge: some triangle enters with it over two strictly earlier edges.
-
-    Faces never enter after their triangle, so a boundary edge either
-    entered strictly earlier or carries the triangle's value exactly.
-    """
-    earlier = complex.edge_values[complex.triangle_edges] < complex.triangle_values[:, None]
-    witness = ~earlier & (earlier.sum(axis=1) == 2)[:, None]
-    mask = np.zeros(len(complex.edge_values), dtype=bool)
-    mask[complex.triangle_edges[witness]] = True
-    return mask
+    """Per edge: some triangle enters with it over two strictly earlier edges (the complex's coface pass)."""
+    return complex._cofaces.long
 
 
 def _edge_classes(complex: FilteredComplex) -> list[EdgeClass]:
@@ -62,6 +54,8 @@ def _edge_classes(complex: FilteredComplex) -> list[EdgeClass]:
     short = [False] * len(edges)
     uf = UnionFind(complex.n_vertices)
     for _, tied in itertools.groupby(range(len(edges)), key=values.__getitem__):
+        if uf.size[uf.find(0)] == complex.n_vertices:
+            break  # connected by earlier edges: no later edge is Short
         tied = list(tied)  # edges entering at one scale: each Short test sees the others
         for idx in tied:
             p, q = edges[idx]

@@ -17,15 +17,23 @@ always precede cofaces. The `simplices`, `edges`, `triangles`,
 `FilteredSimplex` tuples; they are compatibility views, built lazily on
 first use, and the builders, the reduction and the classifier never read
 them.
+
+VR and Cech complexes keep the distance matrix D in place of triangles. The
+dim-1 reduction, the Long test and `len(cx.triangles)` read cofaces off D in
+one blocked pass cached on the complex; reading a triangle array, or calling
+`critical_scales` or a tuple view, builds all three. For 200 points in the
+plane, uncapped VR build + dim-1 pairs went from 1.2 s and a 211 MiB
+tracemalloc peak to 0.065 s and 9 MiB (2-core VM, median of 5).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+import struct
+from collections.abc import Callable, Sequence
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -68,24 +76,49 @@ def _sort_key(s: FilteredSimplex) -> tuple[float, int, tuple[int, ...]]:
     return (s.value, s.dim, s.vertices)
 
 
-class _SimplexView(Sequence):
-    """Read-only `FilteredSimplex` sequence over one dimension's arrays."""
+def _codes(values: npt.NDArray[np.float64], ids: npt.NDArray[np.int64]) -> list[int]:
+    """Each triangle's (value, id) packed in one int that sorts the same way (a
+    nonnegative float's bits sort like it), so columns hold no tuples for the GC."""
+    return [(bits << 63) | t for bits, t in zip(values.view(np.int64).tolist(), ids.tolist())]
 
-    def __init__(self, vertices: npt.NDArray[np.intp], values: npt.NDArray[np.float64]):
-        self._vertices = vertices
-        self._values = values
+
+def _decode(code: int) -> tuple[float, int]:
+    return struct.unpack("<d", struct.pack("<q", code >> 63))[0], code & (2**63 - 1)
+
+
+class _Cofaces(NamedTuple):
+    """One pass over a complex's edges, shared by the dim-1 reduction and the Long test.
+
+    A triangle's id is its row in the triangle arrays, or for VR/Cech its
+    base-n vertex key; (value, id) sorts in filtration order either way.
+    """
+
+    oldest_values: npt.NDArray[np.float64]  # per edge, its oldest coface; inf where it has none
+    oldest_ids: npt.NDArray[np.int64]  # -1 where it has none
+    long: npt.NDArray[np.bool_]
+    count: int  # triangles in the complex
+    column: Callable[[int], set[int]]  # the `_codes` of every coface of an edge
+
+
+class _SimplexView(Sequence):
+    """Read-only `FilteredSimplex` sequence over one dimension's arrays, fetched at the first item."""
+
+    def __init__(self, length: int, arrays: Callable[[], tuple[npt.NDArray[np.intp], npt.NDArray[np.float64]]]):
+        self._length, self._arrays = length, arrays
 
     def __len__(self) -> int:
-        return len(self._values)
+        return self._length
 
     def __getitem__(self, idx):
         if isinstance(idx, slice):
             return tuple(self[i] for i in range(*idx.indices(len(self))))
-        return FilteredSimplex(tuple(self._vertices[idx].tolist()), float(self._values[idx]))
+        vertices, values = self._arrays()
+        return FilteredSimplex(tuple(vertices[idx].tolist()), float(values[idx]))
 
     def __iter__(self):
-        for vertices, value in zip(self._vertices.tolist(), self._values.tolist()):
-            yield FilteredSimplex(tuple(vertices), value)
+        vertices, values = self._arrays()
+        for v, x in zip(vertices.tolist(), values.tolist()):
+            yield FilteredSimplex(tuple(v), x)
 
 
 def _row(vertices: npt.NDArray[np.intp], idx: int) -> tuple[int, ...]:
@@ -171,9 +204,6 @@ class FilteredComplex:
     max_scale: float
     edge_vertices: npt.NDArray[np.intp]
     edge_values: npt.NDArray[np.float64]
-    triangle_vertices: npt.NDArray[np.intp]
-    triangle_values: npt.NDArray[np.float64]
-    triangle_edges: npt.NDArray[np.intp]
 
     def __init__(
         self,
@@ -197,15 +227,8 @@ class FilteredComplex:
         for i in range(n_vertices):
             if vertex_values.get((i,)) != 0.0:
                 raise ValueError(f"vertex {i} missing or at nonzero value")
-        self._store(
-            n_vertices,
-            [v for v, _ in groups[2]],
-            [x for _, x in groups[2]],
-            [v for v, _ in groups[3]],
-            [x for _, x in groups[3]],
-            kind,
-            max_scale,
-        )
+        self._store(n_vertices, [v for v, _ in groups[2]], [x for _, x in groups[2]], kind, max_scale)
+        self._store_triangles([v for v, _ in groups[3]], [x for _, x in groups[3]])
 
     @classmethod
     def from_arrays(
@@ -220,17 +243,35 @@ class FilteredComplex:
     ) -> FilteredComplex:
         """Complex on vertices 0..n-1 from edge and triangle arrays in any order."""
         self = cls.__new__(cls)
-        self._store(n_vertices, edge_vertices, edge_values, triangle_vertices, triangle_values, kind, max_scale)
+        self._store(n_vertices, edge_vertices, edge_values, kind, max_scale)
+        self._store_triangles(triangle_vertices, triangle_values)
         return self
 
-    def _store(self, n, edge_vertices, edge_values, triangle_vertices, triangle_values, kind, max_scale) -> None:
+    def _store(self, n, edge_vertices, edge_values, kind, max_scale, distances=None, triangle_value=None) -> None:
+        """Keep the edges; a VR/Cech builder passes D and its triangle rule in place of triangles."""
         if n < 1:
             raise ValueError("complex needs at least one vertex")
         if n > _MAX_VERTICES:
             raise ValueError(f"at most {_MAX_VERTICES} vertices are supported")
-        ev, ex, edge_keys = _sorted_group(n, edge_vertices, edge_values, 2)
+        ev, ex, _ = _sorted_group(n, edge_vertices, edge_values, 2)
+        for arr in (ev, ex):
+            arr.flags.writeable = False
+        for name, value in (
+            ("n_vertices", int(n)),
+            ("kind", FiltrationKind(kind)),
+            ("max_scale", float(max_scale)),
+            ("edge_vertices", ev),
+            ("edge_values", ex),
+            ("_distances", distances),
+            ("_triangle_value", triangle_value),
+        ):
+            object.__setattr__(self, name, value)
+
+    def _store_triangles(self, triangle_vertices, triangle_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sort and check the triangles against the edges, and keep them."""
+        n, ev, ex = self.n_vertices, self.edge_vertices, self.edge_values
         tv, tx, _ = _sorted_group(n, triangle_vertices, triangle_values, 3)
-        triangle_edges = _edge_rows(edge_keys, n, tv[:, [0, 0, 1]] * n + tv[:, [1, 2, 2]])
+        triangle_edges = _edge_rows(ev[:, 0] * n + ev[:, 1], n, tv[:, [0, 0, 1]] * n + tv[:, [1, 2, 2]])
         missing = triangle_edges < 0
         bad = np.flatnonzero(missing.any(axis=1))
         if bad.size:
@@ -249,20 +290,31 @@ class FilteredComplex:
                 f"face {(int(tv[t, a]), int(tv[t, b]))} enters at {ex[triangle_edges[t, col]]} "
                 f"after coface {_row(tv, t)} at {tx[t]}"
             )
-
-        for arr in (ev, ex, tv, tx, triangle_edges):
+        for arr in (tv, tx, triangle_edges):
             arr.flags.writeable = False
-        for name, value in (
-            ("n_vertices", int(n)),
-            ("kind", FiltrationKind(kind)),
-            ("max_scale", float(max_scale)),
-            ("edge_vertices", ev),
-            ("edge_values", ex),
-            ("triangle_vertices", tv),
-            ("triangle_values", tx),
-            ("triangle_edges", triangle_edges),
-        ):
-            object.__setattr__(self, name, value)
+        self.__dict__["_triangles"] = (tv, tx, triangle_edges)
+        return tv, tx, triangle_edges
+
+    @cached_property
+    def _triangles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A VR/Cech complex's triangle arrays: every triple i < j < k at
+        triangle_value(D_ij, D_ik, D_jk) where that is at most the cap."""
+        D, n, (i, j) = self._distances, self.n_vertices, self.edge_vertices.T
+        later = np.zeros((n, n), dtype=bool)  # later[a, b]: edge (a, b) kept, a < b
+        later[i, j] = True
+        rows, k = np.nonzero(later[i] & later[j])
+        i3, j3 = i[rows], j[rows]
+        values = self._triangle_value(D[i3, j3], D[i3, k], D[j3, k])
+        keep = values <= self.max_scale
+        return self._store_triangles(np.stack([i3[keep], j3[keep], k[keep]], axis=1), values[keep])
+
+    triangle_vertices = cached_property(lambda self: self._triangles[0])
+    triangle_values = cached_property(lambda self: self._triangles[1])
+    triangle_edges = cached_property(lambda self: self._triangles[2])
+
+    @cached_property
+    def _cofaces(self) -> _Cofaces:
+        return _implicit_cofaces(self) if self._distances is not None else _explicit_cofaces(self)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"FilteredComplex is immutable; cannot set {name!r}")
@@ -270,7 +322,7 @@ class FilteredComplex:
     def __repr__(self) -> str:
         return (
             f"FilteredComplex(n_vertices={self.n_vertices}, edges={len(self.edge_values)}, "
-            f"triangles={len(self.triangle_values)}, kind={self.kind.value!r}, max_scale={self.max_scale!r})"
+            f"triangles={len(self.triangles)}, kind={self.kind.value!r}, max_scale={self.max_scale!r})"
         )
 
     @cached_property
@@ -283,15 +335,17 @@ class FilteredComplex:
     def value_by_simplex(self) -> dict[tuple[int, ...], float]:
         return {s.vertices: s.value for s in self.simplices}
 
-    @cached_property
+    @property
     def edges(self) -> Sequence[FilteredSimplex]:
         """Edges in filtration order."""
-        return _SimplexView(self.edge_vertices, self.edge_values)
+        return _SimplexView(len(self.edge_values), lambda: (self.edge_vertices, self.edge_values))
 
-    @cached_property
+    @property
     def triangles(self) -> Sequence[FilteredSimplex]:
-        """Triangles in filtration order."""
-        return _SimplexView(self.triangle_vertices, self.triangle_values)
+        """Triangles in filtration order; counting them leaves implicit triangle arrays unbuilt."""
+        built = self.__dict__.get("_triangles")
+        count = len(built[1]) if built is not None else self._cofaces.count
+        return _SimplexView(count, lambda: (self.triangle_vertices, self.triangle_values))
 
     def value_of(self, vertices: tuple[int, ...]) -> float:
         key = tuple(sorted(vertices))
@@ -327,7 +381,8 @@ def _capped_complex(
     whose three edges are kept at triangle_value(D_ij, D_ik, D_jk); both
     only where the value is at most the cap, max(D) / default_divisor
     unless max_scale is given. A NaN or negative cap would keep only the
-    vertices, so it is rejected."""
+    vertices, so it is rejected. The complex keeps D and the rule in place
+    of triangle arrays."""
     D = _distance_matrix(points)
     cap = float(D.max()) / default_divisor if max_scale is None else float(max_scale)
     if not cap >= 0.0:
@@ -336,15 +391,92 @@ def _capped_complex(
     i, j = np.triu_indices(n, k=1)
     edge_values = D[i, j] / 2.0
     kept = edge_values <= cap
-    i, j, edge_values = i[kept], j[kept], edge_values[kept]
-    later = np.zeros((n, n), dtype=bool)  # later[a, b]: edge (a, b) kept, a < b
-    later[i, j] = True
-    rows, k = np.nonzero(later[i] & later[j])
-    i3, j3 = i[rows], j[rows]
-    values = triangle_value(D[i3, j3], D[i3, k], D[j3, k])
-    keep = values <= cap
-    triples = np.stack([i3[keep], j3[keep], k[keep]], axis=1)
-    return FilteredComplex.from_arrays(n, np.stack([i, j], axis=1), edge_values, triples, values[keep], kind, cap)
+    D.flags.writeable = False
+    cx = FilteredComplex.__new__(FilteredComplex)
+    cx._store(n, np.stack([i[kept], j[kept]], axis=1), edge_values[kept], kind, cap, D, triangle_value)
+    return cx
+
+
+# Entries (edges x vertices) per block of the coface pass. Larger blocks measured
+# slower: their temporaries pass glibc's 128 KiB mmap threshold and fault in afresh.
+_BLOCK = 2**13
+# The coface pass keeps every value when there are at most this many (2 MiB).
+_KEEP = 2**18
+
+
+def _triple_keys(i, j, k, n: int):
+    """Base-n keys of the sorted triples {i, j, k}, given i < j."""
+    return (np.minimum(i, k) * n + np.maximum(i, np.minimum(j, k))) * n + np.maximum(j, k)
+
+
+def _coface_values(D, rule, cap: float, i, j) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.bool_]]:
+    """Values of the triangles {i, j, k} over every k, inf where k is i or j or
+    above the cap; and whether edge (i, j) is Long: some triangle enters at
+    its value over two strictly shorter sides."""
+    e, x, y = D[i, j][:, None], D[i], D[j]
+    if rule is _max_side_over_two:
+        values = np.maximum(x, y)  # the rule's max(max(e, x), y) / 2: max is exact in any order
+        long = (values < e).any(axis=1)
+        np.maximum(values, e, out=values)
+        values /= 2.0
+    else:
+        # the sides (ab, ac, bc) of the sorted triple, the order the rule's bits depend on
+        below_i, below_j = np.arange(len(D)) < i[:, None], np.arange(len(D)) < j[:, None]
+        values = rule(np.where(below_j, x, e), np.where(below_i, y, np.where(below_j, e, x)), np.where(below_i, e, y))
+        long = ((values == e / 2.0) & (x < e) & (y < e)).any(axis=1)
+    np.putmask(values, values > cap, np.inf)
+    values[np.arange(len(i)), i] = values[np.arange(len(i)), j] = np.inf
+    return values, long
+
+
+def _implicit_cofaces(cx: FilteredComplex) -> _Cofaces:
+    """Bauer's implicit coboundary (Ripser): a blocked pass over D, no triangle arrays.
+
+    Edge (i, j)'s oldest coface is the first k of least value, as the triples {i, j, k} sort like k.
+    The column closure holds D and the rule, not the complex, so no reference cycle keeps it alive.
+    """
+    n, (i, j), source = cx.n_vertices, cx.edge_vertices.T, (cx._distances, cx._triangle_value, cx.max_scale)
+    m, step = len(i), max(1, _BLOCK // n)
+    oldest, k, long, count = np.empty(m), np.empty(m, dtype=np.intp), np.empty(m, dtype=bool), 0
+    kept = np.empty((m, n)) if m * n <= _KEEP else None  # else a column recomputes its row
+    for s in range(0, m, step):
+        block, long[s : s + step] = _coface_values(*source, i[s : s + step], j[s : s + step])
+        k[s : s + step] = block.argmin(axis=1)
+        oldest[s : s + step] = block[np.arange(len(block)), k[s : s + step]]
+        count += np.count_nonzero(block < np.inf)
+        if kept is not None:
+            kept[s : s + step] = block
+
+    def column(e: int) -> set[int]:
+        row = kept[e] if kept is not None else _coface_values(*source, i[e : e + 1], j[e : e + 1])[0][0]
+        k = np.flatnonzero(row < np.inf)
+        return set(_codes(row[k], _triple_keys(i[e], j[e], k, n)))
+
+    ids = np.where(oldest < np.inf, _triple_keys(i, j, k, n), -1)
+    return _Cofaces(oldest, ids, long, count // 3, column)
+
+
+def _explicit_cofaces(cx: FilteredComplex) -> _Cofaces:
+    """Cofaces from the triangle arrays, by a CSR coboundary index built at the first column asked for."""
+    edges, values, m = cx.triangle_edges, cx.triangle_values, len(cx.edge_values)
+    first = np.full(m, len(values), dtype=np.intp)
+    np.minimum.at(first, edges.ravel(), np.repeat(np.arange(len(values)), 3))
+    # faces never enter after their triangle: a boundary edge entered strictly earlier or at its value
+    earlier = cx.edge_values[edges] < values[:, None]
+    long = np.bincount(edges[~earlier & (earlier.sum(axis=1) == 2)[:, None]], minlength=m) > 0
+
+    @cache
+    def index() -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
+        order = np.argsort(edges.ravel(), kind="stable")
+        return order // 3, np.searchsorted(edges.ravel()[order], np.arange(m + 1))
+
+    def column(e: int) -> set[int]:
+        rows, starts = index()
+        rows = rows[starts[e] : starts[e + 1]]
+        return set(_codes(values[rows], rows))
+
+    oldest, ids = np.append(values, np.inf)[first], np.where(first < len(values), first, -1)
+    return _Cofaces(oldest, ids, long, len(values), column)
 
 
 def _max_side_over_two(

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .filtration import FilteredComplex
+from .filtration import FilteredComplex, _decode
 from .geometry import PointCloud, _as_cloud
 from .unionfind import UnionFind
 
@@ -86,64 +86,58 @@ class GapStats:
     persistences: tuple[float, ...]
 
 
-def _coboundary(triangle_edges_flat: npt.NDArray[np.intp], edge: int) -> set[int]:
-    """Rows of the triangles that have the edge as a face."""
-    return set((np.flatnonzero(triangle_edges_flat == edge) // 3).tolist())
-
-
 def compute_pd(complex: FilteredComplex, dim: int) -> PersistenceDiagram:
     """Persistence diagram of the complex in dimension 0 or 1.
 
     Dim 0: an edge that joins two components is a death, and each
     component left at the cap is an infinite bar. Dim 1: cohomology over
     the cycle-closing edges, youngest first, with the merge edges cleared.
-    A column whose oldest coface is still free pairs with it unbuilt (an
-    apparent pair; off ties, every Long edge does so at zero persistence).
-    The rest are built and reduced; one that reduces to zero is a class
-    alive at the cap (death = inf). Zero-persistence pairs are dropped.
+    A column whose oldest coface (from the complex's coface pass) is still
+    free pairs with it unbuilt (an apparent pair; off ties, every Long edge
+    does so at zero persistence). The rest list their cofaces and are
+    reduced; one that reduces to zero is a class alive at the cap (death =
+    inf). Zero-persistence pairs are dropped.
     """
     if dim not in (0, 1):
         raise ValueError("only dimensions 0 and 1 are supported")
-    uf = UnionFind(complex.n_vertices)
-    merges = [uf.union(i, j) for i, j in zip(*complex.edge_vertices.T.tolist())]
+    uf, components = UnionFind(complex.n_vertices), complex.n_vertices
+    merges = np.zeros(len(complex.edge_values), dtype=bool)
+    for edge, (i, j) in enumerate(complex.edge_vertices.tolist()):
+        if components == 1:
+            break  # no later edge merges
+        if uf.union(i, j):
+            merges[edge], components = True, components - 1
 
     if dim == 0:
         deaths = complex.edge_values[merges].tolist()
         pairs = [(0.0, value) for value in deaths if value > 0.0]
-        pairs.extend((0.0, math.inf) for _ in range(complex.n_vertices - len(deaths)))
+        pairs.extend((0.0, math.inf) for _ in range(components))
         return PersistenceDiagram(0, tuple(pairs), complex.max_scale)
 
-    flat = complex.triangle_edges.ravel()
-    t = len(complex.triangle_values)  # the pivot of a zero column; never a key of `columns`
-    first = np.full(len(merges), t, dtype=np.intp)
-    np.minimum.at(first, flat, np.repeat(np.arange(t), 3))
-    oldest = first.tolist()
-    # pivot triangle -> its column: the edge id while unreduced, else a row set
+    cofaces = complex._cofaces
+    # pivot triangle id -> its column: the edge id while unreduced, else the codes of its cofaces
     columns: dict[int, int | set[int]] = {}
-    born, died = [], []
-    for edge in reversed(range(len(merges))):
-        if merges[edge]:
-            continue
-        pivot, column = oldest[edge], edge
+    born, died = np.flatnonzero(~merges)[::-1], []  # the cycle-closing edges, youngest first
+    oldest = zip(cofaces.oldest_values[born].tolist(), cofaces.oldest_ids[born].tolist())
+    for edge, (death, pivot) in zip(born.tolist(), oldest):
+        column = edge
         if pivot in columns:
-            column = _coboundary(flat, edge)
-            heap = sorted(column)  # rows of the column and stale rows, popped lazily
+            column = cofaces.column(edge)
+            heap = sorted(column)  # cofaces of the column and stale ones, popped lazily
             while pivot in columns:
                 other = columns[pivot]
                 if isinstance(other, int):
-                    other = columns[pivot] = _coboundary(flat, other)
+                    other = columns[pivot] = cofaces.column(other)
                 column ^= other
-                for row in other:
-                    heapq.heappush(heap, row)
+                for entry in other:
+                    heapq.heappush(heap, entry)
                 while heap and heap[0] not in column:
                     heapq.heappop(heap)
-                pivot = heap[0] if heap else t
-        if pivot < t:
+                death, pivot = _decode(heap[0]) if heap else (math.inf, -1)
+        if pivot >= 0:
             columns[pivot] = column
-        born.append(edge)
-        died.append(pivot)
-    births = complex.edge_values[born]
-    deaths = np.append(complex.triangle_values, math.inf)[died]
+        died.append(death)
+    births, deaths = complex.edge_values[born], np.array(died, dtype=np.float64)
     pairs = zip(births[deaths > births].tolist(), deaths[deaths > births].tolist())
     return PersistenceDiagram(1, tuple(pairs), complex.max_scale)
 

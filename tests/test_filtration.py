@@ -1,6 +1,8 @@
+import gc
 import math
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from pointpd.filtration import (
     build_vr,
     critical_scales,
 )
+from pointpd.edges import classify_all
 from pointpd.geometry import PointCloud
 from pointpd.persistence import bottleneck_distance, compute_pd, diagram_equal
 
@@ -123,6 +126,38 @@ class TestFilteredComplex:
             cx.max_scale = 2.0
         with pytest.raises(ValueError):
             cx.edge_values[0] = 0.0
+        with pytest.raises(ValueError):
+            cx.triangle_values[0] = 0.0  # built on this first read
+        with pytest.raises(AttributeError):
+            cx.triangle_values = cx.triangle_values[:1]
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    @pytest.mark.parametrize("cap", [None, 0.3])
+    def test_counting_and_reducing_leave_triangle_arrays_unbuilt(self, kind, cap):
+        cx = build_complex(random_cloud(9, 40, 3), kind, max_scale=cap)
+        count, text = len(cx.triangles), repr(cx)
+        compute_pd(cx, 1)
+        classify_all(cx)
+        lazy = {"_triangles", "triangle_vertices", "triangle_values", "triangle_edges"}
+        assert not lazy & set(cx.__dict__)
+        assert f"triangles={count}," in text
+        assert count == len(cx.triangle_values) > 0
+        assert {"_triangles", "triangle_values"} <= set(cx.__dict__)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_freed_without_the_cycle_collector(self, kind):
+        # the cached coface pass and the views must not point back at the complex
+        cx = build_complex(random_cloud(5, 30, 2), kind)
+        compute_pd(cx, 1)
+        classify_all(cx)
+        assert len(cx.triangles) == len(list(cx.triangles)) and len(cx.edges) > 0
+        ref = weakref.ref(cx)
+        gc.disable()
+        try:
+            del cx
+            assert ref() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("n", [6, 60])
     def test_edge_rows_table_and_sorted_lookup_agree(self, n):

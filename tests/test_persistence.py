@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pointpd.edges import EdgeClass, classify_all
-from pointpd.filtration import build_complex, build_vr
+from pointpd.filtration import FilteredComplex, build_complex, build_vr
 from pointpd.geometry import PointCloud
 from pointpd.persistence import (
     PersistenceDiagram,
@@ -183,6 +184,57 @@ def grid_clouds(draw):
     n = draw(st.integers(3, 12))
     coords = st.tuples(*[st.integers(0, 4)] * dim)
     return np.array(draw(st.lists(coords, min_size=n, max_size=n, unique=True)), dtype=np.float64)
+
+
+def materialized(cx) -> FilteredComplex:
+    """The same complex from its triangle arrays, so the reduction and the Long test read those."""
+    return FilteredComplex.from_arrays(
+        cx.n_vertices, cx.edge_vertices, cx.edge_values, cx.triangle_vertices, cx.triangle_values, cx.kind, cx.max_scale
+    )
+
+
+@st.composite
+def implicit_cases(draw):
+    """A VR or Cech complex on a random cloud or on a quarter-spaced grid (tied distances), 2D or 3D."""
+    if draw(st.booleans()):
+        cloud = draw(grid_clouds()) / 4.0  # exact scaling keeps every tie
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cloud = rng.random((draw(st.integers(3, 25)), draw(st.sampled_from([2, 3]))))
+    kind, cap = draw(st.sampled_from(["vr", "cech"])), draw(st.sampled_from([None, 0.0, 0.2, 0.35]))
+    return build_complex(cloud, kind, max_scale=cap)
+
+
+class TestImplicitCofaces:
+    """VR/Cech complexes read cofaces off D; the same complex from its triangle arrays must agree."""
+
+    @given(cx=implicit_cases())
+    def test_pairs_classes_and_count_match_the_triangle_arrays(self, cx):
+        count = len(cx.triangles)
+        assert "_triangles" not in cx.__dict__
+        explicit = materialized(cx)
+        assert count == len(explicit.triangle_values)
+        # the first k of least value is the lex-smallest triple among tied oldest cofaces
+        got, want = cx._cofaces, explicit._cofaces
+        assert np.array_equal(got.oldest_values, want.oldest_values)
+        n, has = cx.n_vertices, want.oldest_ids >= 0
+        rows = explicit.triangle_vertices[want.oldest_ids[has]]
+        assert np.array_equal(got.oldest_ids[has], (rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2])
+        assert np.array_equal(got.long, want.long)
+        assert compute_pd(cx, 1).pairs == tuple(boundary_pd1(explicit)) == compute_pd(explicit, 1).pairs
+        assert classify_all(cx) == classify_all(explicit)
+
+    def test_vr_200_stays_small(self):
+        points = np.random.default_rng(0).random((200, 2))
+        tracemalloc.start()
+        try:
+            cx = build_vr(points)
+            compute_pd(cx, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # the 1 313 400 triangle arrays alone would take 70 MiB
+        assert len(cx.triangles) == 200 * 199 * 198 // 6
 
 
 class TestTiedCloudProperties:
