@@ -42,7 +42,7 @@ from .experiments import (
     raw_csv,
     sweep_csv,
 )
-from .filtration import FiltrationKind, build_complex
+from .filtration import FiltrationKind, _norms, build_complex
 from .geometry import Ray, angular_deviation, angular_thickness
 from .persistence import compute_pd, diagrams_to_csv
 
@@ -189,8 +189,10 @@ def cmd_classify(args) -> int:
     complex_ = build_complex(cloud, args.kind, max_scale=args.max_scale)
     classes = classify_all(complex_)
     lines = ["p,q,length,class"]
-    for p, q in complex_.edge_vertices.tolist():  # already sorted by (value, vertices)
-        length = float(np.linalg.norm(cloud.points[p] - cloud.points[q]))
+    ends = complex_.edge_vertices  # sorted by (value, vertices)
+    # the builders' own recipe, so a VR/Cech length is exactly twice the edge value
+    lengths = _norms(cloud.points[ends[:, 0]] - cloud.points[ends[:, 1]]).tolist()
+    for (p, q), length in zip(ends.tolist(), lengths):
         lines.append(f"{p},{q},{length!r},{classes[(p, q)].value}")
     print("\n".join(lines))
     return 0
