@@ -18,12 +18,12 @@ always precede cofaces. The `simplices`, `edges`, `triangles`,
 first use, and the builders, the reduction and the classifier never read
 them.
 
-VR and Cech complexes keep the distance matrix D in place of triangles. The
+VR and Cech complexes keep the distance matrix D in place of triangles: the
 dim-1 reduction, the Long test and `len(cx.triangles)` read cofaces off D in
-one blocked pass cached on the complex; reading a triangle array, or calling
-`critical_scales` or a tuple view, builds all three. For 200 points in the
-plane, uncapped VR build + dim-1 pairs went from 1.2 s and a 211 MiB
-tracemalloc peak to 0.065 s and 9 MiB (2-core VM, median of 5).
+one blocked pass cached on the complex. Reading a triangle array, calling
+`critical_scales` or iterating a tuple view builds all three arrays. For 200
+points in the plane, uncapped VR build + dim-1 pairs went from 1.2 s and a
+211 MiB tracemalloc peak to 0.065 s and 9 MiB (2-core VM, median of 5).
 """
 
 from __future__ import annotations
@@ -87,11 +87,8 @@ def _decode(code: int) -> tuple[float, int]:
 
 
 class _Cofaces(NamedTuple):
-    """One pass over a complex's edges, shared by the dim-1 reduction and the Long test.
-
-    A triangle's id is its row in the triangle arrays, or for VR/Cech its
-    base-n vertex key; (value, id) sorts in filtration order either way.
-    """
+    """One pass over a complex's edges, shared by the dim-1 reduction and the Long test. A triangle's id is
+    its row in the triangle arrays, or for VR/Cech its base-n vertex key: (value, id) sorts in filtration order."""
 
     oldest_values: npt.NDArray[np.float64]  # per edge, its oldest coface; inf where it has none
     oldest_ids: npt.NDArray[np.int64]  # -1 where it has none
@@ -256,16 +253,8 @@ class FilteredComplex:
         ev, ex, _ = _sorted_group(n, edge_vertices, edge_values, 2)
         for arr in (ev, ex):
             arr.flags.writeable = False
-        for name, value in (
-            ("n_vertices", int(n)),
-            ("kind", FiltrationKind(kind)),
-            ("max_scale", float(max_scale)),
-            ("edge_vertices", ev),
-            ("edge_values", ex),
-            ("_distances", distances),
-            ("_triangle_value", triangle_value),
-        ):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(n_vertices=int(n), kind=FiltrationKind(kind), max_scale=float(max_scale))
+        self.__dict__.update(edge_vertices=ev, edge_values=ex, _distances=distances, _triangle_value=triangle_value)
 
     def _store_triangles(self, triangle_vertices, triangle_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sort and check the triangles against the edges, and keep them."""
@@ -329,16 +318,18 @@ class FilteredComplex:
     def simplices(self) -> tuple[FilteredSimplex, ...]:
         """Every simplex, vertices included, in filtration order."""
         vertices = [FilteredSimplex((i,), 0.0) for i in range(self.n_vertices)]
-        return tuple(sorted([*vertices, *self.edges, *self.triangles], key=_sort_key))
+        triangles = map(FilteredSimplex, map(tuple, self.triangle_vertices.tolist()), self.triangle_values.tolist())
+        return tuple(sorted([*vertices, *self.edges, *triangles], key=_sort_key))
 
     @cached_property
     def value_by_simplex(self) -> dict[tuple[int, ...], float]:
         return {s.vertices: s.value for s in self.simplices}
 
-    @property
+    @cached_property
     def edges(self) -> Sequence[FilteredSimplex]:
         """Edges in filtration order."""
-        return _SimplexView(len(self.edge_values), lambda: (self.edge_vertices, self.edge_values))
+        arrays = self.edge_vertices, self.edge_values  # not self: a cached view never points back at the complex
+        return _SimplexView(len(self.edge_values), lambda: arrays)
 
     @property
     def triangles(self) -> Sequence[FilteredSimplex]:
@@ -400,8 +391,6 @@ def _capped_complex(
 # Entries (edges x vertices) per block of the coface pass. Larger blocks measured
 # slower: their temporaries pass glibc's 128 KiB mmap threshold and fault in afresh.
 _BLOCK = 2**13
-# The coface pass keeps every value when there are at most this many (2 MiB).
-_KEEP = 2**18
 
 
 def _triple_keys(i, j, k, n: int):
@@ -414,7 +403,7 @@ def _coface_values(D, rule, cap: float, i, j) -> tuple[npt.NDArray[np.float64], 
     above the cap; and whether edge (i, j) is Long: some triangle enters at
     its value over two strictly shorter sides."""
     e, x, y = D[i, j][:, None], D[i], D[j]
-    if rule is _max_side_over_two:
+    if rule is _max_side_over_two:  # the general path gives equal bits, but rips_query VR ops ran up to 1.7x slower
         values = np.maximum(x, y)  # the rule's max(max(e, x), y) / 2: max is exact in any order
         long = (values < e).any(axis=1)
         np.maximum(values, e, out=values)
@@ -433,22 +422,20 @@ def _implicit_cofaces(cx: FilteredComplex) -> _Cofaces:
     """Bauer's implicit coboundary (Ripser): a blocked pass over D, no triangle arrays.
 
     Edge (i, j)'s oldest coface is the first k of least value, as the triples {i, j, k} sort like k.
-    The column closure holds D and the rule, not the complex, so no reference cycle keeps it alive.
+    A column recomputes its edge's row. The column closure holds D and the rule, not the complex,
+    so no reference cycle keeps it alive.
     """
     n, (i, j), source = cx.n_vertices, cx.edge_vertices.T, (cx._distances, cx._triangle_value, cx.max_scale)
     m, step = len(i), max(1, _BLOCK // n)
     oldest, k, long, count = np.empty(m), np.empty(m, dtype=np.intp), np.empty(m, dtype=bool), 0
-    kept = np.empty((m, n)) if m * n <= _KEEP else None  # else a column recomputes its row
     for s in range(0, m, step):
         block, long[s : s + step] = _coface_values(*source, i[s : s + step], j[s : s + step])
         k[s : s + step] = block.argmin(axis=1)
         oldest[s : s + step] = block[np.arange(len(block)), k[s : s + step]]
         count += np.count_nonzero(block < np.inf)
-        if kept is not None:
-            kept[s : s + step] = block
 
     def column(e: int) -> set[int]:
-        row = kept[e] if kept is not None else _coface_values(*source, i[e : e + 1], j[e : e + 1])[0][0]
+        row = _coface_values(*source, i[e : e + 1], j[e : e + 1])[0][0]
         k = np.flatnonzero(row < np.inf)
         return set(_codes(row[k], _triple_keys(i[e], j[e], k, n)))
 
@@ -720,12 +707,6 @@ def _canonicalize_cocircular(
     return np.array(sorted(out), dtype=np.intp)
 
 
-_BUILDERS = {
-    FiltrationKind.VR: build_vr,
-    FiltrationKind.CECH: build_cech,
-}
-
-
 def build_complex(
     cloud: PointCloud | npt.NDArray[np.float64],
     kind: FiltrationKind | str,
@@ -741,7 +722,7 @@ def build_complex(
         if max_scale is not None:
             raise ValueError("the Delaunay filtration does not take a scale cap")
         return build_delaunay_2d(cloud)
-    return _BUILDERS[kind](cloud, max_scale)
+    return (build_vr if kind is FiltrationKind.VR else build_cech)(cloud, max_scale)
 
 
 def critical_scales(complex: FilteredComplex) -> list[float]:
