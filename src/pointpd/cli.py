@@ -4,9 +4,8 @@ Subcommands: pd, classify, make-tail, attach, verify-wedge, family,
 experiment hist, experiment sweep. Verdicts are emitted as JSON lines on
 stdout; clouds and experiment tables are written to files when an output
 path is given. Exit codes: 0 success, 2 malformed input, 3 a verification
-or hypothesis failure. All angles are radians. Set POINTPD_THREADS to run
-experiment trials on that many worker threads (results are aggregated in
-trial order, so the output does not depend on it).
+or hypothesis failure. All angles are radians. Experiment trials run one
+after another in trial order, so rerunning a command gives the same files.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from collections import Counter
 from pathlib import Path
@@ -127,17 +125,6 @@ def _tail_fields(text: str) -> argparse.Namespace:
             raise argparse.ArgumentTypeError(f"expected key=value with a known key, got {part!r}")
         argv.append(f"{_TAIL_KEYS[key.strip()]}={value.strip()}")
     return parser.parse_args(argv)
-
-
-def _threads() -> int:
-    raw = os.environ.get("POINTPD_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"POINTPD_THREADS must be an integer, got {raw!r}")
-    if workers < 1:
-        raise ValueError(f"POINTPD_THREADS must be at least 1, got {workers}")
-    return workers
 
 
 def _jsonable(value):
@@ -321,7 +308,7 @@ def cmd_experiment_hist(args) -> int:
         kind=args.kind,
         bins=args.bins,
     )
-    result = persistence_histogram(cfg, workers=_threads())
+    result = persistence_histogram(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "histogram.csv", histogram_csv(result))
@@ -346,9 +333,7 @@ def cmd_experiment_hist(args) -> int:
 
 
 def cmd_experiment_sweep(args) -> int:
-    result = gap_ratio_sweep(
-        args.n, args.N, args.trials, args.seed, kind=args.kind, workers=_threads()
-    )
+    result = gap_ratio_sweep(args.n, args.N, args.trials, args.seed, kind=args.kind)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write(out / "sweep.csv", sweep_csv(result))

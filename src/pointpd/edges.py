@@ -13,7 +13,6 @@ share no code with the classifier.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterator
 from enum import Enum
 
@@ -22,7 +21,6 @@ import numpy.typing as npt
 
 from .filtration import FilteredComplex
 from .geometry import PointCloud, _as_cloud, enclosing_radius_3, non_acute_at
-from .unionfind import UnionFind
 
 Edge = tuple[int, int]
 
@@ -43,37 +41,20 @@ def _long_mask(complex: FilteredComplex) -> npt.NDArray[np.bool_]:
 
 
 def _edge_classes(complex: FilteredComplex) -> list[EdgeClass]:
-    """Class of every edge, in the complex's edge order.
+    """Class of every edge, in the complex's edge order: Short from the complex's
+    union-find pass, Long from its coface pass.
 
     Raises:
         ConsistencyError: for the first edge in filtration order that
             passes both the Short and the Long test.
     """
-    edges = list(zip(*complex.edge_vertices.T.tolist()))
-    values = complex.edge_values.tolist()
-    short = [False] * len(edges)
-    uf = UnionFind(complex.n_vertices)
-    for _, tied in itertools.groupby(range(len(edges)), key=values.__getitem__):
-        if uf.size[uf.find(0)] == complex.n_vertices:
-            break  # connected by earlier edges: no later edge is Short
-        tied = list(tied)  # edges entering at one scale: each Short test sees the others
-        for idx in tied:
-            p, q = edges[idx]
-            probe = uf  # earlier edges decide unless tied ones could still join p and q
-            if len(tied) > 1 and uf.find(p) != uf.find(q):
-                probe = uf.clone()
-                for other in tied:
-                    if other != idx:
-                        probe.union(*edges[other])
-            short[idx] = probe.find(p) != probe.find(q)
-        for idx in tied:
-            uf.union(*edges[idx])
-    short_mask = np.array(short, dtype=bool)
+    short_mask = complex._components.short
     long_mask = _long_mask(complex)
     both = np.flatnonzero(short_mask & long_mask)
     if both.size:
         e = int(both[0])
-        raise ConsistencyError(f"edge {edges[e]} tested both short and long at value {values[e]}")
+        edge, value = tuple(complex.edge_vertices[e].tolist()), complex.edge_values[e].item()
+        raise ConsistencyError(f"edge {edge} tested both short and long at value {value}")
     return np.where(short_mask, EdgeClass.SHORT, np.where(long_mask, EdgeClass.LONG, EdgeClass.MEDIUM)).tolist()
 
 
@@ -93,7 +74,7 @@ def classify_all(complex: FilteredComplex) -> dict[Edge, EdgeClass]:
 def classify_edge(complex: FilteredComplex, e: int) -> EdgeClass:
     """Class of the edge at index `e` in the complex's edge list.
 
-    Reads the same whole-complex pass as classify_all, ties included.
+    Reads the same cached passes as classify_all, ties included.
 
     Raises:
         IndexError: index out of range.

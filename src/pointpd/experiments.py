@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .filtration import FiltrationKind, build_complex
 from .geometry import PointCloud
-from .persistence import compute_pd, gap_stats
+from .persistence import PersistenceDiagram, compute_pd, gap_stats
 
 CloudSource = Callable[[int, int, int], PointCloud]
 
@@ -105,37 +104,21 @@ def _default_source(seed: int) -> CloudSource:
     return source
 
 
-def _map_trials(job: Callable[[int], object], trials: int, workers: int) -> list:
-    """Run job(0..trials-1), optionally on worker threads; order preserved."""
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
-    if workers == 1 or trials == 1:
-        return [job(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=min(workers, trials)) as pool:
-        return list(pool.map(job, range(trials)))
-
-
 def persistence_histogram(
     cfg: ExperimentConfig,
     cloud_source: CloudSource | None = None,
-    workers: int = 1,
 ) -> HistogramResult:
     """Aggregate dimension-1 persistences over the configured trials.
 
     Trials with an empty diagram contribute nothing; if no trial produces
     a pair the histogram is empty. `cloud_source` overrides the sampler
-    (for injected test clouds); the default draws uniform cubes. Trials
-    run on `workers` threads, aggregated in trial order either way.
+    (for injected test clouds); the default draws uniform cubes.
     """
     source = cloud_source or _default_source(cfg.seed)
-
-    def job(trial: int) -> tuple[tuple[float, float], ...]:
-        cloud = source(cfg.n_points, cfg.dim, trial)
-        return compute_pd(build_complex(cloud, cfg.kind), 1).finite_pairs
-
     records: list[RawRecord] = []
-    for trial, pairs in enumerate(_map_trials(job, cfg.trials, workers)):
-        records.extend(RawRecord(trial, birth, death) for birth, death in pairs)
+    for trial in range(cfg.trials):
+        diagram = compute_pd(build_complex(source(cfg.n_points, cfg.dim, trial), cfg.kind), 1)
+        records.extend(RawRecord(trial, birth, death) for birth, death in diagram.finite_pairs)
     if not records:
         return HistogramResult(cfg, (), (), ())
     pers = [r.death - r.birth for r in records]
@@ -149,6 +132,14 @@ def persistence_histogram(
     )
 
 
+def _gap_ratio(diagram: PersistenceDiagram) -> float | None:
+    """The diagram's gap ratio, or None when it has fewer than 3 finite pairs."""
+    try:
+        return gap_stats(diagram).ratio
+    except ValueError:
+        return None
+
+
 def gap_ratio_sweep(
     n_range: Sequence[int],
     dim_range: Sequence[int],
@@ -156,7 +147,6 @@ def gap_ratio_sweep(
     seed: int,
     kind: FiltrationKind | str = FiltrationKind.VR,
     cloud_source: CloudSource | None = None,
-    workers: int = 1,
 ) -> SweepResult:
     """Median gap ratio per (n, dim) cell.
 
@@ -173,16 +163,7 @@ def gap_ratio_sweep(
     rows = []
     for n in n_range:
         for dim in dim_range:
-
-            def job(trial: int, n: int = n, dim: int = dim) -> float | None:
-                cloud = source(n, dim, trial)
-                diagram = compute_pd(build_complex(cloud, kind), 1)
-                try:
-                    return gap_stats(diagram).ratio
-                except ValueError:
-                    return None
-
-            outcomes = _map_trials(job, trials, workers)
+            outcomes = [_gap_ratio(compute_pd(build_complex(source(n, dim, t), kind), 1)) for t in range(trials)]
             ratios = [r for r in outcomes if r is not None]
             skipped = sum(1 for r in outcomes if r is None)
             median = statistics.median(ratios) if ratios else math.nan

@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .filtration import FilteredComplex, _decode
-from .geometry import PointCloud, _as_cloud
-from .unionfind import UnionFind
+from .filtration import FilteredComplex, _decode, build_vr
+from .geometry import PointCloud
 
 Pair = tuple[float, float]
 
@@ -89,6 +88,7 @@ class GapStats:
 def compute_pd(complex: FilteredComplex, dim: int) -> PersistenceDiagram:
     """Persistence diagram of the complex in dimension 0 or 1.
 
+    Both dimensions read the merges of the complex's union-find pass.
     Dim 0: an edge that joins two components is a death, and each
     component left at the cap is an infinite bar. Dim 1: cohomology over
     the cycle-closing edges, youngest first, with the merge edges cleared.
@@ -100,14 +100,7 @@ def compute_pd(complex: FilteredComplex, dim: int) -> PersistenceDiagram:
     """
     if dim not in (0, 1):
         raise ValueError("only dimensions 0 and 1 are supported")
-    uf, components = UnionFind(complex.n_vertices), complex.n_vertices
-    merges = np.zeros(len(complex.edge_values), dtype=bool)
-    for edge, (i, j) in enumerate(complex.edge_vertices.tolist()):
-        if components == 1:
-            break  # no later edge merges
-        if uf.union(i, j):
-            merges[edge], components = True, components - 1
-
+    merges, _, components = complex._components
     if dim == 0:
         deaths = complex.edge_values[merges].tolist()
         pairs = [(0.0, value) for value in deaths if value > 0.0]
@@ -143,27 +136,19 @@ def compute_pd(complex: FilteredComplex, dim: int) -> PersistenceDiagram:
 
 
 def mst(cloud: PointCloud | npt.NDArray[np.float64]) -> list[tuple[tuple[int, int], float]]:
-    """Euclidean minimum spanning tree by Kruskal.
+    """Euclidean minimum spanning tree: the merge edges of the uncapped VR complex.
 
     Ties are broken by lexicographic edge order, so the result is
-    deterministic. Returns ((i, j), length) in acceptance order.
+    deterministic. Returns ((i, j), length) in acceptance order; a length
+    is twice the edge's value, the distance by the builders' recipe, so
+    the dim-0 deaths are exactly half the lengths.
+
+    Raises:
+        ValueError: coincident points, as in every builder.
     """
-    cloud = _as_cloud(cloud)
-    pts = cloud.points
-    n = cloud.n_points
-    candidates = sorted(
-        (float(np.linalg.norm(pts[i] - pts[j])), i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-    )
-    uf = UnionFind(n)
-    out = []
-    for d, i, j in candidates:
-        if uf.union(i, j):
-            out.append(((i, j), d))
-            if len(out) == n - 1:
-                break
-    return out
+    cx = build_vr(cloud)
+    merges = cx._components.merges
+    return list(zip(map(tuple, cx.edge_vertices[merges].tolist()), (2.0 * cx.edge_values[merges]).tolist()))
 
 
 def _saturates(adj: list[list[int]], n_right: int) -> bool:

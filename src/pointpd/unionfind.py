@@ -1,4 +1,4 @@
-"""Disjoint-set forest shared by the dim-0 reduction, Kruskal and the classifier."""
+"""Disjoint-set forest for the union-find pass that every filtered complex runs once over its edges."""
 
 from __future__ import annotations
 

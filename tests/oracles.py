@@ -17,6 +17,8 @@ for the recursive one: the same bisection with scipy's Hopcroft-Karp.
 run: it tests every circumcircle and diametral disk against every point and
 reads lengths from the dense distance matrix, so the array builder with its
 KD-tree candidates must return the very same complex, float for float.
+`short_by_definition` restates the Short test edge by edge, with one graph
+search per edge in place of the package's single union-find pass.
 """
 
 from __future__ import annotations
@@ -551,3 +553,27 @@ def loop_delaunay(cloud):
         FiltrationKind.DELAUNAY,
         cap,
     )
+
+
+# ---------------------------------------------------------------- Short edges
+
+
+def short_by_definition(cx) -> list[bool]:
+    """Per edge: its endpoints lie in different components of the graph of
+    every other edge whose value is at most its own (one search per edge)."""
+    edges, values = cx.edge_vertices.tolist(), cx.edge_values.tolist()
+    out = []
+    for e, ((p, q), value) in enumerate(zip(edges, values)):
+        adj: dict[int, list[int]] = {v: [] for v in range(cx.n_vertices)}
+        for f, ((a, b), other) in enumerate(zip(edges, values)):
+            if f != e and other <= value:
+                adj[a].append(b)
+                adj[b].append(a)
+        seen, stack = {p}, [p]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        out.append(q not in seen)
+    return out

@@ -376,27 +376,6 @@ class TestExperimentHist:
                 tmp_path / "b" / name
             ).read_bytes()
 
-    def test_threads_do_not_change_output(self, capsys, tmp_path, monkeypatch):
-        argv = ["experiment", "hist", "--n", "8", "--N", "2", "--trials", "4",
-                "--seed", "7", "--out"]
-        run(capsys, argv + [str(tmp_path / "one")])
-        monkeypatch.setenv("POINTPD_THREADS", "3")
-        run(capsys, argv + [str(tmp_path / "three")])
-        for name in ("config.json", "histogram.csv", "raw.csv"):
-            assert (tmp_path / "one" / name).read_bytes() == (
-                tmp_path / "three" / name
-            ).read_bytes()
-
-    def test_invalid_threads_env(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("POINTPD_THREADS", "soon")
-        code, _, err = run(
-            capsys,
-            ["experiment", "hist", "--n", "8", "--N", "2", "--trials", "2",
-             "--out", str(tmp_path / "x")],
-        )
-        assert code == 2
-        assert "POINTPD_THREADS" in err
-
     def test_delaunay_requires_plane(self, capsys, tmp_path):
         code, _, err = run(
             capsys,

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from pointpd.edges import (
 )
 from pointpd.filtration import build_complex
 from pointpd.geometry import PointCloud
-from pointpd.persistence import mst
+from pointpd.persistence import compute_pd, mst
 
+from oracles import short_by_definition
 from test_filtration import grid
 from test_persistence import grid_clouds
 
@@ -122,6 +124,17 @@ class TestTieHandling:
     def test_cycle_of_ties_is_medium(self):
         assert set(classes(SQUARE, "vr")[e] for e in [(0, 1), (0, 2), (1, 3), (2, 3)]) == {M}
 
+    @pytest.mark.parametrize("angle", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_short_matches_definition_on_grid(self, kind, angle):
+        cx = build_complex(grid(angle), kind)
+        assert [c is S for c in classify_all(cx).values()] == short_by_definition(cx)
+
+    @given(cloud=grid_clouds(), kind=st.sampled_from(["vr", "cech"]), cap=st.sampled_from([None, 1.0, 1.25]))
+    def test_short_matches_definition_on_tied_clouds(self, cloud, kind, cap):
+        cx = build_complex(cloud, kind, max_scale=cap)
+        assert [c is S for c in classify_all(cx).values()] == short_by_definition(cx)
+
 
 class TestClassifyEdge:
     def test_matches_classify_all(self):
@@ -151,6 +164,39 @@ class TestClassifyEdge:
             classify_edge(cx, len(cx.edges))
         with pytest.raises(IndexError):
             classify_edge(cx, -1)
+
+
+class TestSharedUnionFind:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_union_find_per_complex(self, kind, monkeypatch):
+        from pointpd.unionfind import UnionFind
+
+        built, init = [], UnionFind.__init__
+
+        def counting_init(self, n):
+            built.append(n)
+            init(self, n)
+
+        monkeypatch.setattr(UnionFind, "__init__", counting_init)  # clones skip __init__
+        cx = build_complex(grid(), kind)
+        compute_pd(cx, 0)
+        compute_pd(cx, 1)
+        classify_all(cx)
+        for idx in range(len(cx.edge_values)):
+            classify_edge(cx, idx)
+        assert built == [25]
+        mst(grid())
+        assert built == [25, 25]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_classify_edge_loop_is_cheap(self, kind):
+        # the 5x5 grid's 300 edges (VR, Cech) each read the cached passes
+        cx = build_complex(grid(), kind)
+        classify_all(cx)
+        start = time.perf_counter()
+        for idx in range(len(cx.edge_values)):
+            classify_edge(cx, idx)
+        assert time.perf_counter() - start < 0.05
 
 
 class TestConsistencyCheck:
@@ -242,10 +288,15 @@ class TestStructuralProperties:
 
     @pytest.mark.parametrize("seed", range(15))
     def test_short_edges_are_mst_edges(self, seed):
+        from scipy.sparse.csgraph import minimum_spanning_tree
+        from scipy.spatial.distance import pdist, squareform
+
         rng = np.random.default_rng(seed * 17)
         cloud = PointCloud(rng.random((8, 2)))
         got = classes(cloud, "vr")
-        tree = {e for e, _ in mst(cloud)}
+        # random clouds have no tied lengths, so the tree is unique
+        coo = minimum_spanning_tree(squareform(pdist(cloud.points))).tocoo()
+        tree = {(min(p, q), max(p, q)) for p, q in zip(coo.row.tolist(), coo.col.tolist())}
         for (p, q), cls in got.items():
             if cls is S:
                 assert (p, q) in tree

@@ -112,14 +112,12 @@ class TestPersistenceHistogram:
         c = persistence_histogram(ExperimentConfig(8, 2, 5, 12))
         assert a.records != c.records
 
-    def test_workers_do_not_change_the_answer(self):
+    def test_rerun_gives_the_same_answer(self):
         cfg = ExperimentConfig(8, 2, 6, 11)
-        a = persistence_histogram(cfg, workers=1)
-        b = persistence_histogram(cfg, workers=3)
+        a = persistence_histogram(cfg)
+        b = persistence_histogram(cfg)
         assert a.records == b.records
         assert a.percentages == b.percentages
-        with pytest.raises(ValueError, match="workers"):
-            persistence_histogram(cfg, workers=0)
 
     def test_percentages_sum_to_hundred(self):
         cfg = ExperimentConfig(9, 2, 8, 5, bins=7)
@@ -157,9 +155,9 @@ class TestGapRatioSweep:
         assert row.trials_skipped == 5
         assert math.isnan(row.median_gap_ratio)
 
-    def test_deterministic_and_worker_independent(self):
+    def test_deterministic(self):
         a = gap_ratio_sweep([12], [2], 4, 3)
-        b = gap_ratio_sweep([12], [2], 4, 3, workers=4)
+        b = gap_ratio_sweep([12], [2], 4, 3)
         assert a.rows == b.rows
 
     def test_rejects_bad_args(self):

@@ -275,6 +275,10 @@ class TestMst:
         got = sum(d for _, d in mst(cloud))
         assert got == pytest.approx(float(want))
 
+    def test_coincident_points_raise(self):
+        with pytest.raises(ValueError, match="coincident"):
+            mst(PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_dim0_deaths_are_half_mst_lengths(self, seed):
         cloud = random_cloud(seed + 90, 8, 2)
