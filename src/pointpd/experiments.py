@@ -18,7 +18,7 @@ import numpy as np
 
 from .filtration import FiltrationKind, build_complex
 from .geometry import PointCloud
-from .persistence import PersistenceDiagram, compute_pd, gap_stats
+from .persistence import compute_pd, gap_stats
 
 CloudSource = Callable[[int, int, int], PointCloud]
 
@@ -132,14 +132,6 @@ def persistence_histogram(
     )
 
 
-def _gap_ratio(diagram: PersistenceDiagram) -> float | None:
-    """The diagram's gap ratio, or None when it has fewer than 3 finite pairs."""
-    try:
-        return gap_stats(diagram).ratio
-    except ValueError:
-        return None
-
-
 def gap_ratio_sweep(
     n_range: Sequence[int],
     dim_range: Sequence[int],
@@ -163,9 +155,13 @@ def gap_ratio_sweep(
     rows = []
     for n in n_range:
         for dim in dim_range:
-            outcomes = [_gap_ratio(compute_pd(build_complex(source(n, dim, t), kind), 1)) for t in range(trials)]
-            ratios = [r for r in outcomes if r is not None]
-            skipped = sum(1 for r in outcomes if r is None)
+            ratios, skipped = [], 0
+            for trial in range(trials):
+                diagram = compute_pd(build_complex(source(n, dim, trial), kind), 1)
+                try:
+                    ratios.append(gap_stats(diagram).ratio)
+                except ValueError:  # fewer than 3 finite pairs
+                    skipped += 1
             median = statistics.median(ratios) if ratios else math.nan
             rows.append(SweepRow(n, dim, median, len(ratios), skipped))
     provenance = {

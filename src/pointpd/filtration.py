@@ -24,9 +24,6 @@ one blocked pass cached on the complex. Reading a triangle array, calling
 `critical_scales` or iterating a tuple view builds all three arrays. For 200
 points in the plane, uncapped VR build + dim-1 pairs went from 1.2 s and a
 211 MiB tracemalloc peak to 0.065 s and 9 MiB (2-core VM, median of 5).
-
-Every complex also caches one union-find pass over its edges: dim 0, the
-dim-1 clearing, the Short test and `mst` all read it.
 """
 
 from __future__ import annotations
@@ -102,8 +99,7 @@ class _Cofaces(NamedTuple):
 
 
 class _Components(NamedTuple):
-    """One union-find pass over a complex's edges in filtration order, shared by
-    dim 0, the dim-1 clearing, the Short test and `mst`."""
+    """One union-find pass over a complex's edges, shared by dim 0, the dim-1 clearing, the Short test and `mst`."""
 
     merges: npt.NDArray[np.bool_]  # the edge joins two components
     short: npt.NDArray[np.bool_]  # the edge is a bridge at its value, with every edge tied at that value present
@@ -483,34 +479,62 @@ def _explicit_cofaces(cx: FilteredComplex) -> _Cofaces:
     return _Cofaces(oldest, ids, long, len(values), column)
 
 
+def _bridges(links: list[tuple[int, int]]) -> list[int]:
+    """Indices of the bridges of the multigraph with these edges: Tarjan's low-link
+    test by an iterative depth-first search. A loop or a parallel edge is never one."""
+    adj: dict[int, list[tuple[int, int]]] = {}
+    for e, (u, v) in enumerate(links):
+        adj.setdefault(u, []).append((v, e))
+        adj.setdefault(v, []).append((u, e))
+    order, low, bridges = {}, {}, []  # per vertex its discovery index and the least one its subtree reaches
+    for root in adj:
+        if root in order:
+            continue
+        order[root] = low[root] = len(order)
+        stack = [(root, -1, iter(adj[root]))]  # (vertex, the edge it was reached by, its untried edges)
+        while stack:
+            u, via, untried = stack[-1]
+            for v, e in untried:
+                if v not in order:
+                    order[v] = low[v] = len(order)
+                    stack.append((v, e, iter(adj[v])))
+                    break
+                if e != via:
+                    low[u] = min(low[u], order[v])
+            else:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[u])
+                    if low[u] > order[parent]:
+                        bridges.append(via)
+    return bridges
+
+
 def _union_components(cx: FilteredComplex) -> _Components:
     """Union the edges in filtration order until they connect the vertices.
 
-    Off ties an edge is Short exactly when it merges. In a group of edges tied at one value,
-    an edge that joins two components is Short unless the group's other edges join them too,
-    which a clone of the union-find tests before the group is merged. The group merges in
-    edge order, so the merges are the lexicographic Kruskal tree's.
+    Off ties an edge is Short exactly when it merges. Before a group of edges tied at one
+    value merges, each edge is read as a link between its endpoints' components; the Short
+    edges are the bridges of that multigraph, which the group's other edges cannot replace.
+    The group merges in edge order, so the merges are the lexicographic Kruskal tree's.
     """
     edges, values = cx.edge_vertices.tolist(), cx.edge_values
     starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
     sizes = np.diff(starts, append=len(values))
-    ties = {s: range(s, s + g) for s, g in zip(starts.tolist(), sizes.tolist()) if g > 1}
+    tied = sizes > 1  # selected in numpy: most groups are single edges
+    ties = dict(zip(starts[tied].tolist(), sizes[tied].tolist()))
     merges, short = np.zeros(len(values), dtype=bool), np.zeros(len(values), dtype=bool)
     uf, components = UnionFind(cx.n_vertices), cx.n_vertices
     for edge, (i, j) in enumerate(edges):
         if components == 1:
             break  # no later edge merges
-        for idx in ties.get(edge, ()):  # the first edge of a tie group probes the whole group
-            p, q = edges[idx]
-            if uf.find(p) != uf.find(q):
-                probe = uf.clone()
-                for other in ties[edge]:
-                    if other != idx:
-                        probe.union(*edges[other])
-                short[idx] = probe.find(p) != probe.find(q)
+        if edge in ties:
+            links = [(uf.find(p), uf.find(q)) for p, q in edges[edge : edge + ties[edge]]]
+            short[[edge + e for e in _bridges(links)]] = True
         if uf.union(i, j):
             merges[edge], components = True, components - 1
-    short |= merges & np.repeat(sizes == 1, sizes)
+    short |= merges & np.repeat(~tied, sizes)
     return _Components(merges, short, components)
 
 

@@ -12,12 +12,6 @@ class UnionFind:
         self.parent = list(range(n))
         self.size = [1] * n
 
-    def clone(self) -> "UnionFind":
-        other = UnionFind.__new__(UnionFind)
-        other.parent = list(self.parent)
-        other.size = list(self.size)
-        return other
-
     def find(self, x: int) -> int:
         root = x
         while self.parent[root] != root:

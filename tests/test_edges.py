@@ -177,7 +177,7 @@ class TestSharedUnionFind:
             built.append(n)
             init(self, n)
 
-        monkeypatch.setattr(UnionFind, "__init__", counting_init)  # clones skip __init__
+        monkeypatch.setattr(UnionFind, "__init__", counting_init)
         cx = build_complex(grid(), kind)
         compute_pd(cx, 0)
         compute_pd(cx, 1)
@@ -197,6 +197,18 @@ class TestSharedUnionFind:
         for idx in range(len(cx.edge_values)):
             classify_edge(cx, idx)
         assert time.perf_counter() - start < 0.05
+
+
+    def test_lattice_ties_stay_linear(self):
+        # a 30x30 lattice ties its 1 740 unit edges in one group; a copy of the union-find per
+        # tied edge took about 2 s here, one bridge search over the group takes milliseconds
+        lattice = np.array([[x, y] for x in range(30) for y in range(30)], dtype=np.float64)
+        cx = build_complex(lattice, "delaunay")
+        start = time.perf_counter()
+        compute_pd(cx, 0)
+        got = classify_all(cx)
+        assert time.perf_counter() - start < 0.5
+        assert sum(c is S for c in got.values()) == 0  # every unit edge lies on a unit square
 
 
 class TestConsistencyCheck:
