@@ -23,6 +23,7 @@ from .geometry import (
     PointCloud,
     Ray,
     _as_cloud,
+    _row_norms,
     angular_deviation,
     angular_thickness,
     min_ray_angle,
@@ -345,15 +346,8 @@ def verify_tail_theorem(
 
 def distance_multiset(cloud: PointCloud) -> tuple[float, ...]:
     """Sorted pairwise distances; equal multisets are necessary for isometry."""
-    pts = cloud.points
-    n = cloud.n_points
-    return tuple(
-        sorted(
-            float(np.linalg.norm(pts[i] - pts[j]))
-            for i in range(n)
-            for j in range(i + 1, n)
-        )
-    )
+    i, j = np.triu_indices(cloud.n_points, k=1)
+    return tuple(np.sort(_row_norms(cloud.points[i] - cloud.points[j])).tolist())
 
 
 def generate_trivial_family(

@@ -108,6 +108,29 @@ class Ray:
         return self.vertex.shape[0]
 
 
+def _row_norms(x: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    """Euclidean norm of every row, equal bit for bit to 1-D np.linalg.norm
+    (sqrt of the same dot; einsum and (x * x).sum(1) differ in the last bit)."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+def oriented_angles(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    """oriented_angle of every row of an (m, N) array against the vector v.
+
+    Each entry equals the scalar result bit for bit: the same float steps
+    per row, and math.atan2, since SIMD np.arctan2 differs in the last bit.
+    Raises ValueError if v or some row is (numerically) zero.
+    """
+    nu = _row_norms(rows)
+    nv = float(np.linalg.norm(v))
+    if nv < COINCIDENT_TOL or (nu < COINCIDENT_TOL).any():
+        raise ValueError("cannot measure the angle of a zero vector")
+    uh = rows / nu[:, None]
+    vh = v / nv
+    pairs = zip(_row_norms(uh - vh).tolist(), _row_norms(uh + vh).tolist())
+    return 2.0 * np.array([math.atan2(a, b) for a, b in pairs], dtype=np.float64)
+
+
 def oriented_angle(u: npt.NDArray[np.float64], v: npt.NDArray[np.float64]) -> float:
     """Angle in [0, pi] between nonzero vectors u and v.
 
@@ -116,14 +139,7 @@ def oriented_angle(u: npt.NDArray[np.float64], v: npt.NDArray[np.float64]) -> fl
     either end.
     """
     u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu < COINCIDENT_TOL or nv < COINCIDENT_TOL:
-        raise ValueError("cannot measure the angle of a zero vector")
-    uh = u / nu
-    vh = v / nv
-    return 2.0 * math.atan2(float(np.linalg.norm(uh - vh)), float(np.linalg.norm(uh + vh)))
+    return float(oriented_angles(u[None, :], np.asarray(v, dtype=np.float64))[0])
 
 
 def segment_angle(
@@ -140,10 +156,7 @@ def segment_angle(
     Raises:
         ValueError: if either segment has (numerically) zero length.
     """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    d = np.asarray(d, dtype=np.float64)
+    a, b, c, d = (np.asarray(x, dtype=np.float64) for x in (a, b, c, d))
     u = b - a
     v = d - c
     if float(np.linalg.norm(u)) < COINCIDENT_TOL or float(np.linalg.norm(v)) < COINCIDENT_TOL:
@@ -171,16 +184,13 @@ def angular_deviation(points: npt.NDArray[np.float64] | PointCloud, ray: Ray) ->
         raise ValueError("angular deviation needs at least 2 points")
     if pts.shape[1] != ray.dim:
         raise ValueError("points and ray live in different dimensions")
-    axis_a = ray.vertex
-    axis_b = ray.vertex + ray.direction
-    worst = 0.0
-    n = pts.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if float(np.linalg.norm(pts[j] - pts[i])) < COINCIDENT_TOL:
-                raise ValueError(f"coincident points at indices {i} and {j}")
-            worst = max(worst, segment_angle(pts[i], pts[j], axis_a, axis_b))
-    return worst
+    i, j = np.triu_indices(pts.shape[0], k=1)
+    chords = pts[j] - pts[i]
+    short = np.flatnonzero(_row_norms(chords) < COINCIDENT_TOL)
+    if short.size:
+        raise ValueError(f"coincident points at indices {i[short[0]]} and {j[short[0]]}")
+    phi = oriented_angles(chords, ray.direction)
+    return float(np.minimum(phi, math.pi - phi).max())
 
 
 def angular_thickness(points: npt.NDArray[np.float64] | PointCloud, ray: Ray) -> float:
@@ -201,13 +211,11 @@ def angular_thickness(points: npt.NDArray[np.float64] | PointCloud, ray: Ray) ->
         raise ValueError("points and ray live in different dimensions")
     if float(np.linalg.norm(pts[0] - ray.vertex)) > COINCIDENT_TOL:
         raise ValueError("first point must coincide with the ray vertex")
-    worst = 0.0
-    for i in range(1, pts.shape[0]):
-        off = pts[i] - pts[0]
-        if float(np.linalg.norm(off)) < COINCIDENT_TOL:
-            raise ValueError(f"point {i} coincides with the ray vertex")
-        worst = max(worst, oriented_angle(ray.direction, off))
-    return worst
+    offs = pts[1:] - pts[0]
+    short = np.flatnonzero(_row_norms(offs) < COINCIDENT_TOL)
+    if short.size:
+        raise ValueError(f"point {short[0] + 1} coincides with the ray vertex")
+    return float(oriented_angles(offs, ray.direction).max(initial=0.0))
 
 
 def min_ray_angle(cloud: PointCloud, v: int, ray: Ray) -> float:
@@ -235,15 +243,12 @@ def min_ray_angle(cloud: PointCloud, v: int, ray: Ray) -> float:
     base = cloud.points[v]
     if float(np.linalg.norm(base - ray.vertex)) > COINCIDENT_TOL:
         raise ValueError("ray vertex must coincide with the indexed cloud point")
-    best = math.inf
-    for i in range(cloud.n_points):
-        if i == v:
-            continue
-        off = cloud.points[i] - base
-        if float(np.linalg.norm(off)) < COINCIDENT_TOL:
-            raise ValueError(f"point {i} duplicates the ray base point {v}")
-        best = min(best, oriented_angle(ray.direction, off))
-    return best
+    others = np.delete(np.arange(cloud.n_points), v)
+    offs = cloud.points[others] - base
+    short = np.flatnonzero(_row_norms(offs) < COINCIDENT_TOL)
+    if short.size:
+        raise ValueError(f"point {others[short[0]]} duplicates the ray base point {v}")
+    return float(oriented_angles(offs, ray.direction).min())
 
 
 def enclosing_radius_3(
@@ -258,9 +263,7 @@ def enclosing_radius_3(
     the longest pairwise distance. Otherwise the triple is an acute
     triangle and the radius is its circumradius.
     """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
+    p, q, r = (np.asarray(x, dtype=np.float64) for x in (p, q, r))
     pts = [p, q, r]
     # side k is opposite vertex k
     sides = [
@@ -296,9 +299,7 @@ def non_acute_at(
     Raises:
         ValueError: if v coincides with p or q.
     """
-    v = np.asarray(v, dtype=np.float64)
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
+    v, p, q = (np.asarray(x, dtype=np.float64) for x in (v, p, q))
     if float(np.linalg.norm(p - v)) < COINCIDENT_TOL or float(np.linalg.norm(q - v)) < COINCIDENT_TOL:
         raise ValueError("angle vertex coincides with an endpoint")
     return float(np.dot(p - v, q - v)) <= 0.0

@@ -19,6 +19,10 @@ reads lengths from the dense distance matrix, so the array builder with its
 KD-tree candidates must return the very same complex, float for float.
 `short_by_definition` restates the Short test edge by edge, with one graph
 search per edge in place of the package's single union-find pass.
+`loop_angular_deviation`, `loop_angular_thickness`, `loop_min_ray_angle`
+and `loop_distance_multiset` are the chord-by-chord and point-by-point loops
+the package used to run, with 1-D `np.linalg.norm` and `math.atan2`, so its
+row kernels must return the very same floats and raise the same errors.
 """
 
 from __future__ import annotations
@@ -577,3 +581,61 @@ def short_by_definition(cx) -> list[bool]:
                     stack.append(w)
         out.append(q not in seen)
     return out
+
+
+# ---------------------------------------------------------------- tail geometry
+
+
+def _loop_angle(u, v) -> float:
+    """The scalar oriented angle: 1-D norms and math.atan2, one vector pair."""
+    uh = u / float(np.linalg.norm(u))
+    vh = v / float(np.linalg.norm(v))
+    return 2.0 * math.atan2(float(np.linalg.norm(uh - vh)), float(np.linalg.norm(uh + vh)))
+
+
+def loop_angular_deviation(pts, ray) -> float:
+    """Largest unoriented angle between a chord and the ray's direction, chord by chord."""
+    from pointpd.geometry import COINCIDENT_TOL
+
+    worst = 0.0
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if float(np.linalg.norm(pts[j] - pts[i])) < COINCIDENT_TOL:
+                raise ValueError(f"coincident points at indices {i} and {j}")
+            phi = _loop_angle(pts[j] - pts[i], ray.direction)
+            worst = max(worst, min(phi, math.pi - phi))
+    return worst
+
+
+def loop_angular_thickness(pts, ray) -> float:
+    """Largest angle from the ray's direction to a later point, point by point."""
+    from pointpd.geometry import COINCIDENT_TOL
+
+    worst = 0.0
+    for i in range(1, len(pts)):
+        off = pts[i] - pts[0]
+        if float(np.linalg.norm(off)) < COINCIDENT_TOL:
+            raise ValueError(f"point {i} coincides with the ray vertex")
+        worst = max(worst, _loop_angle(ray.direction, off))
+    return worst
+
+
+def loop_min_ray_angle(pts, v: int, ray) -> float:
+    """Smallest angle from the ray's direction to another point, point by point."""
+    from pointpd.geometry import COINCIDENT_TOL
+
+    best = math.inf
+    for i in range(len(pts)):
+        if i == v:
+            continue
+        off = pts[i] - pts[v]
+        if float(np.linalg.norm(off)) < COINCIDENT_TOL:
+            raise ValueError(f"point {i} duplicates the ray base point {v}")
+        best = min(best, _loop_angle(ray.direction, off))
+    return best
+
+
+def loop_distance_multiset(pts) -> tuple[float, ...]:
+    """Sorted pairwise distances, one 1-D np.linalg.norm per pair."""
+    n = len(pts)
+    return tuple(sorted(float(np.linalg.norm(pts[i] - pts[j])) for i in range(n) for j in range(i + 1, n)))

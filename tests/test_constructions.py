@@ -20,6 +20,8 @@ from pointpd.filtration import build_complex
 from pointpd.geometry import PointCloud, Ray, angular_deviation, angular_thickness
 from pointpd.persistence import compute_pd
 
+from oracles import loop_distance_multiset
+
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 OUT_RAY = Ray([0.0, 0.0], [-1.0, -1.0])  # away from the square's interior
 IN_RAY = Ray([0.0, 0.0], [1.0, 1.0])
@@ -367,3 +369,13 @@ class TestDistanceMultiset:
         tri = PointCloud([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
         flipped = PointCloud([[0.0, 0.0], [-3.0, 0.0], [0.0, 4.0]])
         assert distance_multiset(tri) == distance_multiset(flipped)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_equals_pairwise_loop(self, dim):
+        rng = np.random.default_rng(dim)
+        for n in (2, 3, 40, 200):
+            ray = Ray(rng.normal(size=dim) * 100.0, rng.normal(size=dim))
+            tail = generate_tail(TailSpec(ray, n, 0.3, 2.0, 0.5, int(rng.integers(1 << 30))))
+            assert distance_multiset(tail) == loop_distance_multiset(tail.points)
+            cloud = PointCloud(rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3.0, 3.0))
+            assert distance_multiset(cloud) == loop_distance_multiset(cloud.points)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from pointpd.constructions import TailSpec, generate_tail
 from pointpd.geometry import (
     PointCloud,
     Ray,
@@ -12,10 +13,17 @@ from pointpd.geometry import (
     min_ray_angle,
     non_acute_at,
     oriented_angle,
+    oriented_angles,
     segment_angle,
+    _row_norms,
 )
 
-from oracles import oracle_meb3
+from oracles import (
+    loop_angular_deviation,
+    loop_angular_thickness,
+    loop_min_ray_angle,
+    oracle_meb3,
+)
 
 
 class TestPointCloud:
@@ -221,6 +229,80 @@ class TestMinRayAngle:
         ray = Ray(cloud.points[0], np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             min_ray_angle(cloud, 0, ray)
+
+
+class TestRowKernelsMatchLoops:
+    """The row kernels must return the scalar loops' floats exactly:
+    make-tail, attach and family print omega, theta and mu."""
+
+    def test_row_norms_equal_1d_norm(self):
+        # vecdot takes the dot np.linalg.norm takes; einsum and (x * x).sum(1)
+        # add in another order and miss the last bit on thousands of rows,
+        # and the kernel's atan2 stays math.atan2 because np.arctan2 (SIMD)
+        # misses it too
+        rng = np.random.default_rng(11)
+        for dim in range(1, 7):
+            for scale in (1e-3, 1e-1, 1.0, 1e1, 1e3):
+                x = rng.normal(size=(2000, dim)) * scale
+                assert _row_norms(x).tolist() == [float(np.linalg.norm(r)) for r in x]
+
+    def test_kernel_equals_scalar_angle(self):
+        rng = np.random.default_rng(12)
+        rows = rng.normal(size=(500, 3))
+        v = rng.normal(size=3)
+        assert oriented_angles(rows, v).tolist() == [oriented_angle(r, v) for r in rows]
+        with pytest.raises(ValueError, match="zero vector"):
+            oriented_angles(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), v)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n", [2, 3, 9, 40, 200])
+    def test_generated_tails(self, dim, n):
+        rng = np.random.default_rng(100 * dim + n)
+        vertex = rng.normal(size=dim) * 10.0 ** rng.uniform(0.0, 3.0)
+        ray = Ray(vertex, rng.normal(size=dim))
+        tail = generate_tail(TailSpec(ray, n, 0.3, 2.0, rng.uniform(0.0, 0.7), int(rng.integers(1 << 30))))
+        assert angular_deviation(tail, ray) == loop_angular_deviation(tail.points, ray)
+        assert angular_thickness(tail, ray) == loop_angular_thickness(tail.points, ray)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 5])
+    def test_random_clouds(self, dim):
+        # chords in every direction, so both branches of min(phi, pi - phi)
+        rng = np.random.default_rng(dim)
+        for n in (2, 5, 30):
+            pts = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-2.0, 3.0)
+            ray = Ray(pts[0], rng.normal(size=dim))
+            assert angular_deviation(pts, ray) == loop_angular_deviation(pts, ray)
+            assert angular_thickness(pts, ray) == loop_angular_thickness(pts, ray)
+            for v in (0, n - 1):
+                at_v = Ray(pts[v], rng.normal(size=dim))
+                assert min_ray_angle(PointCloud(pts), v, at_v) == loop_min_ray_angle(pts, v, at_v)
+
+    def test_coincident_errors_name_the_first_pair(self):
+        # (1, 2) coincide and so do (0, 3); the loop meets (0, 3) first
+        pts = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [2.0, 0.0]])
+        ray = Ray(np.zeros(2), np.array([1.0, 0.0]))
+        for f in (angular_deviation, loop_angular_deviation):
+            with pytest.raises(ValueError, match=r"^coincident points at indices 0 and 3$"):
+                f(pts, ray)
+        for f in (angular_thickness, loop_angular_thickness):
+            with pytest.raises(ValueError, match=r"^point 3 coincides with the ray vertex$"):
+                f(pts, ray)
+        for v, other in ((1, 2), (3, 0)):
+            at_v = Ray(pts[v], np.array([1.0, 0.0]))
+            message = rf"^point {other} duplicates the ray base point {v}$"
+            with pytest.raises(ValueError, match=message):
+                min_ray_angle(PointCloud(pts), v, at_v)
+            with pytest.raises(ValueError, match=message):
+                loop_min_ray_angle(pts, v, at_v)
+
+    @pytest.mark.parametrize("shift", [1e3, 1e5, 1e7, 1e8])
+    def test_deviation_ignores_where_the_ray_sits(self, shift):
+        rng = np.random.default_rng(int(shift) % 97)
+        for dim in (2, 3):
+            ray = Ray(np.zeros(dim), rng.normal(size=dim))
+            tail = generate_tail(TailSpec(ray, 25, 0.5, 1.5, 0.3, int(rng.integers(1 << 30))))
+            moved = Ray(ray.vertex + shift * rng.normal(size=dim), ray.direction)
+            assert angular_deviation(tail, moved) == angular_deviation(tail, ray)
 
 
 class TestEnclosingRadius3:
