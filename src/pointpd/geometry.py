@@ -170,7 +170,8 @@ def angular_deviation(points: npt.NDArray[np.float64] | PointCloud, ray: Ray) ->
 
     Every unordered pair of points defines a segment; the result is the
     maximum of segment_angle between those segments and the ray's line.
-    Lies in [0, pi/2]; unoriented, so reversing the ray changes nothing.
+    Lies in [0, pi/2]; unoriented, so reversing the ray changes nothing,
+    and only the ray's direction counts, not where its vertex sits.
 
     Args:
         points: at least 2 pairwise distinct points, shape (n, N).

@@ -19,10 +19,11 @@ reads lengths from the dense distance matrix, so the array builder with its
 KD-tree candidates must return the very same complex, float for float.
 `short_by_definition` restates the Short test edge by edge, with one graph
 search per edge in place of the package's single union-find pass.
-`loop_angular_deviation`, `loop_angular_thickness`, `loop_min_ray_angle`
-and `loop_distance_multiset` are the chord-by-chord and point-by-point loops
-the package used to run, with 1-D `np.linalg.norm` and `math.atan2`, so its
-row kernels must return the very same floats and raise the same errors.
+`loop_oriented_angle`, `loop_angular_deviation`, `loop_angular_thickness`,
+`loop_min_ray_angle` and `loop_distance_multiset` are the scalar angle and
+the chord-by-chord and point-by-point loops the package used to run, with
+1-D `np.linalg.norm` and `math.atan2`, so its row kernels must return the
+very same floats and raise the same errors.
 """
 
 from __future__ import annotations
@@ -586,7 +587,7 @@ def short_by_definition(cx) -> list[bool]:
 # ---------------------------------------------------------------- tail geometry
 
 
-def _loop_angle(u, v) -> float:
+def loop_oriented_angle(u, v) -> float:
     """The scalar oriented angle: 1-D norms and math.atan2, one vector pair."""
     uh = u / float(np.linalg.norm(u))
     vh = v / float(np.linalg.norm(v))
@@ -602,7 +603,7 @@ def loop_angular_deviation(pts, ray) -> float:
         for j in range(i + 1, len(pts)):
             if float(np.linalg.norm(pts[j] - pts[i])) < COINCIDENT_TOL:
                 raise ValueError(f"coincident points at indices {i} and {j}")
-            phi = _loop_angle(pts[j] - pts[i], ray.direction)
+            phi = loop_oriented_angle(pts[j] - pts[i], ray.direction)
             worst = max(worst, min(phi, math.pi - phi))
     return worst
 
@@ -616,7 +617,7 @@ def loop_angular_thickness(pts, ray) -> float:
         off = pts[i] - pts[0]
         if float(np.linalg.norm(off)) < COINCIDENT_TOL:
             raise ValueError(f"point {i} coincides with the ray vertex")
-        worst = max(worst, _loop_angle(ray.direction, off))
+        worst = max(worst, loop_oriented_angle(ray.direction, off))
     return worst
 
 
@@ -631,7 +632,7 @@ def loop_min_ray_angle(pts, v: int, ray) -> float:
         off = pts[i] - pts[v]
         if float(np.linalg.norm(off)) < COINCIDENT_TOL:
             raise ValueError(f"point {i} duplicates the ray base point {v}")
-        best = min(best, _loop_angle(ray.direction, off))
+        best = min(best, loop_oriented_angle(ray.direction, off))
     return best
 
 

@@ -22,6 +22,7 @@ from oracles import (
     loop_angular_deviation,
     loop_angular_thickness,
     loop_min_ray_angle,
+    loop_oriented_angle,
     oracle_meb3,
 )
 
@@ -250,7 +251,8 @@ class TestRowKernelsMatchLoops:
         rng = np.random.default_rng(12)
         rows = rng.normal(size=(500, 3))
         v = rng.normal(size=3)
-        assert oriented_angles(rows, v).tolist() == [oriented_angle(r, v) for r in rows]
+        assert oriented_angles(rows, v).tolist() == [loop_oriented_angle(r, v) for r in rows]
+        assert [oriented_angle(r, v) for r in rows[:50]] == [loop_oriented_angle(r, v) for r in rows[:50]]
         with pytest.raises(ValueError, match="zero vector"):
             oriented_angles(np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), v)
 
