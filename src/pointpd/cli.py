@@ -26,7 +26,6 @@ from .constructions import (
     HypothesisError,
     TailSpec,
     _tail_check,
-    attach_tail,
     generate_tail,
     generate_trivial_family,
     verify_long_wedge,
@@ -141,9 +140,15 @@ def _emit(report: dict) -> None:
     print(json.dumps(_jsonable(report), sort_keys=True))
 
 
-def _tail_spec_from_args(args, ray: Ray) -> TailSpec:
+def _tail_spec_from_args(args, vertex: np.ndarray) -> TailSpec:
+    """The tail flags' spec on a ray from vertex along args.direction (default: first axis)."""
+    direction = args.direction if args.direction is not None else np.eye(vertex.shape[0])[0]
+    if direction.shape != vertex.shape:
+        raise ValueError(
+            f"direction must match dimension {vertex.shape[0]}, got {direction.shape[0]} coordinates"
+        )
     return TailSpec(
-        ray=ray,
+        ray=Ray(vertex, direction),
         n=args.n,
         spacing_min=args.spacing_min,
         spacing_max=args.spacing_max,
@@ -187,11 +192,10 @@ def cmd_classify(args) -> int:
 
 def cmd_make_tail(args) -> int:
     vertex = args.vertex if args.vertex is not None else np.zeros(args.dim)
-    direction = args.direction if args.direction is not None else _axis(args.dim)
-    if vertex.shape[0] != args.dim or direction.shape[0] != args.dim:
-        raise ValueError("--vertex and --direction must match --dim")
-    ray = Ray(vertex, direction)
-    tail = generate_tail(_tail_spec_from_args(args, ray))
+    if vertex.shape[0] != args.dim:
+        raise ValueError("--vertex must match --dim")
+    spec = _tail_spec_from_args(args, vertex)
+    tail = generate_tail(spec)
     complex_ = build_complex(tail, args.kind)
     check = _tail_check(complex_)
     pd1 = compute_pd(complex_, 1)
@@ -201,8 +205,8 @@ def cmd_make_tail(args) -> int:
         "n": tail.n_points,
         "dim": tail.dim,
         "kind": FiltrationKind(args.kind).value,
-        "omega": angular_deviation(tail, ray) if tail.n_points >= 2 else 0.0,
-        "theta": angular_thickness(tail, ray),
+        "omega": angular_deviation(tail, spec.ray) if tail.n_points >= 2 else 0.0,
+        "theta": angular_thickness(tail, spec.ray),
         "classes": {name: counts.get(name, 0) for name in ("Short", "Medium", "Long")},
         "class_violations": len(check.failures),
         "tail_ok": check.ok,
@@ -218,31 +222,28 @@ def cmd_attach(args) -> int:
     cloud = read_cloud(args.cloud)
     if not 0 <= args.vertex_index < cloud.n_points:
         raise IndexError(f"--vertex-index {args.vertex_index} out of range")
-    if args.direction.shape[0] != cloud.dim:
-        raise ValueError("--direction must match the cloud dimension")
-    ray = Ray(cloud.points[args.vertex_index], args.direction)
-    tail = generate_tail(_tail_spec_from_args(args, ray))
-    union, rep = attach_tail(cloud, args.vertex_index, ray, tail)
+    spec = _tail_spec_from_args(args, cloud.points[args.vertex_index])
+    tail = generate_tail(spec)
     report = {
         "command": "attach",
-        "mu": rep.mu,
-        "theta": rep.theta,
-        "omega": angular_deviation(tail, ray) if tail.n_points >= 2 else 0.0,
-        "hypothesis_ok": rep.hypothesis_ok,
+        "omega": angular_deviation(tail, spec.ray) if tail.n_points >= 2 else 0.0,
     }
     try:
-        thm = verify_tail_theorem(cloud, args.vertex_index, ray, tail, args.kind)
-    except HypothesisError:  # exit 3 after the angles are reported
-        _emit(report)
+        thm = verify_tail_theorem(cloud, args.vertex_index, spec.ray, tail, args.kind)
+    except HypothesisError as exc:  # exit 3 after the angles are reported
+        _emit({**report, "mu": exc.report.mu, "theta": exc.report.theta, "hypothesis_ok": False})
         raise
     report.update(
+        mu=thm.mu,
+        theta=thm.theta,
+        hypothesis_ok=True,
         pd1_empty=thm.tail_trivial,
         union_equals_base_plus_tail=thm.union_equals_base_plus_tail,
         union_equals_base=thm.union_equals_base,
     )
     _emit(report)
     if args.out:
-        write_cloud(union, args.out)
+        write_cloud(thm.union, args.out)
     ok = thm.tail_trivial and thm.union_equals_base_plus_tail and thm.union_equals_base
     return 0 if ok else 3
 
@@ -267,10 +268,7 @@ def cmd_family(args) -> int:
     for tail in args.tail:
         if not 0 <= tail.vertex < base.n_points:
             raise IndexError(f"tail vertex index {tail.vertex} out of range")
-        direction = tail.direction if tail.direction is not None else _axis(base.dim)
-        if direction.shape[0] != base.dim:
-            raise ValueError("tail direction must match the base dimension")
-        tails.append((tail.vertex, _tail_spec_from_args(tail, Ray(base.points[tail.vertex], direction))))
+        tails.append((tail.vertex, _tail_spec_from_args(tail, base.points[tail.vertex])))
     family = generate_trivial_family(base, tails, args.kind, variants=args.variants)
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir is not None:
@@ -353,12 +351,6 @@ def cmd_experiment_sweep(args) -> int:
         "files": ["config.json", "sweep.csv"],
     })
     return 0
-
-
-def _axis(dim: int) -> np.ndarray:
-    e = np.zeros(dim)
-    e[0] = 1.0
-    return e
 
 
 def _build_parser() -> argparse.ArgumentParser:

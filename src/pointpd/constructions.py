@@ -36,6 +36,8 @@ Edge = tuple[int, int]
 class HypothesisError(ValueError):
     """An attachment violates the angle hypothesis mu >= theta + pi/2."""
 
+    report: AttachReport | None = None  # the failed attachment, set where the library raises
+
 
 @dataclass(frozen=True)
 class TailSpec:
@@ -101,6 +103,7 @@ class TailTheoremReport:
 
     mu: float
     theta: float
+    union: PointCloud
     tail_trivial: bool
     union_equals_base_plus_tail: bool
     union_equals_base: bool
@@ -202,12 +205,11 @@ def attach_tail(
     v: int,
     ray: Ray,
     tail: PointCloud,
-    angle_tol: float = ANGLE_TOL,
 ) -> tuple[PointCloud, AttachReport]:
     """Glue a tail onto cloud[v] and report the attachment angles.
 
     The attachment always proceeds; callers probing sharpness can ignore
-    hypothesis_ok deliberately.
+    hypothesis_ok, while verify_tail_theorem and generate_trivial_family refuse it.
 
     Raises:
         ValueError: ray or tail not anchored at cloud[v].
@@ -221,9 +223,19 @@ def attach_tail(
         raise ValueError("tail must start at the attachment point")
     mu = math.inf if cloud.n_points == 1 else min_ray_angle(cloud, v, ray)
     theta = 0.0 if tail.n_points == 1 else angular_thickness(tail, ray)
-    ok = mu >= theta + math.pi / 2.0 - angle_tol
+    ok = mu >= theta + math.pi / 2.0 - ANGLE_TOL
     union = PointCloud(np.concatenate([cloud.points, tail.points[1:]], axis=0))
     return union, AttachReport(mu, theta, ok)
+
+
+def _require_hypothesis(report: AttachReport, where: str = "") -> None:
+    """Raise HypothesisError, carrying the report, unless mu >= theta + pi/2 held."""
+    if not report.hypothesis_ok:
+        error = HypothesisError(
+            f"{where}mu >= theta + pi/2 violated: mu={report.mu}, theta={report.theta}"
+        )
+        error.report = report
+        raise error
 
 
 def _combined_diagram(diagrams: list[PersistenceDiagram]) -> PersistenceDiagram:
@@ -311,28 +323,26 @@ def verify_tail_theorem(
     kind: FiltrationKind | str,
     tol: float = 1e-9,
 ) -> TailTheoremReport:
-    """Attach a tail and compare the three candidate diagram identities.
+    """Attach a tail once and compare the three candidate diagram identities.
 
-    Reports whether (i) the tail's own diagram is empty, (ii) the union
-    diagram equals base plus tail combined, and (iii) the union diagram
-    equals the base diagram alone.
+    Reports attach_tail's mu, theta and union, and whether (i) the tail's
+    own diagram is empty, (ii) the union diagram equals base plus tail
+    combined, and (iii) the union diagram equals the base diagram alone.
 
     Raises:
         ValueError: attachment anchoring wrong.
-        HypothesisError: the angle hypothesis mu >= theta + pi/2 fails
+        HypothesisError: mu >= theta + pi/2 fails; its report is attach_tail's
             (use attach_tail directly to probe deliberate violations).
     """
     union, report = attach_tail(cloud, v, ray, tail)
-    if not report.hypothesis_ok:
-        raise HypothesisError(
-            f"mu >= theta + pi/2 violated: mu={report.mu}, theta={report.theta}"
-        )
+    _require_hypothesis(report)
     union_pd = compute_pd(build_complex(union, kind), 1)
     base_pd = compute_pd(build_complex(cloud, kind), 1)
     tail_pd = compute_pd(build_complex(tail, kind), 1)
     return TailTheoremReport(
         mu=report.mu,
         theta=report.theta,
+        union=union,
         tail_trivial=len(tail_pd) == 0,
         union_equals_base_plus_tail=diagram_equal(
             union_pd, _combined_diagram([base_pd, tail_pd]), tol
@@ -391,11 +401,7 @@ def generate_trivial_family(
         for t_idx, (vi, spec) in enumerate(tails):
             tail = generate_tail(replace(spec, seed=spec.seed + k))
             current, report = attach_tail(current, vi, spec.ray, tail)
-            if not report.hypothesis_ok:
-                raise HypothesisError(
-                    f"tail {t_idx} of variant {k}: mu >= theta + pi/2 violated: "
-                    f"mu={report.mu}, theta={report.theta}"
-                )
+            _require_hypothesis(report, f"tail {t_idx} of variant {k}: ")
         final_pd = compute_pd(build_complex(current, kind), 1)
         if len(final_pd) != 0:
             raise RuntimeError(

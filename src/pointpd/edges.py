@@ -40,9 +40,9 @@ def _long_mask(complex: FilteredComplex) -> npt.NDArray[np.bool_]:
     return complex._cofaces.long
 
 
-def _edge_classes(complex: FilteredComplex) -> list[EdgeClass]:
-    """Class of every edge, in the complex's edge order: Short from the complex's
-    union-find pass, Long from its coface pass.
+def _class_masks(complex: FilteredComplex) -> tuple[npt.NDArray[np.bool_], npt.NDArray[np.bool_]]:
+    """Short and Long mask per edge, in the complex's edge order: Short from the
+    complex's union-find pass, Long from its coface pass.
 
     Raises:
         ConsistencyError: for the first edge in filtration order that
@@ -55,7 +55,7 @@ def _edge_classes(complex: FilteredComplex) -> list[EdgeClass]:
         e = int(both[0])
         edge, value = tuple(complex.edge_vertices[e].tolist()), complex.edge_values[e].item()
         raise ConsistencyError(f"edge {edge} tested both short and long at value {value}")
-    return np.where(short_mask, EdgeClass.SHORT, np.where(long_mask, EdgeClass.LONG, EdgeClass.MEDIUM)).tolist()
+    return short_mask, long_mask
 
 
 def classify_all(complex: FilteredComplex) -> dict[Edge, EdgeClass]:
@@ -67,8 +67,10 @@ def classify_all(complex: FilteredComplex) -> dict[Edge, EdgeClass]:
         ConsistencyError: if any edge passes both the Short and the Long
             test (the classes are provably disjoint, so this flags a bug).
     """
+    short_mask, long_mask = _class_masks(complex)
     edges = zip(*complex.edge_vertices.T.tolist())
-    return dict(zip(edges, _edge_classes(complex)))
+    classes = np.where(short_mask, EdgeClass.SHORT, np.where(long_mask, EdgeClass.LONG, EdgeClass.MEDIUM))
+    return dict(zip(edges, classes.tolist()))
 
 
 def classify_edge(complex: FilteredComplex, e: int) -> EdgeClass:
@@ -83,7 +85,8 @@ def classify_edge(complex: FilteredComplex, e: int) -> EdgeClass:
     m = len(complex.edge_values)
     if not 0 <= e < m:
         raise IndexError(f"edge index {e} out of range for {m} edges")
-    return _edge_classes(complex)[e]
+    short_mask, long_mask = _class_masks(complex)
+    return EdgeClass.SHORT if short_mask[e] else EdgeClass.LONG if long_mask[e] else EdgeClass.MEDIUM
 
 
 def _check_pair(cloud: PointCloud, p: int, q: int) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .filtration import FiltrationKind, build_complex
 from .geometry import PointCloud
-from .persistence import compute_pd, gap_stats
+from .persistence import _fmt, compute_pd, gap_stats
 
 CloudSource = Callable[[int, int, int], PointCloud]
 
@@ -172,14 +172,6 @@ def gap_ratio_sweep(
         "kind": kind.value,
     }
     return SweepResult(tuple(rows), provenance)
-
-
-def _fmt(x: float) -> str:
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf"
-    return repr(x)
 
 
 def histogram_csv(result: HistogramResult) -> str:

@@ -328,6 +328,9 @@ def gap_stats(diagram: PersistenceDiagram) -> GapStats:
 
 
 def _fmt(x: float) -> str:
+    """A CSV float: repr, or `inf` / `nan`."""
+    if math.isnan(x):
+        return "nan"
     return "inf" if math.isinf(x) else repr(x)
 
 

@@ -186,6 +186,14 @@ class TestMakeTail:
         assert code == 2
         assert "must match" in err
 
+    def test_direction_dim_mismatch(self, capsys):
+        code, out, err = run(
+            capsys, ["make-tail", "--n", "4", "--dim", "2", "--direction", "1,0,0"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "direction must match dimension 2, got 3 coordinates" in err
+
     def test_zero_direction_rejected(self, capsys):
         code, _, _ = run(
             capsys, ["make-tail", "--n", "4", "--direction", "0,0"]
@@ -231,12 +239,52 @@ class TestAttach:
         assert "out of range" in err
 
     def test_direction_dimension_mismatch(self, capsys, square):
-        code, _, err = run(
+        code, out, err = run(
             capsys,
             ["attach", square, "--vertex-index", "0", "--direction", "1,0,0",
              "--n", "3"],
         )
         assert code == 2
+        assert out == ""
+        assert "direction must match dimension 2, got 3 coordinates" in err
+
+    @pytest.mark.parametrize("direction, code", [("-1,-1", 0), ("1,1", 3)])
+    def test_one_attachment_per_run(self, capsys, square, monkeypatch, direction, code):
+        from pointpd import constructions
+
+        calls = []
+
+        def counted(name):
+            real = getattr(constructions, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("attach_tail", "min_ray_angle"):
+            monkeypatch.setattr(constructions, name, counted(name))
+        got, _, _ = run(
+            capsys,
+            ["attach", square, "--vertex-index", "0", f"--direction={direction}",
+             "--n", "4", "--cone", "0.05"],
+        )
+        assert got == code
+        assert sorted(calls) == ["attach_tail", "min_ray_angle"]
+
+    def test_single_point_tail(self, capsys, square, tmp_path):
+        # a one-point tail has no chords: omega and theta are 0 and the union is the cloud
+        out_path = tmp_path / "union.txt"
+        code, out, _ = run(
+            capsys,
+            ["attach", square, "--vertex-index", "0", "--direction=-1,-1",
+             "--n", "1", "--out", str(out_path)],
+        )
+        assert code == 0
+        report = last_json(out)
+        assert (report["omega"], report["theta"]) == (0.0, 0.0)
+        assert report["hypothesis_ok"] is True
+        assert read_cloud(out_path).n_points == 4
 
 
 class TestVerifyWedge:
@@ -333,6 +381,15 @@ class TestFamily:
         assert out == ""
         assert "Traceback" not in err
         assert "--tail" in err
+
+    def test_direction_dim_mismatch(self, capsys, segment):
+        code, out, err = run(
+            capsys,
+            ["family", "--base", segment, "--tail", "vertex=0;n=3;direction=-1,0,0"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "direction must match dimension 2, got 3 coordinates" in err
 
     def test_base_with_cycle_rejected(self, capsys, square):
         code, _, err = run(

@@ -275,8 +275,20 @@ class TestVerifyTailTheorem:
 
     def test_violated_hypothesis_raises(self):
         tail = generate_tail(spec(seed=5, n=4, cone=0.05, direction=(1.0, 1.0)))
-        with pytest.raises(HypothesisError, match="mu >= theta \\+ pi/2 violated"):
+        with pytest.raises(HypothesisError, match="^mu >= theta \\+ pi/2 violated") as exc:
             verify_tail_theorem(SQUARE, 0, IN_RAY, tail, "vr")
+        # the error carries the failed attachment's angles
+        assert exc.value.report == attach_tail(SQUARE, 0, IN_RAY, tail)[1]
+        assert not exc.value.report.hypothesis_ok
+        assert HypothesisError("raised by a caller").report is None
+
+    @pytest.mark.parametrize("kind", ["vr", "delaunay"])
+    def test_union_is_attach_tails(self, kind):
+        tail = generate_tail(spec(seed=11, n=5, cone=0.05))
+        union, attach = attach_tail(SQUARE, 0, OUT_RAY, tail)
+        report = verify_tail_theorem(SQUARE, 0, OUT_RAY, tail, kind)
+        assert np.array_equal(report.union.points, union.points)
+        assert (report.mu, report.theta) == (attach.mu, attach.theta)
 
     def test_bad_anchor_raises(self):
         tail = generate_tail(spec(seed=5, n=4))
@@ -336,8 +348,11 @@ class TestGenerateTrivialFamily:
     def test_inward_tail_raises_hypothesis_error(self):
         base = PointCloud([[0.0, 0.0], [1.0, 0.0]])
         tails = [(0, spec(seed=3, n=3, cone=0.05, direction=(1.0, 0.0)))]
-        with pytest.raises(HypothesisError, match="variant 0"):
+        with pytest.raises(HypothesisError, match="^tail 0 of variant 0: mu >= theta \\+ pi/2 violated") as exc:
             generate_trivial_family(base, tails, "vr", variants=1)
+        _, attach = attach_tail(base, 0, tails[0][1].ray, generate_tail(tails[0][1]))
+        assert exc.value.report == attach
+        assert not attach.hypothesis_ok
 
     def test_anchor_and_range_errors(self):
         base = PointCloud([[0.0, 0.0], [1.0, 0.0]])

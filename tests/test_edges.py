@@ -198,6 +198,14 @@ class TestSharedUnionFind:
             classify_edge(cx, idx)
         assert time.perf_counter() - start < 0.05
 
+    def test_classify_edge_reads_only_its_edge(self):
+        # 4 950 edges of a 100-point VR cloud: one per-edge loop must not rescan all classes per call
+        cx = build_complex(np.random.default_rng(100).random((100, 2)), "vr")
+        all_classes = classify_all(cx)
+        start = time.perf_counter()
+        got = [classify_edge(cx, idx) for idx in range(len(cx.edge_values))]
+        assert time.perf_counter() - start < 0.1
+        assert got == list(all_classes.values())
 
     def test_lattice_ties_stay_linear(self):
         # a 30x30 lattice ties its 1 740 unit edges in one group; a copy of the union-find per

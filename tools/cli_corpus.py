@@ -127,6 +127,7 @@ def commands(cloud_points: dict[str, np.ndarray]) -> list[tuple[list[str], list[
         (["--n", "5", "--seed", "6", "--spacing-min", "0.2", "--spacing-max", "0.3"], "vr"),
         (["--n", "1"], "cech"),
         (["--n", "4", "--cone", "0.9"], "vr"),
+        (["--n", "4", "--dim", "2", "--direction", "1,0,0"], "vr"),
     ]):
         runs.append((["make-tail", "--kind", kind, "--out", f"tail{k}.txt"] + extra, [f"tail{k}.txt"]))
 
@@ -136,6 +137,8 @@ def commands(cloud_points: dict[str, np.ndarray]) -> list[tuple[list[str], list[
         (["--vertex-index", "0", "--direction=-1,-1", "--n", "4", "--seed", "1"], "delaunay"),
         (["--vertex-index", "0", "--direction", "1,1", "--n", "4"], "vr"),
         (["--vertex-index", "9", "--direction", "1,0", "--n", "4"], "vr"),
+        (["--vertex-index", "0", "--direction=-1,-1", "--n", "1"], "vr"),
+        (["--vertex-index", "0", "--direction", "1,0,0", "--n", "3"], "vr"),
     ]):
         runs.append((["attach", "square.txt", "--kind", kind, "--out", f"union{k}.txt"] + extra, [f"union{k}.txt"]))
 
@@ -163,6 +166,7 @@ def commands(cloud_points: dict[str, np.ndarray]) -> list[tuple[list[str], list[
         (["vertex=1;n=abc"], []),
         (["vertex=1;n=5;smin=x"], []),
         (["n=3"], []),
+        (["vertex=0;n=3;direction=-1,0,0"], []),
     ]):
         argv = ["family", "--base", "segment.txt", "--out-dir", f"family{k}"] + extra
         for tail in tails:
