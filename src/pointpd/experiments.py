@@ -23,6 +23,11 @@ from .persistence import _fmt, compute_pd, gap_stats
 CloudSource = Callable[[int, int, int], PointCloud]
 
 
+def _require_plane_for_delaunay(kind: FiltrationKind, dims: Sequence[int]) -> None:
+    if kind is FiltrationKind.DELAUNAY and any(dim != 2 for dim in dims):
+        raise ValueError("the Delaunay filtration requires dim = 2")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parameters of a histogram run.
@@ -47,8 +52,7 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if self.bins < 1:
             raise ValueError("need at least one histogram bin")
-        if self.kind is FiltrationKind.DELAUNAY and self.dim != 2:
-            raise ValueError("the Delaunay filtration requires dim = 2")
+        _require_plane_for_delaunay(self.kind, [self.dim])
 
 
 class RawRecord(NamedTuple):
@@ -144,11 +148,14 @@ def gap_ratio_sweep(
 
     A trial counts only when its diagram has at least 3 finite pairs
     (two gaps); others are recorded as skipped. The median over zero used
-    trials is nan.
+    trials is nan. The whole grid is checked before the first trial.
     """
     kind = FiltrationKind(kind)
     if not n_range or not dim_range:
         raise ValueError("ranges must be non-empty")
+    if min(n_range) < 1 or min(dim_range) < 1:
+        raise ValueError("need n >= 1 points and dimension >= 1")
+    _require_plane_for_delaunay(kind, dim_range)
     if trials < 1:
         raise ValueError("need at least one trial")
     source = cloud_source or _default_source(seed)

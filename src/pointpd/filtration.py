@@ -12,11 +12,10 @@ vertices):
 
 Vertices 0..n-1 are implicit, all at value 0. Merging the groups by
 (value, dimension, vertices) gives the filtration order, in which faces
-always precede cofaces. The `simplices`, `edges`, `triangles`,
-`value_by_simplex` and `value_of` views show the same complex as
-`FilteredSimplex` tuples; they are compatibility views, built lazily on
-first use, and the builders, the reduction and the classifier never read
-them.
+always precede cofaces. These arrays are the complex's only representation,
+and `FilteredComplex.from_arrays` its only constructor. The `edges` and
+`triangles` views read one dimension's arrays as `FilteredSimplex` tuples;
+the builders, the reduction and the classifier never read them.
 
 VR and Cech complexes keep the distance matrix D in place of triangles: the
 dim-1 reduction, the Long test and `len(cx.triangles)` read cofaces off D in
@@ -73,10 +72,6 @@ class FilteredSimplex(NamedTuple):
         return len(self.vertices) - 1
 
 
-def _sort_key(s: FilteredSimplex) -> tuple[float, int, tuple[int, ...]]:
-    return (s.value, s.dim, s.vertices)
-
-
 def _codes(values: npt.NDArray[np.float64], ids: npt.NDArray[np.int64]) -> list[int]:
     """Each triangle's (value, id) packed in one int that sorts the same way (a
     nonnegative float's bits sort like it), so columns hold no tuples for the GC."""
@@ -116,8 +111,6 @@ class _SimplexView(Sequence):
         return self._length
 
     def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return tuple(self[i] for i in range(*idx.indices(len(self))))
         vertices, values = self._arrays()
         return FilteredSimplex(tuple(vertices[idx].tolist()), float(values[idx]))
 
@@ -190,19 +183,18 @@ def _edge_rows(
 class FilteredComplex:
     """A filtered simplicial complex of dimension <= 2.
 
-    Invariants (checked at construction): vertex simplices 0..n-1 all
-    present with value 0; vertex tuples strictly increasing; no simplex
-    twice; values finite and nonnegative; faces of every simplex present
-    with a value no larger than the simplex's own (so the (value, dim,
-    lex) order is a valid filtration order).
+    Invariants (checked at construction): at least one vertex, all at
+    value 0; vertex tuples strictly increasing; no simplex twice; values
+    finite and nonnegative; faces of every simplex present with a value no
+    larger than the simplex's own (so the (value, dim, lex) order is a
+    valid filtration order).
 
     `max_scale` records the cap the builder used; simplices above the cap
     were omitted at build time.
 
-    `FilteredComplex(n, simplices, kind, max_scale)` takes `FilteredSimplex`
-    tuples, vertices included; `from_arrays` takes the per-dimension
-    arrays. Both sort and validate the same way. Instances are immutable
-    and compare by identity.
+    `from_arrays` is the one constructor: it takes the per-dimension
+    arrays in any order, and sorts and checks them. Instances are
+    immutable and compare by identity.
     """
 
     n_vertices: int
@@ -210,31 +202,6 @@ class FilteredComplex:
     max_scale: float
     edge_vertices: npt.NDArray[np.intp]
     edge_values: npt.NDArray[np.float64]
-
-    def __init__(
-        self,
-        n_vertices: int,
-        simplices: Sequence[FilteredSimplex],
-        kind: FiltrationKind | str,
-        max_scale: float,
-    ) -> None:
-        groups: dict[int, list[tuple[tuple[int, ...], float]]] = {1: [], 2: [], 3: []}
-        for s in simplices:
-            v = tuple(s.vertices)
-            if len(v) not in groups:
-                raise ValueError(f"simplex dimension out of range: {v}")
-            groups[len(v)].append((v, float(s.value)))
-        vertex_values = dict(groups[1])
-        if len(vertex_values) != len(groups[1]):
-            raise ValueError("duplicate vertex simplex")
-        extra = set(vertex_values) - {(i,) for i in range(n_vertices)}
-        if extra:
-            raise ValueError(f"vertex index out of range in {min(extra)}")
-        for i in range(n_vertices):
-            if vertex_values.get((i,)) != 0.0:
-                raise ValueError(f"vertex {i} missing or at nonzero value")
-        self._store(n_vertices, [v for v, _ in groups[2]], [x for _, x in groups[2]], kind, max_scale)
-        self._store_triangles([v for v, _ in groups[3]], [x for _, x in groups[3]])
 
     @classmethod
     def from_arrays(
@@ -328,17 +295,6 @@ class FilteredComplex:
         )
 
     @cached_property
-    def simplices(self) -> tuple[FilteredSimplex, ...]:
-        """Every simplex, vertices included, in filtration order."""
-        vertices = [FilteredSimplex((i,), 0.0) for i in range(self.n_vertices)]
-        triangles = map(FilteredSimplex, map(tuple, self.triangle_vertices.tolist()), self.triangle_values.tolist())
-        return tuple(sorted([*vertices, *self.edges, *triangles], key=_sort_key))
-
-    @cached_property
-    def value_by_simplex(self) -> dict[tuple[int, ...], float]:
-        return {s.vertices: s.value for s in self.simplices}
-
-    @cached_property
     def edges(self) -> Sequence[FilteredSimplex]:
         """Edges in filtration order."""
         arrays = self.edge_vertices, self.edge_values  # not self: a cached view never points back at the complex
@@ -350,13 +306,6 @@ class FilteredComplex:
         built = self.__dict__.get("_triangles")
         count = len(built[1]) if built is not None else self._cofaces.count
         return _SimplexView(count, lambda: (self.triangle_vertices, self.triangle_values))
-
-    def value_of(self, vertices: tuple[int, ...]) -> float:
-        key = tuple(sorted(vertices))
-        try:
-            return self.value_by_simplex[key]
-        except KeyError:
-            raise KeyError(f"simplex {key} not in complex") from None
 
 
 def _norms(diff: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:

@@ -80,9 +80,9 @@ def oracle_pd(cx, dim: int) -> tuple[list[tuple[float, float]], list[float]]:
     scale grid.
     """
     n = cx.n_vertices
-    edges = [s for s in cx.simplices if s.dim == 1]
-    tris = [s for s in cx.simplices if s.dim == 2]
-    scales = sorted({0.0} | {s.value for s in cx.simplices})
+    edges = list(cx.edges)
+    tris = list(cx.triangles)
+    scales = sorted({0.0} | {s.value for s in edges + tris})
     S = len(scales)
     idx_of = {v: i for i, v in enumerate(scales)}
 

@@ -480,6 +480,16 @@ class TestExperimentSweep:
             tmp_path / "b" / "sweep.csv"
         ).read_bytes()
 
+    def test_delaunay_off_the_plane_rejected_up_front(self, capsys, tmp_path):
+        code, stdout, err = run(
+            capsys,
+            ["experiment", "sweep", "--n", "3", "--N", "2:3", "--trials", "2",
+             "--kind", "delaunay", "--out", str(tmp_path / "x")],
+        )
+        assert (code, stdout) == (2, "")
+        assert "the Delaunay filtration requires dim = 2" in err
+        assert not (tmp_path / "x").exists()
+
     def test_bad_range_syntax(self, capsys, tmp_path):
         code, _, _ = run(
             capsys,

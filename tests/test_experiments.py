@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,27 @@ class TestGapRatioSweep:
             gap_ratio_sweep([5], [], 3, 0)
         with pytest.raises(ValueError):
             gap_ratio_sweep([5], [2], 0, 0)
+
+    @pytest.mark.parametrize(
+        "n_range, dim_range, kind, message",
+        [
+            ([3, 4], [2, 3], "delaunay", "the Delaunay filtration requires dim = 2"),
+            ([3], [1], "delaunay", "the Delaunay filtration requires dim = 2"),
+            ([0, 1, 2], [2], "vr", "need n >= 1 points and dimension >= 1"),
+            ([3], [0, 1], "cech", "need n >= 1 points and dimension >= 1"),
+        ],
+        ids=["delaunay-N3", "delaunay-N1", "n0", "N0"],
+    )
+    def test_rejects_grid_before_sampling(self, n_range, dim_range, kind, message):
+        calls = []
+
+        def counting_source(n: int, dim: int, trial: int) -> PointCloud:
+            calls.append((n, dim, trial))
+            return square_source(n, dim, trial)
+
+        with pytest.raises(ValueError, match=re.escape(message)):
+            gap_ratio_sweep(n_range, dim_range, 2, 0, kind=kind, cloud_source=counting_source)
+        assert calls == []
 
 
 class TestCsvWriters:

@@ -13,7 +13,6 @@ from pointpd.filtration import (
     _FACE_COLUMNS,
     _MAX_VERTICES,
     FilteredComplex,
-    FilteredSimplex,
     FiltrationKind,
     _distance_matrix,
     _edge_rows,
@@ -24,7 +23,7 @@ from pointpd.filtration import (
     build_vr,
     critical_scales,
 )
-from pointpd.edges import classify_all
+from pointpd.edges import classify_all, classify_edge
 from pointpd.geometry import PointCloud
 from pointpd.persistence import bottleneck_distance, compute_pd, diagram_equal
 
@@ -58,67 +57,64 @@ LOOP_REFERENCE_CASES = {
 }
 
 
+def value_at(cx: FilteredComplex, vertices: tuple[int, ...]) -> float:
+    """The value of the edge or triangle on these sorted vertices, read off the complex's arrays."""
+    rows, values = (cx.edge_vertices, cx.edge_values) if len(vertices) == 2 else (cx.triangle_vertices, cx.triangle_values)
+    (row,) = np.flatnonzero((rows == vertices).all(axis=1))
+    return float(values[row])
+
+
+# from_arrays inputs (n, edge vertices, edge values, triangle vertices, triangle values) and the error each raises
+TRIANGLE_EDGES = [[0, 1], [0, 2], [1, 2]]
+REJECTED_ARRAYS = {
+    "no-vertex": ((0, [], [], [], []), "complex needs at least one vertex"),
+    "too-many-vertices": ((_MAX_VERTICES + 1, [], [], [], []), f"at most {_MAX_VERTICES} vertices are supported"),
+    "value-count": ((2, [[0, 1]], [], [], []), "1 simplices of 2 vertices but 0 values"),
+    "nan-value": ((2, [[0, 1]], [math.nan], [], []), "simplex value must be finite and nonnegative: (0, 1) at nan"),
+    "negative-value": ((2, [[0, 1]], [-1.0], [], []), "simplex value must be finite and nonnegative: (0, 1) at -1.0"),
+    "vertex-out-of-range": ((2, [[0, 2]], [1.0], [], []), "vertex index out of range in (0, 2)"),
+    "non-increasing-vertices": ((2, [[1, 0]], [0.5], [], []), "simplex vertices must be strictly increasing: (1, 0)"),
+    "duplicate-edge": ((2, [[0, 1], [0, 1]], [0.5, 0.5], [], []), "duplicate simplex (0, 1)"),
+    "duplicate-triangle": ((3, TRIANGLE_EDGES, [1.0] * 3, [[0, 1, 2]] * 2, [1.0, 2.0]), "duplicate simplex (0, 1, 2)"),
+    "missing-face": (
+        (3, TRIANGLE_EDGES[:2], [1.0] * 2, [[0, 1, 2]], [1.0]),
+        "face (1, 2) of (0, 1, 2) missing: complex not face-closed",
+    ),
+    "face-after-coface": (
+        (3, TRIANGLE_EDGES, [2.0, 1.0, 1.0], [[0, 1, 2]], [1.0]),
+        "face (0, 1) enters at 2.0 after coface (0, 1, 2) at 1.0",
+    ),
+}
+
+
 class TestFilteredComplex:
     def test_sorts_simplices_by_value_dim_vertices(self):
+        # the square ties four edges at 0.5, and two edges and four triangles at sqrt(2)/2
         cx = build_vr(SQUARE)
-        keys = [(s.value, s.dim, s.vertices) for s in cx.simplices]
-        assert keys == sorted(keys)
+        for vertices, values in ((cx.edge_vertices, cx.edge_values), (cx.triangle_vertices, cx.triangle_values)):
+            keys = list(zip(values.tolist(), vertices.tolist()))
+            assert keys == sorted(keys)
+        assert len(set(cx.edge_values.tolist())) == 2 and len(cx.triangle_values) == 4
 
-    def test_value_of_normalizes_order(self):
-        cx = build_vr(SQUARE)
-        assert cx.value_of((1, 0)) == cx.value_of((0, 1)) == 0.5
-        with pytest.raises(KeyError):
-            cx.value_of((0, 7))
-
-    def test_rejects_missing_face(self):
-        simplices = (
-            FilteredSimplex((0,), 0.0),
-            FilteredSimplex((1,), 0.0),
-            FilteredSimplex((2,), 0.0),
-            FilteredSimplex((0, 1), 1.0),
-            FilteredSimplex((0, 2), 1.0),
-            FilteredSimplex((0, 1, 2), 1.0),  # (1,2) missing
-        )
-        with pytest.raises(ValueError, match="face"):
-            FilteredComplex(3, simplices, FiltrationKind.VR, 1.0)
-
-    def test_rejects_face_after_coface(self):
-        simplices = (
-            FilteredSimplex((0,), 0.0),
-            FilteredSimplex((1,), 0.0),
-            FilteredSimplex((2,), 0.0),
-            FilteredSimplex((0, 1), 2.0),  # enters after the triangle below
-            FilteredSimplex((0, 2), 1.0),
-            FilteredSimplex((1, 2), 1.0),
-            FilteredSimplex((0, 1, 2), 1.0),
-        )
-        with pytest.raises(ValueError, match="face"):
-            FilteredComplex(3, simplices, FiltrationKind.VR, 2.0)
-
-    def test_rejects_duplicate_and_unsorted(self):
-        base = (FilteredSimplex((0,), 0.0), FilteredSimplex((1,), 0.0))
-        with pytest.raises(ValueError, match="duplicate"):
-            FilteredComplex(2, base + (FilteredSimplex((0, 1), 0.5), FilteredSimplex((0, 1), 0.5)), FiltrationKind.VR, 1.0)
-        with pytest.raises(ValueError, match="increasing"):
-            FilteredComplex(2, base + (FilteredSimplex((1, 0), 0.5),), FiltrationKind.VR, 1.0)
-
-    def test_rejects_missing_vertex(self):
-        with pytest.raises(ValueError, match="vertex"):
-            FilteredComplex(2, (FilteredSimplex((0,), 0.0),), FiltrationKind.VR, 1.0)
-
-    def test_rejects_duplicate_triangle_and_too_many_vertices(self):
-        verts = [[0, 1], [0, 2], [1, 2]]
-        with pytest.raises(ValueError, match="duplicate"):
-            FilteredComplex.from_arrays(3, verts, [1.0] * 3, [[0, 1, 2], [0, 1, 2]], [1.0, 2.0], "vr", 2.0)
-        with pytest.raises(ValueError, match="at most"):
-            FilteredComplex.from_arrays(_MAX_VERTICES + 1, [], [], [], [], "vr", 1.0)
+    @pytest.mark.parametrize("case", REJECTED_ARRAYS)
+    def test_from_arrays_rejects(self, case):
+        arrays, message = REJECTED_ARRAYS[case]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            FilteredComplex.from_arrays(*arrays, "vr", 2.0)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_tuple_constructor_round_trips_arrays(self, kind):
         cx = build_complex(random_cloud(4, 12, 2), kind)
-        again = FilteredComplex(cx.n_vertices, cx.simplices[::-1], kind, cx.max_scale)
-        for name in ("edge_vertices", "edge_values", "triangle_vertices", "triangle_values", "triangle_edges"):
-            assert np.array_equal(getattr(again, name), getattr(cx, name))
+        again = FilteredComplex.from_arrays(
+            cx.n_vertices,
+            cx.edge_vertices[::-1],
+            cx.edge_values[::-1],
+            cx.triangle_vertices[::-1],
+            cx.triangle_values[::-1],
+            kind,
+            cx.max_scale,
+        )
+        assert_same_complex(again, cx)
 
     def test_is_immutable(self):
         cx = build_vr(SQUARE)
@@ -136,8 +132,11 @@ class TestFilteredComplex:
     def test_counting_and_reducing_leave_triangle_arrays_unbuilt(self, kind, cap):
         cx = build_complex(random_cloud(9, 40, 3), kind, max_scale=cap)
         count, text = len(cx.triangles), repr(cx)
+        compute_pd(cx, 0)
         compute_pd(cx, 1)
         classify_all(cx)
+        classify_edge(cx, 0)
+        assert len(list(cx.edges)) == len(cx.edge_values) > 0
         lazy = {"_triangles", "triangle_vertices", "triangle_values", "triangle_edges"}
         assert not lazy & set(cx.__dict__)
         assert f"triangles={count}," in text
@@ -194,10 +193,9 @@ class TestLoopReference:
 class TestVR:
     def test_square_contents(self):
         cx = build_vr(SQUARE)
-        values = cx.value_by_simplex
         root_half = math.sqrt(2.0) / 2.0
-        assert values[(0, 1)] == values[(0, 2)] == values[(1, 3)] == values[(2, 3)] == 0.5
-        assert values[(0, 3)] == values[(1, 2)] == pytest.approx(root_half)
+        assert value_at(cx, (0, 1)) == value_at(cx, (0, 2)) == value_at(cx, (1, 3)) == value_at(cx, (2, 3)) == 0.5
+        assert value_at(cx, (0, 3)) == value_at(cx, (1, 2)) == pytest.approx(root_half)
         assert len(cx.triangles) == 4
         for tri in cx.triangles:
             assert tri.value == pytest.approx(root_half)
@@ -207,14 +205,12 @@ class TestVR:
         cx = build_vr(random_cloud(0, 7, 3))
         for tri in cx.triangles:
             i, j, k = tri.vertices
-            assert tri.value == max(
-                cx.value_of((i, j)), cx.value_of((i, k)), cx.value_of((j, k))
-            )
+            assert tri.value == max(value_at(cx, (i, j)), value_at(cx, (i, k)), value_at(cx, (j, k)))
 
     def test_cap_filters_simplices(self):
         cx = build_vr(SQUARE, max_scale=0.6)
-        assert (0, 1) in cx.value_by_simplex
-        assert (0, 3) not in cx.value_by_simplex
+        assert [0, 1] in cx.edge_vertices.tolist()
+        assert [0, 3] not in cx.edge_vertices.tolist()
         assert len(cx.triangles) == 0
         assert cx.max_scale == 0.6
 
@@ -266,7 +262,7 @@ class TestCech:
         cloud = PointCloud([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
         cx = build_cech(cloud)
         # exact float equality: the taxonomy depends on it
-        assert cx.value_of((0, 1, 2)) == cx.value_of((1, 2)) == 2.5
+        assert value_at(cx, (0, 1, 2)) == value_at(cx, (1, 2)) == 2.5
 
     @pytest.mark.parametrize("seed", range(10))
     def test_triangle_value_at_least_vr(self, seed):
@@ -274,7 +270,7 @@ class TestCech:
         vr = build_vr(cloud)
         cech = build_cech(cloud)
         for tri in cech.triangles:
-            assert tri.value >= vr.value_of(tri.vertices) - 1e-12
+            assert tri.value >= value_at(vr, tri.vertices) - 1e-12
 
 
 class TestDelaunay:
@@ -282,10 +278,10 @@ class TestDelaunay:
         cx = build_delaunay_2d(SQUARE)
         tris = tuple(t.vertices for t in cx.triangles)
         assert tris == ((0, 1, 2), (1, 2, 3))
-        assert (1, 2) in cx.value_by_simplex
-        assert (0, 3) not in cx.value_by_simplex
+        assert [1, 2] in cx.edge_vertices.tolist()
+        assert [0, 3] not in cx.edge_vertices.tolist()
         root_half = math.sqrt(2.0) / 2.0
-        assert cx.value_of((1, 2)) == pytest.approx(root_half)
+        assert value_at(cx, (1, 2)) == pytest.approx(root_half)
         for t in cx.triangles:
             assert t.value == pytest.approx(root_half)
 
@@ -293,15 +289,15 @@ class TestDelaunay:
         cloud = PointCloud([[0.0, 0.0], [4.0, 0.0], [2.0, 0.5]])
         cx = build_delaunay_2d(cloud)
         leg = float(np.linalg.norm(cloud.points[2] - cloud.points[0]))
-        assert cx.value_of((0, 2)) == pytest.approx(leg / 2.0)
-        assert cx.value_of((1, 2)) == pytest.approx(leg / 2.0)
+        assert value_at(cx, (0, 2)) == pytest.approx(leg / 2.0)
+        assert value_at(cx, (1, 2)) == pytest.approx(leg / 2.0)
 
     def test_non_gabriel_edge_waits_for_its_triangle(self):
         # (2, 0.5) sits inside the diametral disk of the base edge
         cloud = PointCloud([[0.0, 0.0], [4.0, 0.0], [2.0, 0.5]])
         cx = build_delaunay_2d(cloud)
-        assert cx.value_of((0, 1)) == pytest.approx(4.25)  # circumradius
-        assert cx.value_of((0, 1)) == cx.value_of((0, 1, 2))
+        assert value_at(cx, (0, 1)) == pytest.approx(4.25)  # circumradius
+        assert value_at(cx, (0, 1)) == value_at(cx, (0, 1, 2))
 
     def test_rejects_non_planar(self):
         with pytest.raises(ValueError, match="plane"):
@@ -321,7 +317,7 @@ class TestDelaunay:
     def test_two_points(self):
         cx = build_delaunay_2d(PointCloud([[0.0, 0.0], [2.0, 0.0]]))
         assert {e.vertices for e in cx.edges} == {(0, 1)}
-        assert cx.value_of((0, 1)) == 1.0
+        assert value_at(cx, (0, 1)) == 1.0
 
     def test_single_point(self):
         cx = build_delaunay_2d(PointCloud([[0.5, 0.5]]))
@@ -530,11 +526,10 @@ class TestKindAgreement:
             pts = rng.random((3, 2))
         cech = build_cech(PointCloud(pts))
         alpha = build_delaunay_2d(PointCloud(pts))
-        cech_vals = cech.value_by_simplex
-        alpha_vals = alpha.value_by_simplex
-        assert set(cech_vals) == set(alpha_vals)
-        for key, val in cech_vals.items():
-            assert alpha_vals[key] == pytest.approx(val, abs=1e-9)
+        assert sorted(cech.edge_vertices.tolist()) == sorted(alpha.edge_vertices.tolist())
+        assert sorted(cech.triangle_vertices.tolist()) == sorted(alpha.triangle_vertices.tolist())
+        for s in (*cech.edges, *cech.triangles):
+            assert value_at(alpha, s.vertices) == pytest.approx(s.value, abs=1e-9)
 
     def test_obtuse_triple_differs(self):
         # Cech caps the triangle at half the longest side; the alpha value
@@ -543,10 +538,10 @@ class TestKindAgreement:
         cloud = PointCloud([[0.0, 0.0], [4.0, 0.0], [2.0, 0.5]])
         cech = build_cech(cloud)
         alpha = build_delaunay_2d(cloud)
-        assert cech.value_of((0, 1, 2)) == pytest.approx(2.0)
-        assert alpha.value_of((0, 1, 2)) == pytest.approx(4.25)
-        assert cech.value_of((0, 1)) == pytest.approx(2.0)
-        assert alpha.value_of((0, 1)) == pytest.approx(4.25)
+        assert value_at(cech, (0, 1, 2)) == pytest.approx(2.0)
+        assert value_at(alpha, (0, 1, 2)) == pytest.approx(4.25)
+        assert value_at(cech, (0, 1)) == pytest.approx(2.0)
+        assert value_at(alpha, (0, 1)) == pytest.approx(4.25)
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("n", [5, 8])
@@ -567,7 +562,7 @@ class TestBuildComplex:
         cloud = random_cloud(3, 5, 2)
         a = build_complex(cloud, kind)
         b = build_complex(cloud, FiltrationKind(kind))
-        assert a.simplices == b.simplices
+        assert_same_complex(a, b)
 
     def test_delaunay_rejects_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -598,7 +593,7 @@ class TestBuildComplex:
         cloud = random_cloud(seed + 60, 7, 2)
         cx = build_complex(cloud, kind)
         assert cx.kind is FiltrationKind(kind)
-        assert all(s.value <= cx.max_scale + 1e-12 for s in cx.simplices)
+        assert critical_scales(cx)[-1] <= cx.max_scale + 1e-12
 
 
 class TestCriticalScales:
