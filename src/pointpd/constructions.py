@@ -59,6 +59,8 @@ class TailSpec:
             raise ValueError("a tail needs at least one point")
         if not self.spacing_min > 0.0:
             raise ValueError("spacing_min must be positive")
+        if not math.isfinite(self.spacing_max):
+            raise ValueError(f"spacing_max must be finite, got {self.spacing_max}")
         if self.spacing_max < self.spacing_min:
             raise ValueError("spacing_max must be at least spacing_min")
         if not 0.0 <= self.cone_half_angle < math.pi / 4.0:
@@ -376,12 +378,14 @@ def generate_trivial_family(
     necessary condition for non-isometry.
 
     Raises:
-        ValueError: base diagram nonempty, or a tail ray not anchored at
-            its base vertex.
+        ValueError: variants below 1, base diagram nonempty, or a tail ray
+            not anchored at its base vertex.
         HypothesisError: an attachment violates the angle hypothesis.
         RuntimeError: a finished variant has a nonempty diagram, or two
             variants are indistinguishable by distance multiset.
     """
+    if variants < 1:
+        raise ValueError("variants must be at least 1")
     base_pd = compute_pd(build_complex(base, kind), 1)
     if len(base_pd) != 0:
         raise ValueError("base cloud must have an empty dimension-1 diagram")
@@ -392,8 +396,6 @@ def generate_trivial_family(
             raise ValueError(f"tail {t_idx}: ray vertex differs from base point {vi}")
     if not tails:
         return [base]
-    if variants < 1:
-        raise ValueError("variants must be at least 1")
 
     family: list[PointCloud] = []
     for k in range(variants):

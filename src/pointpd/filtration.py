@@ -203,6 +203,9 @@ class FilteredComplex:
     edge_vertices: npt.NDArray[np.intp]
     edge_values: npt.NDArray[np.float64]
 
+    def __init__(self, *args, **kwargs) -> None:
+        raise TypeError("build a FilteredComplex with FilteredComplex.from_arrays or a builder such as build_complex")
+
     @classmethod
     def from_arrays(
         cls,
@@ -363,7 +366,8 @@ def _triple_keys(i, j, k, n: int):
 def _coface_values(D, rule, cap: float, i, j) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.bool_]]:
     """Values of the triangles {i, j, k} over every k, inf where k is i or j or
     above the cap; and whether edge (i, j) is Long: some triangle enters at
-    its value over two strictly shorter sides."""
+    its value over two strictly shorter sides. The rule takes the sides (ij, ik, jk)
+    in this order; its value does not depend on it."""
     e, x, y = D[i, j][:, None], D[i], D[j]
     if rule is _max_side_over_two:  # the general path gives equal bits, but rips_query VR ops ran up to 1.7x slower
         values = np.maximum(x, y)  # the rule's max(max(e, x), y) / 2: max is exact in any order
@@ -371,9 +375,7 @@ def _coface_values(D, rule, cap: float, i, j) -> tuple[npt.NDArray[np.float64], 
         np.maximum(values, e, out=values)
         values /= 2.0
     else:
-        # the sides (ab, ac, bc) of the sorted triple, the order the rule's bits depend on
-        below_i, below_j = np.arange(len(D)) < i[:, None], np.arange(len(D)) < j[:, None]
-        values = rule(np.where(below_j, x, e), np.where(below_i, y, np.where(below_j, e, x)), np.where(below_i, e, y))
+        values = rule(e, x, y)
         long = ((values == e / 2.0) & (x < e) & (y < e)).any(axis=1)
     np.putmask(values, values > cap, np.inf)
     values[np.arange(len(i)), i] = values[np.arange(len(i)), j] = np.inf
@@ -487,11 +489,7 @@ def _union_components(cx: FilteredComplex) -> _Components:
     return _Components(merges, short, components)
 
 
-def _max_side_over_two(
-    a: npt.NDArray[np.float64],
-    b: npt.NDArray[np.float64],
-    c: npt.NDArray[np.float64],
-) -> npt.NDArray[np.float64]:
+def _max_side_over_two(a: npt.ArrayLike, b: npt.ArrayLike, c: npt.ArrayLike) -> npt.NDArray[np.float64]:
     return np.maximum(np.maximum(a, b), c) / 2.0
 
 
@@ -518,23 +516,22 @@ def build_vr(
     return _capped_complex(_as_cloud(cloud).points, FiltrationKind.VR, max_scale, 2.0, _max_side_over_two)
 
 
-def _meb_radius_from_sides(
-    a: npt.NDArray[np.float64],
-    b: npt.NDArray[np.float64],
-    c: npt.NDArray[np.float64],
-) -> npt.NDArray[np.float64]:
-    """Minimum enclosing ball radius of triples given their side lengths.
+def _meb_radius_from_sides(a: npt.ArrayLike, b: npt.ArrayLike, c: npt.ArrayLike) -> npt.NDArray[np.float64]:
+    """Minimum enclosing ball radius of triples given their side lengths, in any order.
 
-    Same geometry as `geometry.enclosing_radius_3`, but fed the builder's
-    own distance floats so that a triangle entering with its longest edge
-    carries exactly that edge's value (the edge taxonomy compares the two
-    for equality). Elementwise, with the float operations of the scalar
-    rule in the same order: half the longest side when the triangle is
-    non-acute or Heron's area underflows to zero, else the circumradius
-    (never below half the longest side).
+    Same geometry as `geometry.enclosing_radius_3`, but fed the builder's own
+    distance floats so that a triangle entering with its longest edge carries
+    exactly that edge's value (the edge taxonomy compares the two for equality).
+    The sides are sorted first, by exact minima and maxima, so no value depends
+    on the order of a triangle's vertices. Then, elementwise: half the longest
+    side when the triangle is non-acute or Heron's area underflows to zero, else
+    the circumradius (never below half the longest side).
     """
-    longest = np.maximum(np.maximum(a, b), c)
+    shorter, longer = np.minimum(a, b), np.maximum(a, b)
+    a, b, c = np.minimum(shorter, c), np.maximum(shorter, np.minimum(longer, c)), np.maximum(longer, c)
+    longest = c
     half = longest / 2.0
+    # not c*c < a*a + b*b: of the corpus lattices' 576 exact right triangles that reads 142 as acute, this 73
     rest_sq = a * a + b * b + c * c - longest * longest
     s = (a + b + c) / 2.0
     area_sq = s * (s - a) * (s - b) * (s - c)

@@ -412,7 +412,8 @@ def lex_min_triangulation(cycle: list[int]) -> list[tuple[int, int, int]]:
 
 def _meb_radius_scalar(a: float, b: float, c: float) -> float:
     """Enclosing radius from side lengths, the builders' rule for one triple."""
-    longest = max(a, b, c)
+    a, b, c = sorted((a, b, c))
+    longest = c
     rest_sq = a * a + b * b + c * c - longest * longest
     if longest * longest >= rest_sq:
         return longest / 2.0

@@ -102,6 +102,18 @@ class TestPd:
         assert code == 0
         assert out.splitlines()[0] == "dim,birth,death"
 
+    def test_cech_dim1_ignores_point_order(self, capsys, tmp_path):
+        points = np.random.default_rng(3).random((30, 3))
+        outs = []
+        for name, cloud in (("cloud.txt", points), ("reversed.txt", points[::-1])):
+            path = tmp_path / name
+            path.write_text("".join(" ".join(map(repr, p)) + "\n" for p in cloud.tolist()))
+            code, out, _ = run(capsys, ["pd", str(path), "--kind", "cech", "--dim", "1"])
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) > 1
+
     def test_unknown_flag(self, capsys, square):
         code, _, err = run(capsys, ["pd", square, "--frobnicate"])
         assert code == 2
@@ -200,6 +212,13 @@ class TestMakeTail:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("spacing", ["nan", "inf"])
+    def test_non_finite_spacing_rejected(self, capsys, spacing):
+        code, out, err = run(capsys, ["make-tail", "--n", "4", "--spacing-max", spacing])
+        assert code == 2
+        assert out == ""
+        assert "spacing_max must be finite" in err
+
 
 class TestAttach:
     def test_outward_attachment_verifies(self, capsys, square, tmp_path):
@@ -285,6 +304,18 @@ class TestAttach:
         assert (report["omega"], report["theta"]) == (0.0, 0.0)
         assert report["hypothesis_ok"] is True
         assert read_cloud(out_path).n_points == 4
+
+
+    @pytest.mark.parametrize("spacing", ["nan", "inf"])
+    def test_non_finite_spacing_rejected(self, capsys, square, spacing):
+        code, out, err = run(
+            capsys,
+            ["attach", square, "--vertex-index", "0", "--direction=-1,-1",
+             "--n", "4", "--spacing-max", spacing],
+        )
+        assert code == 2
+        assert out == ""
+        assert "spacing_max must be finite" in err
 
 
 class TestVerifyWedge:
@@ -381,6 +412,28 @@ class TestFamily:
         assert out == ""
         assert "Traceback" not in err
         assert "--tail" in err
+
+    @pytest.mark.parametrize("smax", ["nan", "inf"])
+    def test_non_finite_spacing_rejected(self, capsys, segment, smax):
+        code, out, err = run(
+            capsys, ["family", "--base", segment, "--tail", f"vertex=1;n=3;smax={smax}"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "spacing_max must be finite" in err
+
+    @pytest.mark.parametrize("tail", [[], ["--tail", "vertex=1;n=3;seed=2"]])
+    @pytest.mark.parametrize("variants", ["0", "-3"])
+    def test_variants_below_one_rejected(self, capsys, segment, tmp_path, tail, variants):
+        out_dir = tmp_path / "fam"
+        code, out, err = run(
+            capsys,
+            ["family", "--base", segment, *tail, "--variants", variants, "--out-dir", str(out_dir)],
+        )
+        assert code == 2
+        assert out == ""
+        assert "variants must be at least 1" in err
+        assert not out_dir.exists()
 
     def test_direction_dim_mismatch(self, capsys, segment):
         code, out, err = run(

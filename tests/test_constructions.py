@@ -46,6 +46,9 @@ class TestTailSpec:
             TailSpec(OUT_RAY, 3, 0.0, 1.0, 0.1, 0)
         with pytest.raises(ValueError, match="spacing_max"):
             TailSpec(OUT_RAY, 3, 1.0, 0.5, 0.1, 0)
+        for spacing_max in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="spacing_max must be finite"):
+                TailSpec(OUT_RAY, 3, 0.5, spacing_max, 0.1, 0)
         with pytest.raises(ValueError, match="cone_half_angle"):
             spec(cone=math.pi / 4.0)
         with pytest.raises(ValueError, match="cone_half_angle"):
@@ -361,10 +364,9 @@ class TestGenerateTrivialFamily:
         off = [(1, spec(seed=1, n=3, direction=(-1.0, 0.0)))]  # vertex (0,0) != base[1]
         with pytest.raises(ValueError, match="ray vertex differs"):
             generate_trivial_family(base, off, "vr")
-        with pytest.raises(ValueError, match="variants"):
-            generate_trivial_family(
-                base, [(0, spec(seed=1, n=3, direction=(-1.0, 0.0)))], "vr", variants=0
-            )
+        for tails in ([(0, spec(seed=1, n=3, direction=(-1.0, 0.0)))], []):
+            with pytest.raises(ValueError, match="variants"):
+                generate_trivial_family(base, tails, "vr", variants=0)
 
     def test_deterministic(self):
         base = PointCloud([[0.0, 0.0], [1.0, 0.0]])

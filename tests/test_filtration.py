@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import re
 import tracemalloc
@@ -17,6 +18,7 @@ from pointpd.filtration import (
     _distance_matrix,
     _edge_rows,
     _lex_smallest_triangulation,
+    _meb_radius_from_sides,
     build_cech,
     build_complex,
     build_delaunay_2d,
@@ -115,6 +117,11 @@ class TestFilteredComplex:
             cx.max_scale,
         )
         assert_same_complex(again, cx)
+
+    @pytest.mark.parametrize("args", [(), (3, [], "vr", 1.0)])
+    def test_direct_construction_names_from_arrays(self, args):
+        with pytest.raises(TypeError, match="from_arrays"):
+            FilteredComplex(*args)
 
     def test_is_immutable(self):
         cx = build_vr(SQUARE)
@@ -257,6 +264,22 @@ class TestCech:
         cloud = random_cloud(5, 8, 3)
         cx = build_cech(cloud)
         assert len(cx.triangles) == 8 * 7 * 6 // 6
+
+    def test_rule_ignores_side_order(self):
+        rng = np.random.default_rng(0)
+        random_sides = rng.random((3, 10**5)) * rng.choice([1e-3, 1.0, 1e3], size=10**5)
+        random_sides[1, :1000] = random_sides[0, :1000]  # isosceles ties
+        # a lattice's sides include exact right triangles and flat (collinear) ones
+        lattice = np.array(list(itertools.product(range(4), repeat=3)), dtype=np.float64)
+        D = _distance_matrix(lattice)
+        i, j, k = np.array(list(itertools.combinations(range(len(lattice)), 3))).T
+        u, v = lattice[j] - lattice[i], lattice[k] - lattice[i]
+        assert (np.cross(u, v) == 0.0).all(axis=1).any()
+        assert ((u * v).sum(axis=1) == 0.0).any()
+        for sides in (random_sides, np.stack([D[i, j], D[i, k], D[j, k]])):
+            want = _meb_radius_from_sides(*sides)
+            for order in itertools.permutations(range(3)):
+                assert np.array_equal(_meb_radius_from_sides(*sides[list(order)]), want)
 
     def test_non_acute_triangle_enters_with_longest_edge(self):
         cloud = PointCloud([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
