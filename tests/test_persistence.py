@@ -251,7 +251,7 @@ class TestTiedCloudProperties:
         want = compute_pd(build_complex(cloud, kind, max_scale=cap), 1)
         assert compute_pd(build_complex(cloud[list(order)], kind, max_scale=cap), 1) == want
 
-    def test_cech_relabelled_triangle_dies_at_the_same_value(self):
+    def test_cech_dim1_invariant_under_permutation(self):
         # the two labellings used to round the circumradius to ...797 and ...795
         cloud = np.array([[0.0, 0.0, 0.0], [0.0, 1.0, 2.0], [0.0, 2.0, 1.0]])
         want = compute_pd(build_complex(cloud, "cech"), 1)
