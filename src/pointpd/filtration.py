@@ -714,15 +714,19 @@ def _canonicalize_cocircular(
     keys = list(map(tuple, tris.tolist()))
     starts = np.searchsorted(rows, np.arange(len(keys) + 1))
     circle = {keys[r]: frozenset(cols[starts[r] : starts[r + 1]].tolist()) for r in np.flatnonzero(np.diff(starts) >= 4)}
-    out = set(keys)
+    by_low: dict[int, set[tuple[int, ...]]] = {}  # lowest vertex -> the kept triangles on it
+    for t in keys:
+        by_low.setdefault(t[0], set()).add(t)
     # groups apply in set-of-triangles order, which matters only where near-cocircular groups share 3+ points
     for group in dict.fromkeys(circle[t] for t in set(keys) if t in circle):
         members = sorted(group)
-        out = {t for t in out if not set(t) <= group}
+        for v in members:
+            by_low[v] = {t for t in by_low.get(v, ()) if not set(t) <= group}
         center = points[members].mean(axis=0)
         cycle = sorted(members, key=lambda v: math.atan2(points[v][1] - center[1], points[v][0] - center[0]))
-        out.update(_lex_smallest_triangulation(cycle))
-    return np.array(sorted(out), dtype=np.intp)
+        for t in _lex_smallest_triangulation(cycle):
+            by_low[t[0]].add(t)
+    return np.array(sorted(t for kept in by_low.values() for t in kept), dtype=np.intp)
 
 
 def build_complex(

@@ -492,6 +492,17 @@ class TestDelaunayScale:
             cx = build_delaunay_2d(points)
             assert [17, 4321] in cx.edge_vertices.tolist()
 
+    @pytest.mark.parametrize("angle, spacing", [(0.0, 1.0), (0.3, 1.0), (0.0, 0.5)])
+    def test_lattice_cells_keep_the_lex_smallest_diagonal(self, angle, spacing):
+        # a 30 x 30 lattice has 841 cocircular cells (one group each); every
+        # cell a, a + 1, a + 30, a + 31 keeps the diagonal (a + 1, a + 30)
+        side = 30
+        c, s = math.cos(angle), math.sin(angle)
+        points = np.array([[x, y * spacing] for x in range(side) for y in range(side)]) @ np.array([[c, -s], [s, c]]).T
+        corners = [a for a in range(side * (side - 1)) if a % side < side - 1]
+        want = sorted([(a, a + 1, a + side) for a in corners] + [(a + 1, a + side, a + side + 1) for a in corners])
+        assert sorted(map(tuple, build_delaunay_2d(points).triangle_vertices.tolist())) == want
+
 
 class TestLexSmallestTriangulation:
     @pytest.mark.parametrize(

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pointpd import persistence
 from pointpd.edges import EdgeClass, classify_all
 from pointpd.filtration import FilteredComplex, build_complex, build_vr
 from pointpd.geometry import PointCloud
@@ -380,12 +381,54 @@ def diagrams(draw, grid: bool):
     return PersistenceDiagram(1, tuple(finite + infinite))
 
 
+@pytest.fixture
+def matchings(monkeypatch) -> list[bool]:
+    """The outcome of every feasibility test (one `_saturates` call each), in order."""
+    outcomes: list[bool] = []
+    saturates = persistence._saturates
+
+    def recorded(adj, n_right):
+        outcomes.append(saturates(adj, n_right))
+        return outcomes[-1]
+
+    monkeypatch.setattr(persistence, "_saturates", recorded)
+    return outcomes
+
+
 class TestBottleneckExact:
     """bottleneck_distance returns the very float of the dense Kuhn reference."""
 
     def assert_exact(self, d1, d2):
         assert bottleneck_distance(d1, d2) == kuhn_bottleneck(d1, d2)
         assert bottleneck_distance(d2, d1) == kuhn_bottleneck(d2, d1)
+
+    @pytest.mark.parametrize(
+        "pairs1, pairs2, lower, want",
+        [
+            # every point keeps its jittered partner: the lower bound is the answer
+            (((0.1, 0.5), (0.2, 0.9)), ((0.11, 0.52), (0.19, 0.88)), 0.02, 0.02),
+            # both tied points have the single partner within 0.1, so one goes to the diagonal
+            (((0.0, 1.0), (0.0, 1.0)), ((0.1, 1.1),), 0.1, 0.5),
+            (((0.0, 1.0), (0.0, 1.0)), ((0.0, 1.0),), 0.0, 0.5),
+            # on the 0.1 grid: the bound fails and the bisection takes several steps
+            (((0.0, 0.3), (0.1, 0.4), (0.2, 0.5)), ((0.1, 0.3), (0.1, 0.4)), 0.1, 0.15),
+        ],
+    )
+    def test_lower_bound_then_bisection(self, pairs1, pairs2, lower, want, matchings):
+        d1, d2 = PersistenceDiagram(1, pairs1), PersistenceDiagram(1, pairs2)
+        assert bottleneck_distance(d1, d2) == kuhn_bottleneck(d1, d2) == pytest.approx(want)
+        # the bound is tested first, one matching per side; the bisection runs only after one fails
+        if lower == want:
+            assert matchings == [True, True]
+        else:
+            assert False in matchings[:2]
+        self.assert_exact(d1, d2)
+
+    @pytest.mark.parametrize("n", [100, 150, 200])
+    def test_alpha_jitter_pairs_pass_the_lower_bound(self, n, matchings):
+        d1, d2 = alpha_diagrams(*jittered_cloud([1, 3, 0, n], n))
+        bottleneck_distance(d1, d2)
+        assert len(matchings) <= 2
 
     @pytest.mark.parametrize("seed", range(30))
     def test_random(self, seed):
@@ -473,6 +516,23 @@ class TestDiagramEqual:
         for a, b in ((d, d), (empty, empty)):
             with pytest.raises(ValueError, match="tol must be a nonnegative number"):
                 diagram_equal(a, b, tol)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tolerance_boundary(self, seed):
+        # births 1e-3 apart moved by up to 5e-3: each pair has several partners
+        # within tol, in no particular order, and its own is seldom the nearest.
+        # Half-persistences near 0.5 keep the diagonal out of the optimum, so
+        # the bottleneck distance is the largest matched L-inf distance.
+        rng = np.random.default_rng(seed + 4000)
+        pairs = [(b, b + 1.0 + 0.01 * rng.random()) for b in rng.permutation(60) * 1e-3]
+        moved = [(b + rng.uniform(-5e-3, 5e-3), d + rng.uniform(-5e-3, 5e-3)) for b, d in pairs]
+        d1 = PersistenceDiagram(1, tuple(pairs))
+        d2 = PersistenceDiagram(1, tuple(moved[i] for i in rng.permutation(len(moved))))
+        tol = kuhn_bottleneck(d1, d2)
+        assert 0.0 < tol < 0.5
+        for a, b in ((d1, d2), (d2, d1)):
+            assert diagram_equal(a, b, tol)
+            assert not diagram_equal(a, b, math.nextafter(tol, 0.0))
 
     def test_infinite_bars_compared_by_birth(self):
         d1 = PersistenceDiagram(1, ((0.5, math.inf),))
