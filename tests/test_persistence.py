@@ -407,7 +407,7 @@ class TestBottleneckExact:
         [
             # every point keeps its jittered partner: the lower bound is the answer
             (((0.1, 0.5), (0.2, 0.9)), ((0.11, 0.52), (0.19, 0.88)), 0.02, 0.02),
-            # both tied points have the single partner within 0.1, so one goes to the diagonal
+            # two tied points and one partner, 0.1 away or equal: one tied point goes to the diagonal
             (((0.0, 1.0), (0.0, 1.0)), ((0.1, 1.1),), 0.1, 0.5),
             (((0.0, 1.0), (0.0, 1.0)), ((0.0, 1.0),), 0.0, 0.5),
             # on the 0.1 grid: the bound fails and the bisection takes several steps
