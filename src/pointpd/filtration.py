@@ -17,12 +17,12 @@ and `FilteredComplex.from_arrays` its only constructor. The `edges` and
 `triangles` views read one dimension's arrays as `FilteredSimplex` tuples;
 the builders, the reduction and the classifier never read them.
 
-VR and Cech complexes keep the distance matrix D in place of triangles: the
-dim-1 reduction, the Long test and `len(cx.triangles)` read cofaces off D in
-one blocked pass cached on the complex. Reading a triangle array, calling
-`critical_scales` or iterating a tuple view builds all three arrays. For 200
-points in the plane, uncapped VR build + dim-1 pairs went from 1.2 s and a
-211 MiB tracemalloc peak to 0.065 s and 9 MiB (2-core VM, median of 5).
+VR and Cech complexes keep the distance matrix D in place of triangles. The
+dim-1 reduction and the Long test share one pass over D cached on the complex,
+in which an edge reads vertices only up to its first Long witness;
+`len(cx.triangles)` reads every (edge, vertex) once, lazily. Reading a triangle
+array, calling `critical_scales` or iterating a tuple view builds all three
+arrays. Uncapped VR build + dim-1 pairs on 200 planar points: 0.07 s, 9 MiB peak.
 """
 
 from __future__ import annotations
@@ -89,7 +89,6 @@ class _Cofaces(NamedTuple):
     oldest_values: npt.NDArray[np.float64]  # per edge, its oldest coface; inf where it has none
     oldest_ids: npt.NDArray[np.int64]  # -1 where it has none
     long: npt.NDArray[np.bool_]
-    count: int  # triangles in the complex
     column: Callable[[int], set[int]]  # the `_codes` of every coface of an edge
 
 
@@ -285,6 +284,14 @@ class FilteredComplex:
         return _implicit_cofaces(self) if self._distances is not None else _explicit_cofaces(self)
 
     @cached_property
+    def _triangle_count(self) -> int:
+        """A VR/Cech complex's triangles, counted off D in the rows of their three edges."""
+        (i, j), source = self.edge_vertices.T, (self._distances, self._triangle_value, self.max_scale)
+        step = max(1, _BLOCK // self.n_vertices)
+        blocks = (_coface_values(*source, i[s : s + step], j[s : s + step])[0] for s in range(0, len(i), step))
+        return sum(np.count_nonzero(values < np.inf) for values in blocks) // 3
+
+    @cached_property
     def _components(self) -> _Components:
         return _union_components(self)
 
@@ -307,7 +314,7 @@ class FilteredComplex:
     def triangles(self) -> Sequence[FilteredSimplex]:
         """Triangles in filtration order; counting them leaves implicit triangle arrays unbuilt."""
         built = self.__dict__.get("_triangles")
-        count = len(built[1]) if built is not None else self._cofaces.count
+        count = len(built[1]) if built is not None else self._triangle_count
         return _SimplexView(count, lambda: (self.triangle_vertices, self.triangle_values))
 
 
@@ -363,40 +370,48 @@ def _triple_keys(i, j, k, n: int):
     return (np.minimum(i, k) * n + np.maximum(i, np.minimum(j, k))) * n + np.maximum(j, k)
 
 
-def _coface_values(D, rule, cap: float, i, j) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.bool_]]:
-    """Values of the triangles {i, j, k} over every k, inf where k is i or j or
-    above the cap; and whether edge (i, j) is Long: some triangle enters at
-    its value over two strictly shorter sides. The rule takes the sides (ij, ik, jk)
-    in this order; its value does not depend on it."""
-    e, x, y = D[i, j][:, None], D[i], D[j]
+def _coface_values(D, rule, cap: float, i, j, k0: int = 0, k1: int | None = None):
+    """Values of the triangles {i, j, k} for k in [k0, k1), inf where k is i or j or
+    above the cap; and per entry whether it witnesses that edge (i, j) is Long: the
+    triangle enters at the edge's value over two strictly shorter sides. The rule
+    takes the sides (ij, ik, jk) in this order; its value does not depend on it."""
+    e, x, y = D[i, j][:, None], D[i, k0:k1], D[j, k0:k1]
     if rule is _max_side_over_two:  # the general path gives equal bits, but rips_query VR ops ran up to 1.7x slower
         values = np.maximum(x, y)  # the rule's max(max(e, x), y) / 2: max is exact in any order
-        long = (values < e).any(axis=1)
+        witness = values < e
         np.maximum(values, e, out=values)
         values /= 2.0
     else:
         values = rule(e, x, y)
-        long = ((values == e / 2.0) & (x < e) & (y < e)).any(axis=1)
-    np.putmask(values, values > cap, np.inf)
-    values[np.arange(len(i)), i] = values[np.arange(len(i)), j] = np.inf
-    return values, long
+        witness = (values == e / 2.0) & (x < e) & (y < e)
+    np.putmask(values, (values > cap) | (np.minimum(x, y) == 0.0), np.inf)  # no two points coincide: D_ik = 0 at k = i
+    return values, witness
 
 
 def _implicit_cofaces(cx: FilteredComplex) -> _Cofaces:
-    """Bauer's implicit coboundary (Ripser): a blocked pass over D, no triangle arrays.
+    """Bauer's implicit coboundary (Ripser), read lazily off D: no triangle arrays.
 
-    Edge (i, j)'s oldest coface is the first k of least value, as the triples {i, j, k} sort like k.
-    A column recomputes its edge's row. The column closure holds D and the rule, not the complex,
-    so no reference cycle keeps it alive.
+    Edge (i, j)'s oldest coface is the first k of least value, as the triples {i, j, k} sort like k. A Long
+    witness has the edge's own value, the least a coface can have, so k is read in rounds of doubling width
+    and an edge leaves at its first witness. A block keeps its first least k; a later block wins only on a
+    strictly smaller value. A column recomputes its edge's row; its closure holds D and the rule, not the
+    complex, so no reference cycle keeps it alive.
     """
     n, (i, j), source = cx.n_vertices, cx.edge_vertices.T, (cx._distances, cx._triangle_value, cx.max_scale)
-    m, step = len(i), max(1, _BLOCK // n)
-    oldest, k, long, count = np.empty(m), np.empty(m, dtype=np.intp), np.empty(m, dtype=bool), 0
-    for s in range(0, m, step):
-        block, long[s : s + step] = _coface_values(*source, i[s : s + step], j[s : s + step])
-        k[s : s + step] = block.argmin(axis=1)
-        oldest[s : s + step] = block[np.arange(len(block)), k[s : s + step]]
-        count += np.count_nonzero(block < np.inf)
+    oldest, k, long = np.full(len(i), np.inf), np.zeros(len(i), dtype=np.intp), np.zeros(len(i), dtype=bool)
+    active, k0, width = np.arange(len(i)), 0, max(8, _BLOCK // max(1, len(i)))
+    while active.size and k0 < n:
+        k1 = min(k0 + width, n)
+        step = _BLOCK // (k1 - k0)  # at least 1: the width never passes _BLOCK
+        for s in range(0, len(active), step):
+            rows = active[s : s + step]
+            block, witness = _coface_values(*source, i[rows], j[rows], k0, k1)
+            first = block.argmin(axis=1)
+            least = block[np.arange(len(rows)), first]
+            better = least < oldest[rows]
+            oldest[rows[better]], k[rows[better]] = least[better], first[better] + k0
+            long[rows] = witness.any(axis=1)
+        active, k0, width = active[~long[active]], k1, min(2 * width, _BLOCK)
 
     def column(e: int) -> set[int]:
         row = _coface_values(*source, i[e : e + 1], j[e : e + 1])[0][0]
@@ -404,7 +419,7 @@ def _implicit_cofaces(cx: FilteredComplex) -> _Cofaces:
         return set(_codes(row[k], _triple_keys(i[e], j[e], k, n)))
 
     ids = np.where(oldest < np.inf, _triple_keys(i, j, k, n), -1)
-    return _Cofaces(oldest, ids, long, count // 3, column)
+    return _Cofaces(oldest, ids, long, column)
 
 
 def _explicit_cofaces(cx: FilteredComplex) -> _Cofaces:
@@ -427,7 +442,7 @@ def _explicit_cofaces(cx: FilteredComplex) -> _Cofaces:
         return set(_codes(values[rows], rows))
 
     oldest, ids = np.append(values, np.inf)[first], np.where(first < len(values), first, -1)
-    return _Cofaces(oldest, ids, long, len(values), column)
+    return _Cofaces(oldest, ids, long, column)
 
 
 def _bridges(links: list[tuple[int, int]]) -> list[int]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pointpd import persistence
+from pointpd import filtration, persistence
 from pointpd.edges import EdgeClass, classify_all
 from pointpd.filtration import FilteredComplex, build_complex, build_vr
 from pointpd.geometry import PointCloud
@@ -206,6 +207,52 @@ def implicit_cases(draw):
     return build_complex(cloud, kind, max_scale=cap)
 
 
+def assert_matches_triangle_arrays(cx, explicit) -> None:
+    """A VR/Cech complex's implicit cofaces, pairs and classes are those of the complex from its triangle arrays."""
+    # the first k of least value is the lex-smallest triple among tied oldest cofaces
+    got, want = cx._cofaces, explicit._cofaces
+    assert np.array_equal(got.oldest_values, want.oldest_values)
+    n, has = cx.n_vertices, want.oldest_ids >= 0
+    rows = explicit.triangle_vertices[want.oldest_ids[has]]
+    assert np.array_equal(got.oldest_ids[has], (rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2])
+    assert np.array_equal(got.oldest_ids[~has], want.oldest_ids[~has])
+    assert np.array_equal(got.long, want.long)
+    assert compute_pd(cx, 1).pairs == tuple(boundary_pd1(explicit)) == compute_pd(explicit, 1).pairs
+    assert classify_all(cx) == classify_all(explicit)
+
+
+@pytest.fixture
+def coface_blocks(monkeypatch) -> list[tuple[int, int]]:
+    """(first k, entries) of every block of triangle values read off D, in order."""
+    blocks: list[tuple[int, int]] = []
+    coface_values = filtration._coface_values
+
+    def recorded(D, rule, cap, i, j, k0=0, k1=None):
+        values, witness = coface_values(D, rule, cap, i, j, k0, k1)
+        blocks.append((k0, values.size))
+        return values, witness
+
+    monkeypatch.setattr(filtration, "_coface_values", recorded)
+    return blocks
+
+
+def _lattice(side: int, dim: int) -> np.ndarray:
+    return np.array(list(itertools.product(range(side), repeat=dim)), dtype=np.float64)
+
+
+_TURN = np.array([[math.cos(0.3), -math.sin(0.3)], [math.sin(0.3), math.cos(0.3)]])
+
+# (points, cap) on which the coface pass scans k in at least three rounds: a first
+# round's width is max(8, 8192 // edges), so no 25-point cloud takes a second one
+MULTI_ROUND_CLOUDS = {
+    "uniform_2d": (np.random.default_rng(60).random((72, 2)), 0.35),
+    "uniform_3d": (np.random.default_rng(61).random((64, 3)), 0.4),
+    "grid_8x8": (_lattice(8, 2), 2.5),
+    "quarter_grid_rotated": (_lattice(8, 2) / 4.0 @ _TURN.T, 0.6),
+    "lattice_5x5x5": (_lattice(5, 3), 1.5),
+}
+
+
 class TestImplicitCofaces:
     """VR/Cech complexes read cofaces off D; the same complex from its triangle arrays must agree."""
 
@@ -215,15 +262,30 @@ class TestImplicitCofaces:
         assert "_triangles" not in cx.__dict__
         explicit = materialized(cx)
         assert count == len(explicit.triangle_values)
-        # the first k of least value is the lex-smallest triple among tied oldest cofaces
-        got, want = cx._cofaces, explicit._cofaces
-        assert np.array_equal(got.oldest_values, want.oldest_values)
-        n, has = cx.n_vertices, want.oldest_ids >= 0
-        rows = explicit.triangle_vertices[want.oldest_ids[has]]
-        assert np.array_equal(got.oldest_ids[has], (rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2])
-        assert np.array_equal(got.long, want.long)
-        assert compute_pd(cx, 1).pairs == tuple(boundary_pd1(explicit)) == compute_pd(explicit, 1).pairs
-        assert classify_all(cx) == classify_all(explicit)
+        assert_matches_triangle_arrays(cx, explicit)
+
+    @pytest.mark.parametrize("capped", [False, True])
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    @pytest.mark.parametrize("name", MULTI_ROUND_CLOUDS)
+    def test_multi_round_scans_match_the_triangle_arrays(self, name, kind, capped, coface_blocks):
+        points, cap = MULTI_ROUND_CLOUDS[name]
+        cx = build_complex(points, kind, max_scale=cap if capped else None)
+        compute_pd(cx, 1)
+        classify_all(cx)
+        assert len({k0 for k0, _ in coface_blocks}) >= 3
+        # neither the pass, the reduction nor the classifier counts the triangles
+        assert "_triangle_count" not in cx.__dict__ and "_triangles" not in cx.__dict__
+        count = len(cx.triangles)
+        explicit = materialized(cx)
+        assert count == (len(explicit.triangle_values) if capped else math.comb(len(points), 3))
+        assert_matches_triangle_arrays(cx, explicit)
+
+    @pytest.mark.parametrize("kind,dim", [("cech", 3), ("vr", 2)])
+    def test_pass_reads_at_most_a_quarter_of_the_entries(self, kind, dim, coface_blocks):
+        cx = build_complex(np.random.default_rng(0).random((200, dim)), kind)
+        cx._cofaces
+        # a dense pass reads every (edge, vertex) entry; an edge with a Long witness stops at it
+        assert sum(size for _, size in coface_blocks) <= len(cx.edge_values) * cx.n_vertices / 4
 
     def test_vr_200_stays_small(self):
         points = np.random.default_rng(0).random((200, 2))
