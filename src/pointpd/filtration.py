@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import struct
 from collections.abc import Callable, Sequence
 from enum import Enum
 from functools import cache, cached_property
@@ -72,16 +71,6 @@ class FilteredSimplex(NamedTuple):
         return len(self.vertices) - 1
 
 
-def _codes(values: npt.NDArray[np.float64], ids: npt.NDArray[np.int64]) -> list[int]:
-    """Each triangle's (value, id) packed in one int that sorts the same way (a
-    nonnegative float's bits sort like it), so columns hold no tuples for the GC."""
-    return [(bits << 63) | t for bits, t in zip(values.view(np.int64).tolist(), ids.tolist())]
-
-
-def _decode(code: int) -> tuple[float, int]:
-    return struct.unpack("<d", struct.pack("<q", code >> 63))[0], code & (2**63 - 1)
-
-
 class _Cofaces(NamedTuple):
     """One pass over a complex's edges, shared by the dim-1 reduction and the Long test. A triangle's id is
     its row in the triangle arrays, or for VR/Cech its base-n vertex key: (value, id) sorts in filtration order."""
@@ -89,7 +78,8 @@ class _Cofaces(NamedTuple):
     oldest_values: npt.NDArray[np.float64]  # per edge, its oldest coface; inf where it has none
     oldest_ids: npt.NDArray[np.int64]  # -1 where it has none
     long: npt.NDArray[np.bool_]
-    column: Callable[[int], set[int]]  # the `_codes` of every coface of an edge
+    apparent: npt.NDArray[np.bool_]  # the edge is the youngest facet of its oldest coface
+    rows: Callable[[list[int]], list[tuple[list[float], list[int]]]]  # per edge, its cofaces' values and ids in order
 
 
 class _Components(NamedTuple):
@@ -110,6 +100,8 @@ class _SimplexView(Sequence):
         return self._length
 
     def __getitem__(self, idx):
+        if isinstance(idx, slice):
+            return tuple(self[k] for k in range(self._length)[idx])
         vertices, values = self._arrays()
         return FilteredSimplex(tuple(vertices[idx].tolist()), float(values[idx]))
 
@@ -394,8 +386,8 @@ def _implicit_cofaces(cx: FilteredComplex) -> _Cofaces:
     Edge (i, j)'s oldest coface is the first k of least value, as the triples {i, j, k} sort like k. A Long
     witness has the edge's own value, the least a coface can have, so k is read in rounds of doubling width
     and an edge leaves at its first witness. A block keeps its first least k; a later block wins only on a
-    strictly smaller value. A column recomputes its edge's row; its closure holds D and the rule, not the
-    complex, so no reference cycle keeps it alive.
+    strictly smaller value. `rows` recomputes its edges' rows in blocks; its closure holds D and the rule,
+    not the complex, so no reference cycle keeps it alive.
     """
     n, (i, j), source = cx.n_vertices, cx.edge_vertices.T, (cx._distances, cx._triangle_value, cx.max_scale)
     oldest, k, long = np.full(len(i), np.inf), np.zeros(len(i), dtype=np.intp), np.zeros(len(i), dtype=bool)
@@ -404,45 +396,54 @@ def _implicit_cofaces(cx: FilteredComplex) -> _Cofaces:
         k1 = min(k0 + width, n)
         step = _BLOCK // (k1 - k0)  # at least 1: the width never passes _BLOCK
         for s in range(0, len(active), step):
-            rows = active[s : s + step]
-            block, witness = _coface_values(*source, i[rows], j[rows], k0, k1)
+            batch = active[s : s + step]
+            block, witness = _coface_values(*source, i[batch], j[batch], k0, k1)
             first = block.argmin(axis=1)
-            least = block[np.arange(len(rows)), first]
-            better = least < oldest[rows]
-            oldest[rows[better]], k[rows[better]] = least[better], first[better] + k0
-            long[rows] = witness.any(axis=1)
+            least = block[np.arange(len(batch)), first]
+            better = least < oldest[batch]
+            oldest[batch[better]], k[batch[better]] = least[better], first[better] + k0
+            long[batch] = witness.any(axis=1)
         active, k0, width = active[~long[active]], k1, min(2 * width, _BLOCK)
 
-    def column(e: int) -> set[int]:
-        row = _coface_values(*source, i[e : e + 1], j[e : e + 1])[0][0]
-        k = np.flatnonzero(row < np.inf)
-        return set(_codes(row[k], _triple_keys(i[e], j[e], k, n)))
+    def rows(edges: list[int]) -> list[tuple[list[float], list[int]]]:
+        out, step = [], max(1, _BLOCK // n)
+        for s in range(0, len(edges), step):
+            e = np.array(edges[s : s + step], dtype=np.intp)
+            block = _coface_values(*source, i[e], j[e])[0]
+            order = block.argsort(axis=1, kind="stable")  # (value, k) order is (value, id) order
+            values, ids = block[np.arange(len(e))[:, None], order], _triple_keys(i[e, None], j[e, None], order, n)
+            ends = np.count_nonzero(values < np.inf, axis=1).tolist()
+            out.extend((values[r, :end].tolist(), ids[r, :end].tolist()) for r, end in enumerate(ends))
+        return out
 
+    sides = np.minimum([i, j], k) * n + np.maximum([i, j], k)  # the keys of edges (i, k) and (j, k)
+    apparent = (oldest < np.inf) & (_edge_rows(i * n + j, n, sides).max(axis=0) < np.arange(len(i)))
     ids = np.where(oldest < np.inf, _triple_keys(i, j, k, n), -1)
-    return _Cofaces(oldest, ids, long, column)
+    return _Cofaces(oldest, ids, long, apparent, rows)
 
 
 def _explicit_cofaces(cx: FilteredComplex) -> _Cofaces:
-    """Cofaces from the triangle arrays, by a CSR coboundary index built at the first column asked for."""
+    """Cofaces from the triangle arrays, by a CSR coboundary index built at the first row asked for."""
     edges, values, m = cx.triangle_edges, cx.triangle_values, len(cx.edge_values)
     first = np.full(m, len(values), dtype=np.intp)
     np.minimum.at(first, edges.ravel(), np.repeat(np.arange(len(values)), 3))
     # faces never enter after their triangle: a boundary edge entered strictly earlier or at its value
     earlier = cx.edge_values[edges] < values[:, None]
     long = np.bincount(edges[~earlier & (earlier.sum(axis=1) == 2)[:, None]], minlength=m) > 0
+    apparent = np.append(edges.max(axis=1), -1)[first] == np.arange(m)  # the youngest facet of the oldest coface
 
     @cache
     def index() -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
         order = np.argsort(edges.ravel(), kind="stable")
         return order // 3, np.searchsorted(edges.ravel()[order], np.arange(m + 1))
 
-    def column(e: int) -> set[int]:
-        rows, starts = index()
-        rows = rows[starts[e] : starts[e + 1]]
-        return set(_codes(values[rows], rows))
+    def rows(wanted: list[int]) -> list[tuple[list[float], list[int]]]:
+        # a triangle's row sorts like (value, row), and the index lists each edge's rows in order
+        order, starts = index()
+        return [(values[t].tolist(), t.tolist()) for t in (order[starts[e] : starts[e + 1]] for e in wanted)]
 
     oldest, ids = np.append(values, np.inf)[first], np.where(first < len(values), first, -1)
-    return _Cofaces(oldest, ids, long, column)
+    return _Cofaces(oldest, ids, long, apparent, rows)
 
 
 def _bridges(links: list[tuple[int, int]]) -> list[int]:

@@ -3,7 +3,11 @@
 Dim 1 reduces the coboundary matrix, which has the boundary matrix's pairs
 (de Silva, Morozov & Vejdemo-Johansson, "Dualities in persistent
 (co)homology", Inverse Problems 2011), with two shortcuts from Bauer,
-"Ripser" (J. Appl. Comput. Topol. 2021): clearing and apparent pairs.
+"Ripser" (J. Appl. Comput. Topol. 2021): clearing and apparent pairs. The
+coface pass marks the apparent pairs in numpy, and the other columns are
+heaps of row heads, read only up to their pivots. When a column waits for a
+row, every waiting column moves on with the rows at hand, and one call
+computes all the rows they lack.
 
 The bottleneck distance is the smallest candidate threshold (0, an L-inf
 distance between two points or a half-persistence) with a perfect matching
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from .filtration import FilteredComplex, _decode, build_vr
+from .filtration import FilteredComplex, build_vr
 from .geometry import PointCloud
 
 Pair = tuple[float, float]
@@ -91,11 +95,11 @@ def compute_pd(complex: FilteredComplex, dim: int) -> PersistenceDiagram:
     Dim 0: an edge that joins two components is a death, and each
     component left at the cap is an infinite bar. Dim 1: cohomology over
     the cycle-closing edges, youngest first, with the merge edges cleared.
-    A column whose oldest coface (from the complex's coface pass) is still
-    free pairs with it unbuilt (an apparent pair; off ties, every Long edge
-    does so at zero persistence). The rest list their cofaces and are
-    reduced; one that reduces to zero is a class alive at the cap (death =
-    inf). Zero-persistence pairs are dropped.
+    An edge that is the youngest facet of its oldest coface pairs with it
+    unbuilt (an apparent pair, marked by the coface pass; off ties, every
+    Long edge does so at zero persistence). The other columns are reduced;
+    one that reduces to zero is a class alive at the cap (death = inf).
+    Zero-persistence pairs are dropped.
     """
     if dim not in (0, 1):
         raise ValueError("only dimensions 0 and 1 are supported")
@@ -107,31 +111,66 @@ def compute_pd(complex: FilteredComplex, dim: int) -> PersistenceDiagram:
         return PersistenceDiagram(0, tuple(pairs), complex.max_scale)
 
     cofaces = complex._cofaces
-    # pivot triangle id -> its column: the edge id while unreduced, else the codes of its cofaces
-    columns: dict[int, int | set[int]] = {}
-    born, died = np.flatnonzero(~merges)[::-1], []  # the cycle-closing edges, youngest first
-    oldest = zip(cofaces.oldest_values[born].tolist(), cofaces.oldest_ids[born].tolist())
-    for edge, (death, pivot) in zip(born.tolist(), oldest):
-        column = edge
-        if pivot in columns:
-            column = cofaces.column(edge)
-            heap = sorted(column)  # cofaces of the column and stale ones, popped lazily
-            while pivot in columns:
-                other = columns[pivot]
-                if isinstance(other, int):
-                    other = columns[pivot] = cofaces.column(other)
-                column ^= other
-                for entry in other:
-                    heapq.heappush(heap, entry)
-                while heap and heap[0] not in column:
-                    heapq.heappop(heap)
-                death, pivot = _decode(heap[0]) if heap else (math.inf, -1)
-        if pivot >= 0:
-            columns[pivot] = column
-        died.append(death)
-    births, deaths = complex.edge_values[born], np.array(died, dtype=np.float64)
+    born = np.flatnonzero(~merges)[::-1]  # the cycle-closing edges, youngest first
+    apparent, deaths = cofaces.apparent[born], cofaces.oldest_values[born]
+    # pivot triangle id -> its column: an apparent edge, whose column is its row, or a reduced column's heap
+    columns: dict[int, int | list[tuple]] = dict(zip(cofaces.oldest_ids[born[apparent]].tolist(), born[apparent].tolist()))
+    others = np.flatnonzero(~apparent).tolist()  # the other columns, by position in born
+    heaps: dict[int, list[tuple]] = {at: [] for at in others}
+    need: dict[int, int | list[tuple]] = {at: int(born[at]) for at in others}  # column -> what it adds next
+    # a column's first pivot is its oldest coface, so the first call also brings the apparent rows there
+    first = [columns[t] for t in cofaces.oldest_ids[born[others]].tolist() if t in columns]
+    first = list(dict.fromkeys([*need.values(), *first]))
+    rows = dict(zip(first, cofaces.rows(first)))
+
+    def settle(at: int) -> None:
+        """Add to a column what its pivot meets while the rows are at hand; a missing row stays in `need`."""
+        heap, other = heaps[at], need.pop(at)
+        while not (isinstance(other, int) and other not in rows):
+            if isinstance(other, int):  # a row from its first entry
+                values, ids = rows[other]
+                other = [(values[0], ids[0], other, 0)] if values else []
+            for entry in other:
+                heapq.heappush(heap, entry)
+            head = _pivot(heap, rows)
+            if not head or head[1] not in columns:
+                return
+            other = columns[head[1]]
+        need[at] = other
+
+    for at in others:  # youngest first, so a column's pivot is final once no registered column has it
+        heap = heaps[at]
+        if heap and heap[0][1] in columns:
+            need[at] = columns[heap[0][1]]
+        while at in need:  # let every waiting column move on, then fetch the rows they wait for in one call
+            for waiting in list(need):
+                settle(waiting)
+            missing = [edge for edge in dict.fromkeys(need.values()) if edge not in rows]
+            rows.update(zip(missing, cofaces.rows(missing)))
+        if heap:
+            columns[heap[0][1]] = heap
+        deaths[at] = heap[0][0] if heap else math.inf
+    births = complex.edge_values[born]
     pairs = zip(births[deaths > births].tolist(), deaths[deaths > births].tolist())
     return PersistenceDiagram(1, tuple(pairs), complex.max_scale)
+
+
+def _pivot(heap: list[tuple], rows: dict[int, tuple[list[float], list[int]]]) -> tuple | None:
+    """The least head of a column, or None when it is zero. A column is a heap of heads (value, id, edge,
+    position in the edge's row) and the sum of its heads' rows, each from its head on. Equal least heads
+    cancel in pairs over GF(2), each moving to its row's next entry, so a row is read only up to the pivot."""
+    while len(heap) > 1:
+        top, second = heap[0], heap[1] if len(heap) == 2 or heap[1] < heap[2] else heap[2]
+        if top[1] != second[1]:  # a triangle's id fixes its value
+            return top
+        for _ in range(2):
+            _, _, edge, pos = heap[0]
+            values, ids = rows[edge]
+            if pos + 1 < len(values):
+                heapq.heapreplace(heap, (values[pos + 1], ids[pos + 1], edge, pos + 1))
+            else:
+                heapq.heappop(heap)
+    return heap[0] if heap else None
 
 
 def mst(cloud: PointCloud | npt.NDArray[np.float64]) -> list[tuple[tuple[int, int], float]]:

@@ -14,6 +14,7 @@ from pointpd.filtration import (
     _FACE_COLUMNS,
     _MAX_VERTICES,
     FilteredComplex,
+    FilteredSimplex,
     FiltrationKind,
     _distance_matrix,
     _edge_rows,
@@ -164,6 +165,19 @@ class TestFilteredComplex:
             assert ref() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_views_slice_to_tuples(self, kind):
+        implicit = build_complex(random_cloud(6, 8, 2), kind)
+        explicit = FilteredComplex.from_arrays(
+            8, implicit.edge_vertices, implicit.edge_values, implicit.triangle_vertices, implicit.triangle_values, kind, 1.0
+        )
+        for cx in (implicit, explicit):
+            for view in (cx.edges, cx.triangles):
+                items = tuple(view)
+                assert view[0:2] == items[0:2] and view[1:3] == items[1:3] and view[::-3] == items[::-3]
+                assert view[:] == items and view[5:2] == () and view[-1] == items[-1]
+                assert all(isinstance(s, FilteredSimplex) for s in view[1:3])
 
     @pytest.mark.parametrize("n", [6, 60])
     def test_edge_rows_table_and_sorted_lookup_agree(self, n):

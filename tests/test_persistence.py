@@ -166,9 +166,24 @@ class TestBoundaryReference:
 
     @pytest.mark.parametrize("kind", ["vr", "cech"])
     def test_regular_polygon(self, kind):
-        # a few columns, but 96 (vr) and 189 (cech) column additions in all
+        # a few columns, but 96 (vr) and 189 (cech) column additions in all, every one an apparent row
         angles = np.linspace(0.0, 2.0 * math.pi, 40, endpoint=False)
         self.assert_same_pairs(build_complex(np.stack([np.cos(angles), np.sin(angles)], axis=1), kind))
+
+    @pytest.mark.parametrize("n,dim,kind", [(37, 4, "cech"), (97, 2, "vr")])
+    def test_columns_that_add_reduced_columns(self, n, dim, kind, monkeypatch):
+        cx = build_complex(np.random.default_rng(0).random((n, dim)), kind)
+        reduced = set(np.flatnonzero(~cx._components.merges & ~cx._cofaces.apparent).tolist())
+        met, pivot = [], persistence._pivot
+
+        def recorded(heap, rows):
+            # a heap holds the rows of two such columns only once one column has added the other
+            met.append(len({edge for _, _, edge, _ in heap} & reduced))
+            return pivot(heap, rows)
+
+        monkeypatch.setattr(persistence, "_pivot", recorded)
+        self.assert_same_pairs(cx)
+        assert max(met) >= 2
 
     def test_delaunay(self):
         self.assert_same_pairs(build_complex(random_cloud(150, 150, 2), "delaunay"))
@@ -217,6 +232,7 @@ def assert_matches_triangle_arrays(cx, explicit) -> None:
     assert np.array_equal(got.oldest_ids[has], (rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2])
     assert np.array_equal(got.oldest_ids[~has], want.oldest_ids[~has])
     assert np.array_equal(got.long, want.long)
+    assert np.array_equal(got.apparent, want.apparent)
     assert compute_pd(cx, 1).pairs == tuple(boundary_pd1(explicit)) == compute_pd(explicit, 1).pairs
     assert classify_all(cx) == classify_all(explicit)
 
@@ -286,6 +302,25 @@ class TestImplicitCofaces:
         cx._cofaces
         # a dense pass reads every (edge, vertex) entry; an edge with a Long witness stops at it
         assert sum(size for _, size in coface_blocks) <= len(cx.edge_values) * cx.n_vertices / 4
+
+    @pytest.mark.parametrize("n,dim", [(72, 2), (37, 4)])
+    def test_reduction_fetches_rows_in_batches(self, n, dim, coface_blocks):
+        # the shapes of a rips_query Cech op and of a sweep_trials cell
+        cx = build_complex(np.random.default_rng(n).random((n, dim)), "cech")
+        cx._cofaces
+        coface_blocks.clear()
+        compute_pd(cx, 1)
+        rows = sum(size for _, size in coface_blocks) // n
+        assert rows > 20 and len(coface_blocks) < rows / 2
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40), dim=st.sampled_from([2, 3]),
+           kind=st.sampled_from(["vr", "cech"]), cap=st.sampled_from([None, 0.2, 0.35]))
+    def test_off_ties_every_long_edge_is_apparent(self, seed, n, dim, kind, cap):
+        # at ties this fails: a Long edge's oldest coface may have a younger facet tied with it
+        cx = build_complex(np.random.default_rng(seed).random((n, dim)), kind, max_scale=cap)
+        assert len(np.unique(cx.edge_values)) == len(cx.edge_values)
+        cofaces = cx._cofaces
+        assert not (cofaces.long & ~cofaces.apparent).any()
 
     def test_vr_200_stays_small(self):
         points = np.random.default_rng(0).random((200, 2))
