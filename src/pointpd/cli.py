@@ -14,14 +14,13 @@ import argparse
 import json
 import math
 import sys
-from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .cloudfile import CloudFormatError, read_cloud, write_cloud
-from .edges import classify_all
+from .edges import EdgeClass, _edge_classes
 from .constructions import (
     HypothesisError,
     TailSpec,
@@ -179,13 +178,13 @@ def cmd_pd(args) -> int:
 def cmd_classify(args) -> int:
     cloud = read_cloud(args.cloud)
     complex_ = build_complex(cloud, args.kind, max_scale=args.max_scale)
-    classes = classify_all(complex_)
+    classes = _edge_classes(complex_).tolist()
     lines = ["p,q,length,class"]
     ends = complex_.edge_vertices  # sorted by (value, vertices)
     # the builders' own recipe, so a VR/Cech length is exactly twice the edge value
     lengths = _norms(cloud.points[ends[:, 0]] - cloud.points[ends[:, 1]]).tolist()
-    for (p, q), length in zip(ends.tolist(), lengths):
-        lines.append(f"{p},{q},{length!r},{classes[(p, q)].value}")
+    for (p, q), length, cls in zip(ends.tolist(), lengths, classes):
+        lines.append(f"{p},{q},{length!r},{cls.value}")
     print("\n".join(lines))
     return 0
 
@@ -199,7 +198,7 @@ def cmd_make_tail(args) -> int:
     complex_ = build_complex(tail, args.kind)
     check = _tail_check(complex_)
     pd1 = compute_pd(complex_, 1)
-    counts = Counter(cls.value for cls in check.classes.values())
+    classes = _edge_classes(complex_)
     report = {
         "command": "make-tail",
         "n": tail.n_points,
@@ -207,7 +206,7 @@ def cmd_make_tail(args) -> int:
         "kind": FiltrationKind(args.kind).value,
         "omega": angular_deviation(tail, spec.ray) if tail.n_points >= 2 else 0.0,
         "theta": angular_thickness(tail, spec.ray),
-        "classes": {name: counts.get(name, 0) for name in ("Short", "Medium", "Long")},
+        "classes": {cls.value: int((classes == cls).sum()) for cls in EdgeClass},
         "class_violations": len(check.failures),
         "tail_ok": check.ok,
         "pd1_empty": len(pd1) == 0,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .edges import EdgeClass, classify_all
+from .edges import EdgeClass, _edge_classes, classify_all
 from .filtration import FilteredComplex, FiltrationKind, _norms, build_complex
 from .geometry import (
     ANGLE_TOL,
@@ -190,16 +190,14 @@ def validate_tail(
 
 def _tail_check(complex: FilteredComplex) -> TailCheck:
     """validate_tail on the tail's already built filtration."""
-    classes = classify_all(complex)
-    failures: list[tuple[Edge, EdgeClass | None]] = []
-    for i in range(complex.n_vertices - 1):
-        if (i, i + 1) not in classes:
-            failures.append(((i, i + 1), None))
-    for edge, cls in sorted(classes.items()):
-        expected = EdgeClass.SHORT if edge[1] == edge[0] + 1 else EdgeClass.LONG
-        if cls is not expected:
-            failures.append((edge, cls))
-    return TailCheck(not failures, classes, tuple(failures))
+    ends = complex.edge_vertices
+    classes = _edge_classes(complex)
+    successive = ends[:, 1] == ends[:, 0] + 1
+    missing = np.setdiff1d(np.arange(complex.n_vertices - 1), ends[successive, 0]).tolist()
+    failures: list[tuple[Edge, EdgeClass | None]] = [((i, i + 1), None) for i in missing]
+    wrong = np.flatnonzero(classes != np.where(successive, EdgeClass.SHORT, EdgeClass.LONG))
+    failures += sorted(zip(map(tuple, ends[wrong].tolist()), classes[wrong].tolist()))
+    return TailCheck(not failures, classify_all(complex), tuple(failures))
 
 
 def attach_tail(
@@ -293,18 +291,13 @@ def verify_long_wedge(
         order = np.concatenate([[v], np.flatnonzero(~near[v])])
         owner[v] = -1  # the common point belongs to every component
     union = PointCloud(points[order])
-    owner = owner[order].tolist()
 
     union_complex = build_complex(union, kind)
-    classes = classify_all(union_complex)
-    offending = tuple(
-        (edge, cls)
-        for edge, cls in sorted(classes.items())
-        if owner[edge[0]] != owner[edge[1]]
-        and owner[edge[0]] >= 0
-        and owner[edge[1]] >= 0
-        and cls is not EdgeClass.LONG
-    )
+    ends = union_complex.edge_vertices
+    classes = _edge_classes(union_complex)
+    owners = owner[order][ends]
+    bad = np.flatnonzero((owners[:, 0] != owners[:, 1]) & (owners >= 0).all(axis=1) & (classes != EdgeClass.LONG))
+    offending = tuple(sorted(zip(map(tuple, ends[bad].tolist()), classes[bad].tolist())))
     union_pd = compute_pd(union_complex, 1)
     component_pds = tuple(compute_pd(build_complex(c, kind), 1) for c in components)
     combined = _combined_diagram(list(component_pds))

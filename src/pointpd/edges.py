@@ -58,6 +58,12 @@ def _class_masks(complex: FilteredComplex) -> tuple[npt.NDArray[np.bool_], npt.N
     return short_mask, long_mask
 
 
+def _edge_classes(complex: FilteredComplex) -> npt.NDArray[np.object_]:
+    """Each edge's EdgeClass, in the complex's edge order; raises ConsistencyError as _class_masks does."""
+    short_mask, long_mask = _class_masks(complex)
+    return np.where(short_mask, EdgeClass.SHORT, np.where(long_mask, EdgeClass.LONG, EdgeClass.MEDIUM))
+
+
 def classify_all(complex: FilteredComplex) -> dict[Edge, EdgeClass]:
     """Classify every edge of the complex.
 
@@ -67,10 +73,7 @@ def classify_all(complex: FilteredComplex) -> dict[Edge, EdgeClass]:
         ConsistencyError: if any edge passes both the Short and the Long
             test (the classes are provably disjoint, so this flags a bug).
     """
-    short_mask, long_mask = _class_masks(complex)
-    edges = zip(*complex.edge_vertices.T.tolist())
-    classes = np.where(short_mask, EdgeClass.SHORT, np.where(long_mask, EdgeClass.LONG, EdgeClass.MEDIUM))
-    return dict(zip(edges, classes.tolist()))
+    return dict(zip(zip(*complex.edge_vertices.T.tolist()), _edge_classes(complex).tolist()))
 
 
 def classify_edge(complex: FilteredComplex, e: int) -> EdgeClass:

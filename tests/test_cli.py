@@ -6,6 +6,8 @@ import pytest
 
 from pointpd.cli import main
 from pointpd.cloudfile import read_cloud
+from pointpd.edges import classify_all
+from pointpd.filtration import _norms, build_complex
 
 SQUARE_TEXT = "0 0\n1 0\n0 1\n1 1\n"
 TRIANGLE_TEXT = "0 0\n-3 0\n0 -4\n"
@@ -148,6 +150,23 @@ class TestClassify:
         code, out, _ = run(capsys, ["classify", segment])
         assert code == 0
         assert out.splitlines()[1] == "0,1,1.0,Short"
+
+    @pytest.mark.parametrize("kind", ["vr", "cech", "delaunay"])
+    def test_lines_match_the_class_dict(self, capsys, tmp_path, kind):
+        # on the tied 5x5 grid, each line's class is classify_all's class for (p, q)
+        path = tmp_path / "grid.txt"
+        path.write_text("".join(f"{x} {y}\n" for x in range(5) for y in range(5)))
+        cloud = read_cloud(str(path))
+        cx = build_complex(cloud, kind)
+        classes = classify_all(cx)
+        ends = cx.edge_vertices
+        lengths = _norms(cloud.points[ends[:, 0]] - cloud.points[ends[:, 1]]).tolist()
+        want = ["p,q,length,class"] + [
+            f"{p},{q},{length!r},{classes[(p, q)].value}" for (p, q), length in zip(ends.tolist(), lengths)
+        ]
+        code, out, _ = run(capsys, ["classify", str(path), "--kind", kind])
+        assert code == 0
+        assert out.splitlines() == want
 
 
 class TestMakeTail:

@@ -15,7 +15,7 @@ from pointpd.constructions import (
     verify_long_wedge,
     verify_tail_theorem,
 )
-from pointpd.edges import EdgeClass
+from pointpd.edges import EdgeClass, classify_all
 from pointpd.filtration import build_complex
 from pointpd.geometry import PointCloud, Ray, angular_deviation, angular_thickness
 from pointpd.persistence import compute_pd
@@ -129,6 +129,24 @@ class TestValidateTail:
     def test_accepts_raw_arrays(self):
         assert validate_tail(np.array([[0.0, 0.0], [1.0, 0.0]]), "vr").ok
 
+    @pytest.mark.parametrize("kind", ["vr", "cech", "delaunay"])
+    def test_failures_match_the_class_dict(self, kind):
+        # a uniform cloud is no tail: misclassed edges fail, and under Delaunay so do
+        # missing successive edges, the first and the last among them
+        cloud = np.random.default_rng(4).random((8, 2))
+        classes = classify_all(build_complex(cloud, kind))
+        want = [((i, i + 1), None) for i in range(7) if (i, i + 1) not in classes]
+        want += [
+            (edge, cls)
+            for edge, cls in sorted(classes.items())
+            if cls is not (EdgeClass.SHORT if edge[1] == edge[0] + 1 else EdgeClass.LONG)
+        ]
+        check = validate_tail(cloud, kind)
+        assert check.failures == tuple(want)
+        assert check.classes == classes
+        assert not check.ok
+        assert any(cls is None for _, cls in want) == (kind == "delaunay")
+
 
 class TestAttachTail:
     def test_square_corner_angles(self):
@@ -213,6 +231,29 @@ class TestVerifyLongWedge:
         assert not report.is_long_wedge
         assert not report.pd_union_ok
         assert len(report.union_diagram) == 1
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    def test_offending_edges_match_the_class_dict(self, kind):
+        # three random fans around the origin: several Short and Medium cross edges
+        rng = np.random.default_rng(3)
+        components = []
+        for _ in range(3):
+            points = rng.random((5, 2)) - 0.5
+            points[0] = 0.0
+            components.append(PointCloud(points))
+        # the union lists the common point first, then each component's other points
+        union = PointCloud(np.concatenate([components[0].points] + [c.points[1:] for c in components[1:]]))
+        owner = [-1] + [c for c, comp in enumerate(components) for _ in range(comp.n_points - 1)]
+        want = tuple(
+            (edge, cls)
+            for edge, cls in sorted(classify_all(build_complex(union, kind)).items())
+            if owner[edge[0]] != owner[edge[1]]
+            and owner[edge[0]] >= 0
+            and owner[edge[1]] >= 0
+            and cls is not EdgeClass.LONG
+        )
+        assert verify_long_wedge(components, kind).offending_edges == want
+        assert {cls for _, cls in want} == {EdgeClass.SHORT, EdgeClass.MEDIUM}
 
     def test_single_component_is_trivially_a_wedge(self):
         report = verify_long_wedge([SQUARE], "vr")

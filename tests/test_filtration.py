@@ -466,6 +466,23 @@ class TestDelaunayReference:
         else:
             assert_same_complex(build_delaunay_2d(points), want)
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="flat Qhull triangles along the grid's straight sides survive a small shift",
+    )
+    @pytest.mark.parametrize("shift", [1e3, 1e5])
+    def test_shifted_grid_keeps_its_triangulation(self, shift):
+        # shifted by 1e3 the rotated 6x5 grid gives 57 triangles, and its degree-1
+        # diagram gains a pair that dies near 4e13 and one that never dies
+        c, s = math.cos(0.3), math.sin(0.3)
+        points = np.array([[x, y] for x in range(6) for y in range(5)], dtype=np.float64) @ np.array([[c, -s], [s, c]]).T
+        cx = build_delaunay_2d(points + shift)
+        # no planar triangulation of n points has more than 2n - 5 triangles
+        assert len(cx.triangle_values) <= 2 * len(points) - 5
+        want = compute_pd(build_delaunay_2d(points), 1)
+        assert bottleneck_distance(compute_pd(cx, 1), want) <= 1e-9
+
     def test_certificate_rejects_a_non_delaunay_triangulation(self, monkeypatch):
         import scipy.spatial
 

@@ -152,6 +152,9 @@ def commands(cloud_points: dict[str, np.ndarray]) -> list[tuple[list[str], list[
         (["seg_a.txt", "twice.txt"], []),
         (["seg_a.txt", "ray_b.txt", "meet_b.txt", "meet_c.txt"], []),
         (["triangle.txt", "square.txt"], ["--tol=-1"]),
+        # two make-tail outputs that share their origin: three cross edges are not Long
+        (["tail0.txt", "tail3.txt"], []),
+        (["tail0.txt", "tail3.txt"], ["--kind", "cech"]),
     ]:
         runs.append((["verify-wedge", *files] + extra, []))
 
