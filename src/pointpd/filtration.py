@@ -27,21 +27,17 @@ arrays. Uncapped VR build + dim-1 pairs on 200 planar points: 0.07 s, 9 MiB peak
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Callable, Sequence
 from enum import Enum
 from functools import cache, cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import numpy.typing as npt
 
 from .geometry import COINCIDENT_TOL, PointCloud, _as_cloud
 from .unionfind import UnionFind
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 # Relative tolerance for deciding that a point sits on a triangle's
 # circumcircle (cocircular degeneracy detection).
@@ -628,15 +624,27 @@ def _circumcircles(
     return a + np.stack([ux, uy], axis=1), radii
 
 
-def _ball_candidates(
-    tree: cKDTree, centers: npt.NDArray[np.float64], radii: npt.NDArray[np.float64]
-) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp], npt.NDArray[np.float64]]:
-    """(ball row, point, distance to centre) for the points in each widened ball, rows ascending."""
-    # widened so that the KD-tree's rounding never drops a point the float tests flag
-    hits = tree.query_ball_point(centers, radii * (1.0 + 1e-6), return_sorted=False)
-    rows = np.repeat(np.arange(len(hits)), np.fromiter(map(len, hits), dtype=np.intp, count=len(hits)))
-    cols = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp, count=len(rows))
-    return rows, cols, _norms(tree.data[cols] - centers[rows])
+def _triangulation(
+    points: npt.NDArray[np.float64], tris: npt.NDArray[np.intp]
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64], npt.NDArray[np.intp], npt.NDArray[np.intp]]:
+    """Edge adjacency of planar triangles (t, 3), read from the triangles alone.
+
+    Returns the edges (E, 2), their half-lengths, the edge row of each face
+    (3t, `_FACE_COLUMNS` order per triangle; face 3i + j is opposite vertex
+    tris[i, 2 - j]) and the (m, 2) pairs of faces that share an edge. Raises
+    ValueError unless each edge lies in one or two triangles and n - E + t = 1,
+    as in a triangulation of the hull of all n points.
+    """
+    n = len(points)
+    faces = tris[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
+    _, first, inverse = np.unique(faces[:, 0] * n + faces[:, 1], return_index=True, return_inverse=True)
+    edges, count = faces[first], np.bincount(inverse)
+    euler, most = n - len(edges) + len(tris), count.max(initial=0)
+    if most > 2 or euler != 1:
+        raise ValueError(f"not a triangulation: n - E + t = {euler}, and an edge lies in {most} triangles")
+    shared = np.argsort(inverse, kind="stable")[np.repeat(count == 2, count)].reshape(-1, 2)
+    half = _norms(points[edges[:, 0]] - points[edges[:, 1]]) / 2.0
+    return edges, half, inverse, shared
 
 
 def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredComplex:
@@ -649,27 +657,28 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     smallest triangulation of the convex polygon). All-collinear input
     degrades to the path complex with edges at half-length.
 
-    The cocircular, Gabriel and coincidence tests run only on the hits of
-    `scipy.spatial.cKDTree` queries (balls at circumcentres and edge
-    midpoints, pairs within 2 * COINCIDENT_TOL): O(n log n + t) time, and
-    no n x n array off the collinear path.
+    After Qhull, every test reads the triangles' own edge adjacency. Flat
+    simplices (|u x v| <= 8 eps max|points| max(|u|, |v|): Qhull's slivers on
+    collinear hull points) are dropped; the rest must be a triangulation (each
+    edge in one or two triangles, n - E + t = 1). Each circumcircle is tested
+    against its neighbours' opposite vertices, by Delaunay's lemma a
+    certificate for the whole; neighbours with the opposite vertex on the
+    circle form cocircular groups; an edge is non-Gabriel iff an incident
+    triangle's opposite vertex is inside its diametral disk. One sort of the
+    3t faces, then O(n + t) work; no n x n array off the collinear path.
 
     Raises:
-        ValueError: ambient dimension != 2, coincident points, or a point inside
-            a circumcircle by more than the cocircular tolerance plus coordinate rounding.
+        ValueError: ambient dimension != 2, coincident points, Qhull output that is
+            not a triangulation, or a point inside a neighbour's circumcircle by more
+            than the cocircular tolerance plus coordinate rounding.
     """
     # imported here so that the VR and Cech paths never load scipy.spatial
-    from scipy.spatial import Delaunay, QhullError, cKDTree
+    from scipy.spatial import Delaunay, QhullError
 
     points = _as_cloud(cloud).points
     n = points.shape[0]
     if points.shape[1] != 2:
         raise ValueError("Delaunay implemented for the plane only")
-    tree = cKDTree(points)
-    close = tree.query_pairs(2.0 * COINCIDENT_TOL, output_type="ndarray")
-    if (_norms(points[close[:, 0]] - points[close[:, 1]]) < COINCIDENT_TOL).any():
-        raise ValueError("coincident points are not allowed")
-
     if n <= 2 or _all_collinear(points):
         return _collinear_path_complex(points)
 
@@ -682,32 +691,40 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
         if _all_collinear(points, tol=1e-8):
             return _collinear_path_complex(points)
         raise
+    if len(getattr(tess, "coplanar", ())):  # a point Qhull set aside as a duplicate of another
+        raise ValueError("coincident points are not allowed")
 
+    # coordinates, and so circumcentres, round at the size of the coordinates
+    rounding = 8.0 * np.finfo(np.float64).eps * float(np.abs(points).max())
     tris = np.sort(tess.simplices.astype(np.intp), axis=1)
+    u, v = points[tris[:, 1]] - points[tris[:, 0]], points[tris[:, 2]] - points[tris[:, 0]]
+    tris = tris[np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]) > rounding * np.maximum(_norms(u), _norms(v))]
+    edges, half, inverse, shared = _triangulation(points, tris)
+    if 2.0 * half.min() < COINCIDENT_TOL:
+        raise ValueError("coincident points are not allowed")
+
     centers, radii = _circumcircles(points, tris)
     tol = COCIRCULAR_TOL * np.maximum(1.0, radii)
-    rows, cols, dist = _ball_candidates(tree, centers, radii + tol)
-    # centres round at the size of the coordinates; the certificate allows for that too
-    slack = tol + 8.0 * np.finfo(np.float64).eps * float(np.abs(points).max())
-    inside = (radii[rows] - dist > slack[rows]) & (cols[:, None] != tris[rows]).all(axis=1)
-    if inside.any():
-        k = int(np.argmax(inside))
+    # each shared edge read from both sides: the triangle of one face against the opposite vertex of the other
+    rows, others = shared.T.reshape(-1) // 3, shared[:, ::-1].T.reshape(-1)
+    cols = tris[:, ::-1].reshape(-1)[others]
+    dist = _norms(points[cols] - centers[rows])
+    inside = np.flatnonzero(radii[rows] - dist > tol[rows] + rounding)
+    if len(inside):
+        k = min(inside.tolist(), key=lambda i: (rows[i], cols[i]))
         raise ValueError(f"not Delaunay: point {cols[k]} is inside the circumcircle of {_row(tris, rows[k])}")
     on_circle = np.abs(dist - radii[rows]) <= tol[rows]
-    if (np.bincount(rows[on_circle], minlength=len(tris)) >= 4).any():
-        tris = _canonicalize_cocircular(points, tris, rows[on_circle], cols[on_circle])
+    if on_circle.any():
+        tris = _canonicalize_cocircular(points, tris, rows[on_circle], others[on_circle] // 3)
+        edges, half, inverse, _ = _triangulation(points, tris)
         _, radii = _circumcircles(points, tris)
 
-    faces = tris[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
-    _, first, inverse = np.unique(faces[:, 0] * n + faces[:, 1], return_index=True, return_inverse=True)
-    edges = faces[first]
-    half = _norms(points[edges[:, 0]] - points[edges[:, 1]]) / 2.0
     tri_values = np.maximum(radii, half[inverse].reshape(-1, 3).max(axis=1))
     incident_min = np.full(len(edges), np.inf)
     np.minimum.at(incident_min, inverse, np.repeat(tri_values, 3))
-    rows, cols, dist = _ball_candidates(tree, (points[edges[:, 0]] + points[edges[:, 1]]) / 2.0, half)
-    blocked = (dist < half[rows]) & (cols != edges[rows, 0]) & (cols != edges[rows, 1])
-    edge_values = np.where(np.bincount(rows[blocked], minlength=len(edges)) > 0, incident_min, half)
+    mid = (points[edges[:, 0]] + points[edges[:, 1]]) / 2.0
+    blocked = _norms(points[tris[:, ::-1].reshape(-1)] - mid[inverse]) < half[inverse]
+    edge_values = np.where(np.bincount(inverse[blocked], minlength=len(edges)) > 0, incident_min, half)
     cap = max(0.0, float(edge_values.max()), float(tri_values.max()))
     return FilteredComplex.from_arrays(n, edges, edge_values, tris, tri_values, FiltrationKind.DELAUNAY, cap)
 
@@ -726,23 +743,25 @@ def _all_collinear(points: npt.NDArray[np.float64], tol: float = 1e-12) -> bool:
 def _canonicalize_cocircular(
     points: npt.NDArray[np.float64], tris: npt.NDArray[np.intp], rows: npt.NDArray[np.intp], cols: npt.NDArray[np.intp]
 ) -> npt.NDArray[np.intp]:
-    """Replace each cocircular group's triangles with the canonical choice; cols[k] is on the circle of rows[k]."""
-    keys = list(map(tuple, tris.tolist()))
-    starts = np.searchsorted(rows, np.arange(len(keys) + 1))
-    circle = {keys[r]: frozenset(cols[starts[r] : starts[r + 1]].tolist()) for r in np.flatnonzero(np.diff(starts) >= 4)}
-    by_low: dict[int, set[tuple[int, ...]]] = {}  # lowest vertex -> the kept triangles on it
-    for t in keys:
-        by_low.setdefault(t[0], set()).add(t)
-    # groups apply in set-of-triangles order, which matters only where near-cocircular groups share 3+ points
-    for group in dict.fromkeys(circle[t] for t in set(keys) if t in circle):
-        members = sorted(group)
-        for v in members:
-            by_low[v] = {t for t in by_low.get(v, ()) if not set(t) <= group}
-        center = points[members].mean(axis=0)
-        cycle = sorted(members, key=lambda v: math.atan2(points[v][1] - center[1], points[v][0] - center[0]))
-        for t in _lex_smallest_triangulation(cycle):
-            by_low[t[0]].add(t)
-    return np.array(sorted(t for kept in by_low.values() for t in kept), dtype=np.intp)
+    """Replace each group of linked triangles (tris[rows[k]] with tris[cols[k]]) with its canonical triangulation.
+
+    Neighbours are linked when one's opposite vertex is on the other's circle,
+    so a connected group covers the convex polygon of one cocircular point set.
+    """
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    graph = coo_array((np.ones(len(rows)), (rows, cols)), shape=(len(tris), len(tris)))
+    _, labels = connected_components(graph, directed=False)
+    linked = np.bincount(labels)[labels] >= 2
+    order = np.flatnonzero(linked)[np.argsort(labels[linked], kind="stable")]
+    out = [tris[~linked]]
+    for group in np.split(tris[order], np.flatnonzero(np.diff(labels[order])) + 1):
+        members = np.unique(group)
+        rel = points[members] - points[members].mean(axis=0)
+        cycle = members[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]), kind="stable")]
+        out.append(np.array(_lex_smallest_triangulation(cycle.tolist()), dtype=np.intp))
+    return np.concatenate(out)
 
 
 def build_complex(

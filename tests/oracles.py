@@ -15,8 +15,9 @@ used to run, so its sparse matcher must return the very same float.
 for the recursive one: the same bisection with scipy's Hopcroft-Karp.
 `loop_delaunay` is the per-simplex planar alpha builder the package used to
 run: it tests every circumcircle and diametral disk against every point and
-reads lengths from the dense distance matrix, so the array builder with its
-KD-tree candidates must return the very same complex, float for float.
+reads lengths from the dense distance matrix, so the array builder, which
+tests each triangle against its neighbours only, must return the very same
+complex, float for float.
 `short_by_definition` restates the Short test edge by edge, with one graph
 search per edge in place of the package's single union-find pass.
 `loop_oriented_angle`, `loop_angular_deviation`, `loop_angular_thickness`,
@@ -495,7 +496,8 @@ def _canonicalize_cocircular(points, triangles):
 def loop_delaunay(cloud):
     """The planar alpha complex one simplex at a time, over dense distances.
 
-    Each triangle's circumcircle and each edge's diametral disk is tested
+    Qhull's flat simplices are dropped by the builder's stated rule. Each
+    remaining triangle's circumcircle and each edge's diametral disk is tested
     against every point of the cloud, with edge lengths read from the full
     n x n distance matrix. The array builder must match it bit for bit.
     """
@@ -526,7 +528,15 @@ def loop_delaunay(cloud):
             return _collinear_path_complex(points)
         raise
 
-    triangles = {tuple(sorted(int(v) for v in tri)) for tri in tess.simplices}
+    # Qhull's flat simplices (slivers along collinear hull points) are not triangles:
+    # drop a simplex whose |u x v| is at most 8 eps max|points| max(|u|, |v|)
+    rounding = 8.0 * np.finfo(np.float64).eps * float(np.abs(points).max())
+    triangles = set()
+    for tri in tess.simplices:
+        a, b, c = sorted(int(v) for v in tri)
+        u, v = points[b] - points[a], points[c] - points[a]
+        if abs(u[0] * v[1] - u[1] * v[0]) > rounding * max(math.hypot(*u), math.hypot(*v)):
+            triangles.add((a, b, c))
     triangles = _canonicalize_cocircular(points, triangles)
 
     tri_value: dict[tuple[int, int, int], float] = {}

@@ -344,6 +344,11 @@ class TestDelaunay:
         with pytest.raises(ValueError, match="coincident"):
             build_delaunay_2d(PointCloud([[0, 0], [0, 0], [1, 0]]))
 
+    def test_rejects_a_duplicate_that_qhull_sets_aside(self):
+        # off the collinear path the duplicate is in no Qhull simplex, so no edge reveals it
+        with pytest.raises(ValueError, match="^coincident points are not allowed$"):
+            build_delaunay_2d(PointCloud([[0, 0], [1, 0], [0, 1], [1, 0], [1, 1.5]]))
+
     def test_collinear_becomes_path(self):
         cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
         cx = build_delaunay_2d(cloud)
@@ -416,6 +421,7 @@ def delaunay_reference_corpus() -> dict[str, dict[str, np.ndarray]]:
         },
         "polygons": {
             "regular 12-gon": regular_polygon(12),
+            "regular 60-gon": regular_polygon(60),
             "regular 8-gon and an interior point": np.vstack([regular_polygon(8), [[0.1, 0.05]]]),
         },
         "large": {
@@ -448,29 +454,25 @@ class TestDelaunayReference:
         points = np.array(coords, dtype=np.float64)
         assert_same_complex(build_delaunay_2d(points), loop_delaunay(points))
 
-    @pytest.mark.parametrize("shift", [1e7, 3e7, 1e8, 1e9])
+    @pytest.mark.parametrize("shift", [1e3, 1e5, 1e6, 1e7, 3e7, 1e8, 1e9])
     @pytest.mark.parametrize("angle", [0.3, 1.0])
     def test_certificate_far_from_origin(self, angle, shift):
-        # far out, the grid's cocircular groups are cocircular only to within
-        # the rounding of the circumcentres, which the certificate must allow
+        # far out, Qhull adds flat simplices along the grid's straight sides and the
+        # cells are cocircular only to within the rounding of the circumcentres;
+        # the build must still be a triangulation of the grid, with the grid's diagram
         c, s = math.cos(angle), math.sin(angle)
         six_by_five = np.array([[x, y] for x in range(6) for y in range(5)], dtype=np.float64)
-        points = six_by_five @ np.array([[c, -s], [s, c]]).T + shift
-        try:
-            want = loop_delaunay(points)
-        except ValueError as err:
-            # the per-simplex builder can meet a triangle that rounds flat; the
-            # array builder must then fail the same way, not with a certificate error
-            with pytest.raises(ValueError, match=re.escape(str(err))):
-                build_delaunay_2d(points)
-        else:
-            assert_same_complex(build_delaunay_2d(points), want)
+        points = six_by_five @ np.array([[c, -s], [s, c]]).T
+        cx = build_delaunay_2d(points + shift)
+        tris = cx.triangle_vertices
+        assert len(tris) == 40
+        assert len(points) - len(cx.edge_vertices) + len(tris) == 1
+        # measured on the unshifted grid, so overlapping triangles would sum to more
+        u, v = points[tris[:, 1]] - points[tris[:, 0]], points[tris[:, 2]] - points[tris[:, 0]]
+        assert np.abs(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]).sum() / 2.0 == pytest.approx(20.0, abs=1e-9)
+        want = compute_pd(build_delaunay_2d(points), 1)
+        assert bottleneck_distance(compute_pd(cx, 1), want) <= 4.0 * np.finfo(np.float64).eps * shift
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="flat Qhull triangles along the grid's straight sides survive a small shift",
-    )
     @pytest.mark.parametrize("shift", [1e3, 1e5])
     def test_shifted_grid_keeps_its_triangulation(self, shift):
         # shifted by 1e3 the rotated 6x5 grid gives 57 triangles, and its degree-1
@@ -499,6 +501,27 @@ class TestDelaunayReference:
         with pytest.raises(ValueError, match=r"point 3 is inside the circumcircle of \(0, 1, 2\)"):
             build_delaunay_2d(kite)
 
+    @pytest.mark.parametrize(
+        "third, message",
+        [
+            pytest.param((0, 1, 2), r"point 3 is inside the circumcircle of \(0, 1, 2\)", id="certificate"),
+            pytest.param((1, 2, 3), r"not a triangulation: n - E \+ t = 2, and an edge lies in 3", id="guard"),
+        ],
+    )
+    def test_overlapping_triangles_are_rejected(self, monkeypatch, third, message):
+        import scipy.spatial
+
+        # the kite's Delaunay triangles (0, 1, 3) and (1, 2, 3), and a third that overlaps them
+        kite = np.array([[0.0, 0.0], [1.0, -0.3], [2.0, 0.0], [1.0, 0.3]])
+
+        class Overlapping:
+            def __init__(self, points):
+                self.simplices = np.array([[0, 1, 3], [1, 2, 3], third])
+
+        monkeypatch.setattr(scipy.spatial, "Delaunay", Overlapping)
+        with pytest.raises(ValueError, match=message):
+            build_delaunay_2d(kite)
+
 
 class TestDelaunayScale:
     def test_large_cloud_stays_small(self):
@@ -522,6 +545,18 @@ class TestDelaunayScale:
         else:
             cx = build_delaunay_2d(points)
             assert [17, 4321] in cx.edge_vertices.tolist()
+
+    def test_regular_polygon_is_one_cocircular_group(self):
+        # every circumcircle passes through all 1000 points; the group is found
+        # once, from the triangles' adjacency, and triangulated as the fan from 0
+        tracemalloc.start()
+        try:
+            cx = build_delaunay_2d(regular_polygon(1000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sorted(cx.triangle_vertices.tolist()) == [[0, k, k + 1] for k in range(1, 999)]
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("angle, spacing", [(0.0, 1.0), (0.3, 1.0), (0.0, 0.5)])
     def test_lattice_cells_keep_the_lex_smallest_diagonal(self, angle, spacing):

@@ -92,6 +92,9 @@ def clouds(quick: bool = False) -> dict[str, np.ndarray]:
         out[f"large{n}.txt"] = np.random.default_rng(n).random((n, 2)) * math.sqrt(n)
     for seed in range(10):
         out[f"lattice{seed}.txt"] = _lattice(seed)
+    # one cocircular group of 40 points: every Delaunay circumcircle passes through all of them
+    angles = 2.0 * math.pi * np.arange(40) / 40
+    out["polygon40.txt"] = np.stack([np.cos(angles), np.sin(angles)], axis=1)
     if quick:
         return dict(list(out.items())[:3] + [("grid.txt", out["grid.txt"])])
     return out
