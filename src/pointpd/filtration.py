@@ -210,8 +210,8 @@ class FilteredComplex:
         self._store_triangles(triangle_vertices, triangle_values)
         return self
 
-    def _store(self, n, edge_vertices, edge_values, kind, max_scale, distances=None, triangle_value=None) -> None:
-        """Keep the edges; a VR/Cech builder passes D and its triangle rule in place of triangles."""
+    def _store(self, n, edge_vertices, edge_values, kind, max_scale, distances=None) -> None:
+        """Keep the edges; a VR/Cech builder passes D in place of triangles, and the kind picks their rule."""
         if n < 1:
             raise ValueError("complex needs at least one vertex")
         if n > _MAX_VERTICES:
@@ -220,7 +220,7 @@ class FilteredComplex:
         for arr in (ev, ex):
             arr.flags.writeable = False
         self.__dict__.update(n_vertices=int(n), kind=FiltrationKind(kind), max_scale=float(max_scale))
-        self.__dict__.update(edge_vertices=ev, edge_values=ex, _distances=distances, _triangle_value=triangle_value)
+        self.__dict__.update(edge_vertices=ev, edge_values=ex, _distances=distances)
 
     def _store_triangles(self, triangle_vertices, triangle_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sort and check the triangles against the edges, and keep them."""
@@ -253,13 +253,13 @@ class FilteredComplex:
     @cached_property
     def _triangles(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A VR/Cech complex's triangle arrays: every triple i < j < k at
-        triangle_value(D_ij, D_ik, D_jk) where that is at most the cap."""
+        the kind's value of (D_ij, D_ik, D_jk) where that is at most the cap."""
         D, n, (i, j) = self._distances, self.n_vertices, self.edge_vertices.T
         later = np.zeros((n, n), dtype=bool)  # later[a, b]: edge (a, b) kept, a < b
         later[i, j] = True
         rows, k = np.nonzero(later[i] & later[j])
         i3, j3 = i[rows], j[rows]
-        values = self._triangle_value(D[i3, j3], D[i3, k], D[j3, k])
+        values = _triangle_values(self.kind, D[i3, j3], D[i3, k], D[j3, k])[0]
         keep = values <= self.max_scale
         return self._store_triangles(np.stack([i3[keep], j3[keep], k[keep]], axis=1), values[keep])
 
@@ -274,7 +274,7 @@ class FilteredComplex:
     @cached_property
     def _triangle_count(self) -> int:
         """A VR/Cech complex's triangles, counted off D in the rows of their three edges."""
-        (i, j), source = self.edge_vertices.T, (self._distances, self._triangle_value, self.max_scale)
+        (i, j), source = self.edge_vertices.T, (self._distances, self.kind, self.max_scale)
         step = max(1, _BLOCK // self.n_vertices)
         blocks = (_coface_values(*source, i[s : s + step], j[s : s + step])[0] for s in range(0, len(i), step))
         return sum(np.count_nonzero(values < np.inf) for values in blocks) // 3
@@ -326,14 +326,13 @@ def _capped_complex(
     kind: FiltrationKind,
     max_scale: float | None,
     default_divisor: float,
-    triangle_value,
 ) -> FilteredComplex:
     """VR/Cech complex: edges (i < j) at D/2, and every triple i < j < k
-    whose three edges are kept at triangle_value(D_ij, D_ik, D_jk); both
-    only where the value is at most the cap, max(D) / default_divisor
+    whose three edges are kept at the kind's value of (D_ij, D_ik, D_jk);
+    both only where the value is at most the cap, max(D) / default_divisor
     unless max_scale is given. A NaN or negative cap would keep only the
-    vertices, so it is rejected. The complex keeps D and the rule in place
-    of triangle arrays."""
+    vertices, so it is rejected. The complex keeps D in place of triangle
+    arrays."""
     D = _distance_matrix(points)
     cap = float(D.max()) / default_divisor if max_scale is None else float(max_scale)
     if not cap >= 0.0:
@@ -344,7 +343,7 @@ def _capped_complex(
     kept = edge_values <= cap
     D.flags.writeable = False
     cx = FilteredComplex.__new__(FilteredComplex)
-    cx._store(n, np.stack([i[kept], j[kept]], axis=1), edge_values[kept], kind, cap, D, triangle_value)
+    cx._store(n, np.stack([i[kept], j[kept]], axis=1), edge_values[kept], kind, cap, D)
     return cx
 
 
@@ -358,20 +357,24 @@ def _triple_keys(i, j, k, n: int):
     return (np.minimum(i, k) * n + np.maximum(i, np.minimum(j, k))) * n + np.maximum(j, k)
 
 
-def _coface_values(D, rule, cap: float, i, j, k0: int = 0, k1: int | None = None):
-    """Values of the triangles {i, j, k} for k in [k0, k1), inf where k is i or j or
-    above the cap; and per entry whether it witnesses that edge (i, j) is Long: the
-    triangle enters at the edge's value over two strictly shorter sides. The rule
-    takes the sides (ij, ik, jk) in this order; its value does not depend on it."""
-    e, x, y = D[i, j][:, None], D[i, k0:k1], D[j, k0:k1]
-    if rule is _max_side_over_two:  # the general path gives equal bits, but rips_query VR ops ran up to 1.7x slower
-        values = np.maximum(x, y)  # the rule's max(max(e, x), y) / 2: max is exact in any order
+def _triangle_values(kind: FiltrationKind, e, x, y):
+    """The kind's values of the triangles with sides e, x, y (no value depends on their order), and per
+    triangle whether it witnesses that side e is Long: it enters at e / 2 over two strictly shorter sides."""
+    if kind is FiltrationKind.VR:  # the Cech path's form gives equal bits, but rips_query VR ops ran up to 1.7x slower
+        values = np.maximum(x, y)  # max(max(e, x), y) / 2: max is exact in any order
         witness = values < e
         np.maximum(values, e, out=values)
         values /= 2.0
-    else:
-        values = rule(e, x, y)
-        witness = (values == e / 2.0) & (x < e) & (y < e)
+        return values, witness
+    values = _meb_radius_from_sides(e, x, y)
+    return values, (values == e / 2.0) & (x < e) & (y < e)
+
+
+def _coface_values(D, kind: FiltrationKind, cap: float, i, j, k0: int = 0, k1: int | None = None):
+    """Values of the triangles {i, j, k} for k in [k0, k1), inf where k is i or j or
+    above the cap; and per entry whether it witnesses that edge (i, j) is Long."""
+    e, x, y = D[i, j][:, None], D[i, k0:k1], D[j, k0:k1]
+    values, witness = _triangle_values(kind, e, x, y)
     np.putmask(values, (values > cap) | (np.minimum(x, y) == 0.0), np.inf)  # no two points coincide: D_ik = 0 at k = i
     return values, witness
 
@@ -382,10 +385,10 @@ def _implicit_cofaces(cx: FilteredComplex) -> _Cofaces:
     Edge (i, j)'s oldest coface is the first k of least value, as the triples {i, j, k} sort like k. A Long
     witness has the edge's own value, the least a coface can have, so k is read in rounds of doubling width
     and an edge leaves at its first witness. A block keeps its first least k; a later block wins only on a
-    strictly smaller value. `rows` recomputes its edges' rows in blocks; its closure holds D and the rule,
+    strictly smaller value. `rows` recomputes its edges' rows in blocks; its closure holds D and the kind,
     not the complex, so no reference cycle keeps it alive.
     """
-    n, (i, j), source = cx.n_vertices, cx.edge_vertices.T, (cx._distances, cx._triangle_value, cx.max_scale)
+    n, (i, j), source = cx.n_vertices, cx.edge_vertices.T, (cx._distances, cx.kind, cx.max_scale)
     oldest, k, long = np.full(len(i), np.inf), np.zeros(len(i), dtype=np.intp), np.zeros(len(i), dtype=bool)
     active, k0, width = np.arange(len(i)), 0, max(8, _BLOCK // max(1, len(i)))
     while active.size and k0 < n:
@@ -501,10 +504,6 @@ def _union_components(cx: FilteredComplex) -> _Components:
     return _Components(merges, short, components)
 
 
-def _max_side_over_two(a: npt.ArrayLike, b: npt.ArrayLike, c: npt.ArrayLike) -> npt.NDArray[np.float64]:
-    return np.maximum(np.maximum(a, b), c) / 2.0
-
-
 def build_vr(
     cloud: PointCloud | npt.NDArray[np.float64],
     max_scale: float | None = None,
@@ -525,7 +524,7 @@ def build_vr(
     Raises:
         ValueError: coincident points, or a NaN or negative cap.
     """
-    return _capped_complex(_as_cloud(cloud).points, FiltrationKind.VR, max_scale, 2.0, _max_side_over_two)
+    return _capped_complex(_as_cloud(cloud).points, FiltrationKind.VR, max_scale, 2.0)
 
 
 def _meb_radius_from_sides(a: npt.ArrayLike, b: npt.ArrayLike, c: npt.ArrayLike) -> npt.NDArray[np.float64]:
@@ -568,27 +567,24 @@ def build_cech(
     Raises:
         ValueError: coincident points, or a NaN or negative cap.
     """
-    return _capped_complex(_as_cloud(cloud).points, FiltrationKind.CECH, max_scale, math.sqrt(3.0), _meb_radius_from_sides)
+    return _capped_complex(_as_cloud(cloud).points, FiltrationKind.CECH, max_scale, math.sqrt(3.0))
 
 
 def _lex_smallest_triangulation(cycle: list[int]) -> list[tuple[int, int, int]]:
     """Lexicographically smallest triangulation of a convex polygon.
 
-    `cycle` lists vertex ids in convex (cyclic) order. The smallest
-    realizable triangle in a convex polygon is always the one on the
-    three smallest ids; picking it splits the polygon into arcs, and
-    doing the same on each arc keeps the sorted triangle list minimal.
+    `cycle` lists vertex ids in convex (cyclic) order. The smallest realizable triangle is
+    the one on the three smallest ids, and picking it splits the polygon into arcs done the
+    same way. So the largest id is picked last, as an ear with its two cycle neighbours, and
+    clipping that ear changes no other pick: ears are clipped from the largest id down.
     """
-    out = []
-    arcs = [cycle]
-    while arcs:
-        arc = arcs.pop()
-        if len(arc) < 3:
-            continue
-        chosen = sorted(arc)[:3]
-        out.append(tuple(chosen))
-        a, b, c = sorted(arc.index(v) for v in chosen)
-        arcs += [arc[a : b + 1], arc[b : c + 1], arc[c:] + arc[: a + 1]]
+    before, after = dict(zip(cycle, cycle[-1:] + cycle[:-1])), dict(zip(cycle, cycle[1:] + cycle[:1]))
+    ranked = sorted(cycle)
+    out = [tuple(ranked[:3])] if len(ranked) >= 3 else []
+    for v in ranked[:2:-1]:
+        a, b = before[v], after[v]
+        after[a], before[b] = b, a
+        out.append(tuple(sorted((a, v, b))))
     return sorted(out)
 
 
@@ -663,9 +659,10 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     edge in one or two triangles, n - E + t = 1). Each circumcircle is tested
     against its neighbours' opposite vertices, by Delaunay's lemma a
     certificate for the whole; neighbours with the opposite vertex on the
-    circle form cocircular groups; an edge is non-Gabriel iff an incident
-    triangle's opposite vertex is inside its diametral disk. One sort of the
-    3t faces, then O(n + t) work; no n x n array off the collinear path.
+    circle form cocircular groups; an edge is non-Gabriel iff an incident triangle's
+    opposite vertex, or for a group's longest side another member, is inside its
+    diametral disk. One sort of the 3t faces, then O(n + t) work besides sorting
+    each group's k members; no n x n array off the collinear path.
 
     Raises:
         ValueError: ambient dimension != 2, coincident points, Qhull output that is
@@ -713,9 +710,9 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     if len(inside):
         k = min(inside.tolist(), key=lambda i: (rows[i], cols[i]))
         raise ValueError(f"not Delaunay: point {cols[k]} is inside the circumcircle of {_row(tris, rows[k])}")
-    on_circle = np.abs(dist - radii[rows]) <= tol[rows]
+    on_circle, diameters = np.abs(dist - radii[rows]) <= tol[rows], ()
     if on_circle.any():
-        tris = _canonicalize_cocircular(points, tris, rows[on_circle], others[on_circle] // 3)
+        tris, diameters = _canonicalize_cocircular(points, tris, rows[on_circle], others[on_circle] // 3)
         edges, half, inverse, _ = _triangulation(points, tris)
         _, radii = _circumcircles(points, tris)
 
@@ -724,7 +721,8 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     np.minimum.at(incident_min, inverse, np.repeat(tri_values, 3))
     mid = (points[edges[:, 0]] + points[edges[:, 1]]) / 2.0
     blocked = _norms(points[tris[:, ::-1].reshape(-1)] - mid[inverse]) < half[inverse]
-    edge_values = np.where(np.bincount(inverse[blocked], minlength=len(edges)) > 0, incident_min, half)
+    blocked = (np.bincount(inverse[blocked], minlength=len(edges)) > 0) | np.isin(edges[:, 0] * n + edges[:, 1], diameters)
+    edge_values = np.where(blocked, incident_min, half)
     cap = max(0.0, float(edge_values.max()), float(tri_values.max()))
     return FilteredComplex.from_arrays(n, edges, edge_values, tris, tri_values, FiltrationKind.DELAUNAY, cap)
 
@@ -742,11 +740,13 @@ def _all_collinear(points: npt.NDArray[np.float64], tol: float = 1e-12) -> bool:
 
 def _canonicalize_cocircular(
     points: npt.NDArray[np.float64], tris: npt.NDArray[np.intp], rows: npt.NDArray[np.intp], cols: npt.NDArray[np.intp]
-) -> npt.NDArray[np.intp]:
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
     """Replace each group of linked triangles (tris[rows[k]] with tris[cols[k]]) with its canonical triangulation.
 
     Neighbours are linked when one's opposite vertex is on the other's circle,
     so a connected group covers the convex polygon of one cocircular point set.
+    Also returns the keys a n + b of the longest sides (a, b) with another member inside their diametral disk: a
+    group's diameter, if it has one, is its longest side, and every member lies on its circle, where rounding decides.
     """
     from scipy.sparse import coo_array
     from scipy.sparse.csgraph import connected_components
@@ -755,13 +755,19 @@ def _canonicalize_cocircular(
     _, labels = connected_components(graph, directed=False)
     linked = np.bincount(labels)[labels] >= 2
     order = np.flatnonzero(linked)[np.argsort(labels[linked], kind="stable")]
-    out = [tris[~linked]]
+    out, cycles = [tris[~linked]], []
     for group in np.split(tris[order], np.flatnonzero(np.diff(labels[order])) + 1):
         members = np.unique(group)
         rel = points[members] - points[members].mean(axis=0)
-        cycle = members[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]), kind="stable")]
-        out.append(np.array(_lex_smallest_triangulation(cycle.tolist()), dtype=np.intp))
-    return np.concatenate(out)
+        cycles.append(members[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]), kind="stable")])
+        out.append(np.array(_lex_smallest_triangulation(cycles[-1].tolist()), dtype=np.intp))
+    # per group its longest side (a, b), once per member m: k members give 3 (k - 2) sides, sorted by length
+    k, sides = np.array([len(c) for c in cycles]), np.concatenate(out[1:])[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
+    by_length = np.lexsort((_norms(points[sides[:, 0]] - points[sides[:, 1]]), np.repeat(np.arange(len(k)), 3 * (k - 2))))
+    (a, b), m = sides[by_length[np.cumsum(3 * (k - 2)) - 1]].repeat(k, axis=0).T, np.concatenate(cycles)
+    mid, half = (points[a] + points[b]) / 2.0, _norms(points[a] - points[b]) / 2.0  # the builder's Gabriel recipe
+    inside = (m != a) & (m != b) & (_norms(points[m] - mid) < half)
+    return np.concatenate(out), a[inside] * len(points) + b[inside]
 
 
 def build_complex(

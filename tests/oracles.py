@@ -13,6 +13,9 @@ package's cohomology route must give the very same pairs, float for float.
 used to run, so its sparse matcher must return the very same float.
 `scipy_bottleneck` is a third, independent route for diagrams too large
 for the recursive one: the same bisection with scipy's Hopcroft-Karp.
+`lex_greedy_triangulation` is the arc-splitting greedy the package used to
+run, so its ear clipping must return the very same triangles; `loop_delaunay`
+triangulates cocircular groups with it.
 `loop_delaunay` is the per-simplex planar alpha builder the package used to
 run: it tests every circumcircle and diametral disk against every point and
 reads lengths from the dense distance matrix, so the array builder, which
@@ -408,6 +411,22 @@ def lex_min_triangulation(cycle: list[int]) -> list[tuple[int, int, int]]:
     return min(sorted(t) for t in polygon_triangulations(list(cycle)))
 
 
+def lex_greedy_triangulation(cycle: list[int]) -> list[tuple[int, int, int]]:
+    """Lexicographically smallest triangulation by the greedy the package used to run:
+    take the triangle on an arc's three smallest ids, split the arc there, recurse."""
+    out = []
+    arcs = [list(cycle)]
+    while arcs:
+        arc = arcs.pop()
+        if len(arc) < 3:
+            continue
+        chosen = sorted(arc)[:3]
+        out.append(tuple(chosen))
+        a, b, c = sorted(arc.index(v) for v in chosen)
+        arcs += [arc[a : b + 1], arc[b : c + 1], arc[c:] + arc[: a + 1]]
+    return sorted(out)
+
+
 # ------------------------------------------------------ reference builders
 
 
@@ -469,7 +488,7 @@ def _circumcircle_2d(a, b, c):
 
 def _canonicalize_cocircular(points, triangles):
     """Replace each cocircular group's triangles with the canonical choice."""
-    from pointpd.filtration import COCIRCULAR_TOL, _lex_smallest_triangulation
+    from pointpd.filtration import COCIRCULAR_TOL
 
     groups: dict[frozenset[int], None] = {}
     for tri in triangles:
@@ -489,7 +508,7 @@ def _canonicalize_cocircular(points, triangles):
             members,
             key=lambda v: math.atan2(points[v][1] - center[1], points[v][0] - center[0]),
         )
-        out.update(_lex_smallest_triangulation(cycle))
+        out.update(lex_greedy_triangulation(cycle))
     return out
 
 

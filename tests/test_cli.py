@@ -231,6 +231,19 @@ class TestMakeTail:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "cech",
+            pytest.param("delaunay", marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 7")),
+        ],
+    )
+    def test_near_collinear_tail_passes(self, capsys, kind):
+        # Delaunay exits 3 with 4 Medium edges: its cocircular test links thin triangles that are not cocircular
+        argv = ["make-tail", "--n", "30", "--cone", "0.01", "--seed", "2", "--direction=1,0.3", "--kind", kind]
+        code, out, _ = run(capsys, argv)
+        assert (code, last_json(out)["classes"]["Medium"]) == (0, 0)
+
     @pytest.mark.parametrize("spacing", ["nan", "inf"])
     def test_non_finite_spacing_rejected(self, capsys, spacing):
         code, out, err = run(capsys, ["make-tail", "--n", "4", "--spacing-max", spacing])

@@ -2,6 +2,7 @@ import gc
 import itertools
 import math
 import re
+import time
 import tracemalloc
 import weakref
 
@@ -26,11 +27,12 @@ from pointpd.filtration import (
     build_vr,
     critical_scales,
 )
+from pointpd.constructions import TailSpec, generate_tail, validate_tail
 from pointpd.edges import classify_all, classify_edge
-from pointpd.geometry import PointCloud
+from pointpd.geometry import PointCloud, Ray
 from pointpd.persistence import bottleneck_distance, compute_pd, diagram_equal
 
-from oracles import lex_min_triangulation, loop_complex, loop_delaunay, oracle_meb3
+from oracles import lex_greedy_triangulation, lex_min_triangulation, loop_complex, loop_delaunay, oracle_meb3
 
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 KINDS = ["vr", "cech", "delaunay"]
@@ -395,6 +397,19 @@ def regular_polygon(k: int) -> np.ndarray:
     return np.stack([np.cos(angles), np.sin(angles)], axis=1)
 
 
+def rotated_integer_grids(count: int = 300) -> dict[str, np.ndarray]:
+    """Random 8 x 8 integer grid subsets, rotated, scaled and shifted. In some, a group
+    member sits on the circle of the group's diameter, one ulp inside or outside."""
+    rng, out = np.random.default_rng(123), {}
+    for t in range(count):
+        points = np.unique(rng.integers(0, 8, (rng.integers(10, 40), 2)), axis=0).astype(float)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        c, s = math.cos(angle), math.sin(angle)
+        scale, shift = (0.3, 1.0, 1.74, 1e3)[t % 4], (0.0, 10.0, 1e3)[t % 3]
+        out[f"grid {t} at {angle:.3f} rad"] = points @ np.array([[c, -s], [s, c]]).T * scale + shift
+    return out
+
+
 def delaunay_reference_corpus() -> dict[str, dict[str, np.ndarray]]:
     """Planar clouds, by family, on which the array builder must equal `loop_delaunay`."""
     six_by_five = np.array([[x, y] for x in range(6) for y in range(5)], dtype=np.float64)
@@ -424,6 +439,7 @@ def delaunay_reference_corpus() -> dict[str, dict[str, np.ndarray]]:
             "regular 60-gon": regular_polygon(60),
             "regular 8-gon and an interior point": np.vstack([regular_polygon(8), [[0.1, 0.05]]]),
         },
+        "rotated integer grids": rotated_integer_grids(),
         "large": {
             "n=150": random_cloud(150, 150, 2).points,
             "n=600": random_cloud(600, 600, 2).points,
@@ -587,6 +603,27 @@ class TestLexSmallestTriangulation:
     def test_matches_enumeration(self, cycle):
         assert _lex_smallest_triangulation(list(cycle)) == lex_min_triangulation(cycle)
 
+    @given(st.integers(3, 8).flatmap(lambda k: st.permutations(range(k))))
+    def test_matches_enumeration_on_every_labelling(self, cycle):
+        assert _lex_smallest_triangulation(list(cycle)) == lex_min_triangulation(cycle)
+
+    def test_equals_the_greedy_on_random_cycles(self):
+        rng = np.random.default_rng(18)
+        for _ in range(2000):
+            cycle = rng.permutation(1000)[: rng.integers(3, 61)].tolist()
+            assert _lex_smallest_triangulation(cycle) == lex_greedy_triangulation(cycle), cycle
+
+    def test_large_cycle_is_fast(self):
+        # the arc-splitting greedy sorts and searches the remaining arc per pick: 0.6-1.5 s on a 2-core VM
+        cycle = list(range(10_000))
+        best = math.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            got = _lex_smallest_triangulation(cycle)
+            best = min(best, time.perf_counter() - start)
+        assert got == [(0, k, k + 1) for k in range(1, 9_999)]
+        assert best < 0.25
+
     def test_unit_square_cycle(self):
         # the fan from vertex 0 is NOT minimal here
         assert _lex_smallest_triangulation([0, 1, 3, 2]) == [(0, 1, 2), (1, 2, 3)]
@@ -606,6 +643,48 @@ class TestLexSmallestTriangulation:
         # convex order of the ids around the circle
         order = sorted(range(6), key=lambda v: math.atan2(cloud.points[v][1], cloud.points[v][0]))
         assert got == lex_min_triangulation(order)
+
+
+def near_collinear_tail(cone: float, seed: int) -> np.ndarray:
+    return generate_tail(TailSpec(Ray(np.zeros(2), np.array([1.0, 0.3])), 30, 0.5, 1.5, cone, seed)).points
+
+
+def noisy_line(noise: float) -> np.ndarray:
+    rng = np.random.default_rng(0)
+    t = np.sort(rng.random(30))
+    return np.stack([t, 0.5 * t + noise * rng.standard_normal(30)], axis=1)
+
+
+# Near-collinear clouds, each with what the Delaunay build does wrong today: thin triangles have
+# circumradii of 5e5 to 5e9, so COCIRCULAR_TOL * max(1, r) links neighbours that are not cocircular,
+# and the "groups" are re-triangulated as convex polygons (ROADMAP item 7)
+NEAR_COLLINEAR = {
+    "tail cone 0.01 seed 2": (lambda: near_collinear_tail(0.01, 2), AssertionError),  # 2 pairs, deaths to 1.3e6
+    "tail cone 1e-3 seed 0": (lambda: near_collinear_tail(1e-3, 0), ValueError),  # not a triangulation
+    "tail cone 1e-6 seed 0": (lambda: near_collinear_tail(1e-6, 0), AssertionError),  # 4 pairs
+    "line noise 1e-7": (lambda: noisy_line(1e-7), AssertionError),  # 5 pairs, bottleneck 2.2e5 to Cech
+    "line noise 1e-6": (lambda: noisy_line(1e-6), ValueError),  # not a triangulation
+}
+
+
+class TestNearCollinear:
+    @pytest.mark.parametrize("name", sorted(NEAR_COLLINEAR))
+    def test_cech_has_no_cycles(self, name):
+        points = NEAR_COLLINEAR[name][0]()
+        assert compute_pd(build_cech(points), 1).pairs == ()
+        assert not name.startswith("tail") or validate_tail(points, "cech").ok
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            pytest.param(name, marks=pytest.mark.xfail(strict=True, raises=raises, reason="ROADMAP item 7"))
+            for name, (_, raises) in sorted(NEAR_COLLINEAR.items())
+        ],
+    )
+    def test_delaunay_has_no_cycles(self, name):
+        points = NEAR_COLLINEAR[name][0]()
+        assert compute_pd(build_delaunay_2d(points), 1).pairs == ()
+        assert not name.startswith("tail") or validate_tail(points, "delaunay").ok
 
 
 class TestKindAgreement:
