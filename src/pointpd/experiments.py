@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .filtration import FiltrationKind, build_complex
+from .filtration import FiltrationKind, _complex_groups
 from .geometry import PointCloud
-from .persistence import _fmt, compute_pd, gap_stats
+from .persistence import PersistenceDiagram, _dim1_diagrams, _fmt, gap_stats
 
 CloudSource = Callable[[int, int, int], PointCloud]
 
@@ -108,6 +108,12 @@ def _default_source(seed: int) -> CloudSource:
     return source
 
 
+def _diagrams(source: CloudSource, n: int, dim: int, trials: int, kind: FiltrationKind) -> Iterator[PersistenceDiagram]:
+    """Each trial's dimension-1 diagram, in trial order; the clouds are built in groups, reduced in lock step."""
+    for complexes in _complex_groups((source(n, dim, trial) for trial in range(trials)), kind):
+        yield from _dim1_diagrams(complexes)
+
+
 def persistence_histogram(
     cfg: ExperimentConfig,
     cloud_source: CloudSource | None = None,
@@ -120,8 +126,7 @@ def persistence_histogram(
     """
     source = cloud_source or _default_source(cfg.seed)
     records: list[RawRecord] = []
-    for trial in range(cfg.trials):
-        diagram = compute_pd(build_complex(source(cfg.n_points, cfg.dim, trial), cfg.kind), 1)
+    for trial, diagram in enumerate(_diagrams(source, cfg.n_points, cfg.dim, cfg.trials, cfg.kind)):
         records.extend(RawRecord(trial, birth, death) for birth, death in diagram.finite_pairs)
     if not records:
         return HistogramResult(cfg, (), (), ())
@@ -163,8 +168,7 @@ def gap_ratio_sweep(
     for n in n_range:
         for dim in dim_range:
             ratios, skipped = [], 0
-            for trial in range(trials):
-                diagram = compute_pd(build_complex(source(n, dim, trial), kind), 1)
+            for diagram in _diagrams(source, n, dim, trials, kind):
                 try:
                     ratios.append(gap_stats(diagram).ratio)
                 except ValueError:  # fewer than 3 finite pairs

@@ -18,19 +18,21 @@ and `FilteredComplex.from_arrays` its only constructor. The `edges` and
 the builders, the reduction and the classifier never read them.
 
 VR and Cech complexes keep the distance matrix D in place of triangles. The
-dim-1 reduction and the Long test share one pass over D cached on the complex,
-in which an edge reads vertices only up to its first Long witness;
-`len(cx.triangles)` reads every (edge, vertex) once, lazily. Reading a triangle
-array, calling `critical_scales` or iterating a tuple view builds all three
-arrays. Uncapped VR build + dim-1 pairs on 200 planar points: 0.07 s, 9 MiB peak.
+dim-1 reduction and the Long test share one cached pass over D (clouds built as
+one group share one pass over their stacked D), in which an edge reads vertices
+only up to its first Long witness; `len(cx.triangles)` reads every (edge,
+vertex) once, lazily. Reading a triangle array, calling `critical_scales` or
+iterating a tuple view builds all three arrays. Uncapped VR build + dim-1 pairs
+on 200 planar points: 0.07 s, 9 MiB peak.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -76,6 +78,7 @@ class _Cofaces(NamedTuple):
     long: npt.NDArray[np.bool_]
     apparent: npt.NDArray[np.bool_]  # the edge is the youngest facet of its oldest coface
     rows: Callable[[list[int]], list[tuple[list[float], list[int]]]]  # per edge, its cofaces' values and ids in order
+    offset: int  # `rows` numbers a group's edges, member by member: this complex's edge e is offset + e
 
 
 class _Components(NamedTuple):
@@ -153,7 +156,7 @@ def _edge_rows(
     n: int,
     face_keys: npt.NDArray[np.int64],
 ) -> npt.NDArray[np.intp]:
-    """Row of the edge with each face key, or -1 where there is none."""
+    """Row of the edge with each face key, or -1 where there is none; every key is below n * n."""
     m = len(edge_keys)
     if n * n <= 4 * (m + face_keys.size):
         # a table over all n*n keys is no larger than the arrays at hand
@@ -210,8 +213,8 @@ class FilteredComplex:
         self._store_triangles(triangle_vertices, triangle_values)
         return self
 
-    def _store(self, n, edge_vertices, edge_values, kind, max_scale, distances=None) -> None:
-        """Keep the edges; a VR/Cech builder passes D in place of triangles, and the kind picks their rule."""
+    def _store(self, n, edge_vertices, edge_values, kind, max_scale, distances=None, group=None) -> None:
+        """Keep the edges; a VR/Cech builder passes D in place of triangles (the kind picks their rule) and its group."""
         if n < 1:
             raise ValueError("complex needs at least one vertex")
         if n > _MAX_VERTICES:
@@ -220,7 +223,7 @@ class FilteredComplex:
         for arr in (ev, ex):
             arr.flags.writeable = False
         self.__dict__.update(n_vertices=int(n), kind=FiltrationKind(kind), max_scale=float(max_scale))
-        self.__dict__.update(edge_vertices=ev, edge_values=ex, _distances=distances)
+        self.__dict__.update(edge_vertices=ev, edge_values=ex, _distances=distances, _group=group)
 
     def _store_triangles(self, triangle_vertices, triangle_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sort and check the triangles against the edges, and keep them."""
@@ -269,7 +272,7 @@ class FilteredComplex:
 
     @cached_property
     def _cofaces(self) -> _Cofaces:
-        return _implicit_cofaces(self) if self._distances is not None else _explicit_cofaces(self)
+        return _explicit_cofaces(self) if self._distances is None else self._group[0]()[self._group[1]]
 
     @cached_property
     def _triangle_count(self) -> int:
@@ -312,39 +315,43 @@ def _norms(diff: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
 
 
 def _distance_matrix(points: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    D = _norms(points[:, None, :] - points[None, :, :])
-    n = points.shape[0]
-    # the edge taxonomy assumes distinct points; a zero-length edge would
-    # classify meaninglessly, so reject up front in every builder
-    if n >= 2 and D[np.triu_indices(n, k=1)].min() < COINCIDENT_TOL:
-        raise ValueError("coincident points are not allowed")
-    return D
+    """Distances within one cloud (n, d), or within each cloud of a stack (T, n, d)."""
+    return _norms(points[..., :, None, :] - points[..., None, :, :])
 
 
-def _capped_complex(
+def _capped_complexes(
     points: npt.NDArray[np.float64],
     kind: FiltrationKind,
     max_scale: float | None,
-    default_divisor: float,
-) -> FilteredComplex:
-    """VR/Cech complex: edges (i < j) at D/2, and every triple i < j < k
-    whose three edges are kept at the kind's value of (D_ij, D_ik, D_jk);
-    both only where the value is at most the cap, max(D) / default_divisor
-    unless max_scale is given. A NaN or negative cap would keep only the
-    vertices, so it is rejected. The complex keeps D in place of triangle
-    arrays."""
-    D = _distance_matrix(points)
-    cap = float(D.max()) / default_divisor if max_scale is None else float(max_scale)
-    if not cap >= 0.0:
-        raise ValueError(f"max_scale must be a nonnegative number, got {cap}")
-    n = D.shape[0]
+) -> list[FilteredComplex]:
+    """VR/Cech complexes of a stack of clouds (T, n, d): edges (i < j) at D/2,
+    and every triple i < j < k whose three edges are kept at the kind's value of
+    (D_ij, D_ik, D_jk); both only where the value is at most the cap, max(D) / 2
+    (VR) or max(D) / sqrt(3) (Cech) unless max_scale is given. A NaN or negative
+    cap would keep only the vertices, so it is rejected; clouds are checked in
+    order. Each complex keeps its D in place of triangle arrays; the stack shares
+    one D (T n, n) and one coface pass, run at the first read."""
+    D, n = _distance_matrix(points), points.shape[1]
     i, j = np.triu_indices(n, k=1)
-    edge_values = D[i, j] / 2.0
-    kept = edge_values <= cap
+    lengths = D[:, i, j]
+    # the edge taxonomy assumes distinct points; a zero-length edge would
+    # classify meaninglessly, so reject up front in every builder
+    close = (lengths.min(axis=1, initial=np.inf) < COINCIDENT_TOL).tolist()
+    default = D.max(axis=(1, 2)) / (2.0 if kind is FiltrationKind.VR else math.sqrt(3.0))
+    caps = default.tolist() if max_scale is None else [float(max_scale)] * len(D)
     D.flags.writeable = False
-    cx = FilteredComplex.__new__(FilteredComplex)
-    cx._store(n, np.stack([i[kept], j[kept]], axis=1), edge_values[kept], kind, cap, D)
-    return cx
+    complexes, members = [], []
+    group_pass = cache(partial(_implicit_cofaces, D.reshape(-1, n), kind, members))  # holds no complex: no cycle
+    for t, (values, cap) in enumerate(zip(lengths / 2.0, caps)):
+        if close[t]:
+            raise ValueError("coincident points are not allowed")
+        if not cap >= 0.0:
+            raise ValueError(f"max_scale must be a nonnegative number, got {cap}")
+        kept = values <= cap
+        complexes.append(FilteredComplex.__new__(FilteredComplex))
+        complexes[-1]._store(n, np.stack([i[kept], j[kept]], axis=1), values[kept], kind, cap, D[t], (group_pass, t))
+        members.append((complexes[-1].edge_vertices, cap))
+    return complexes
 
 
 # Entries (edges x vertices) per block of the coface pass. Larger blocks measured
@@ -371,32 +378,37 @@ def _triangle_values(kind: FiltrationKind, e, x, y):
 
 
 def _coface_values(D, kind: FiltrationKind, cap: float, i, j, k0: int = 0, k1: int | None = None):
-    """Values of the triangles {i, j, k} for k in [k0, k1), inf where k is i or j or
-    above the cap; and per entry whether it witnesses that edge (i, j) is Long."""
-    e, x, y = D[i, j][:, None], D[i, k0:k1], D[j, k0:k1]
+    """Values of the triangles {i, j, k} for k in [k0, k1), inf where k is i or j or above the cap; and per entry
+    whether it witnesses that edge (i, j) is Long. i and j are rows of D, which may stack many clouds' (n, n) D."""
+    e, x, y = D[i, j % D.shape[1] if len(D) > D.shape[1] else j][:, None], D[i, k0:k1], D[j, k0:k1]
     values, witness = _triangle_values(kind, e, x, y)
     np.putmask(values, (values > cap) | (np.minimum(x, y) == 0.0), np.inf)  # no two points coincide: D_ik = 0 at k = i
     return values, witness
 
 
-def _implicit_cofaces(cx: FilteredComplex) -> _Cofaces:
+def _implicit_cofaces(D, kind: FiltrationKind, members: list[tuple[npt.NDArray[np.intp], float]]) -> list[_Cofaces]:
     """Bauer's implicit coboundary (Ripser), read lazily off D: no triangle arrays.
 
-    Edge (i, j)'s oldest coface is the first k of least value, as the triples {i, j, k} sort like k. A Long
-    witness has the edge's own value, the least a coface can have, so k is read in rounds of doubling width
-    and an edge leaves at its first witness. A block keeps its first least k; a later block wins only on a
-    strictly smaller value. `rows` recomputes its edges' rows in blocks; its closure holds D and the kind,
-    not the complex, so no reference cycle keeps it alive.
+    One pass serves a group of complexes on clouds of n points, given as (edge vertices, cap) per member: D stacks
+    their distances (T n, n), member t's vertex v being row t n + v. Edge (i, j)'s oldest coface is the first k of
+    least value, as the triples {i, j, k} sort like k. A Long witness has the edge's own value, the least a coface
+    can have, so k is read in rounds of doubling width and an edge leaves at its first witness. A block keeps its
+    first least k; a later block wins only on a strictly smaller value, so no result depends on the rounds. Each
+    member gets its slice of the result. `rows` recomputes its edges' rows in blocks and numbers the group's edges
+    member by member; its closure holds D and the kind, not the complexes, so no reference cycle keeps it alive.
     """
-    n, (i, j), source = cx.n_vertices, cx.edge_vertices.T, (cx._distances, cx.kind, cx.max_scale)
-    oldest, k, long = np.full(len(i), np.inf), np.zeros(len(i), dtype=np.intp), np.zeros(len(i), dtype=bool)
+    n, sizes, caps = D.shape[1], [len(edges) for edges, _ in members], [cap for _, cap in members]
+    (i, j), base = np.concatenate([edges for edges, _ in members]).T, np.repeat(np.arange(len(sizes)) * n, sizes)
+    gi, gj, k, long = i + base, j + base, np.zeros_like(i), np.zeros(len(i), dtype=bool)
+    # oldest starts just above the cap, so only a coface within the cap is ever oldest
+    oldest, cap = np.repeat(np.nextafter(caps, np.inf), sizes), np.repeat(caps, sizes)
     active, k0, width = np.arange(len(i)), 0, max(8, _BLOCK // max(1, len(i)))
     while active.size and k0 < n:
         k1 = min(k0 + width, n)
         step = _BLOCK // (k1 - k0)  # at least 1: the width never passes _BLOCK
         for s in range(0, len(active), step):
             batch = active[s : s + step]
-            block, witness = _coface_values(*source, i[batch], j[batch], k0, k1)
+            block, witness = _coface_values(D, kind, np.inf, gi[batch], gj[batch], k0, k1)
             first = block.argmin(axis=1)
             least = block[np.arange(len(batch)), first]
             better = least < oldest[batch]
@@ -408,17 +420,19 @@ def _implicit_cofaces(cx: FilteredComplex) -> _Cofaces:
         out, step = [], max(1, _BLOCK // n)
         for s in range(0, len(edges), step):
             e = np.array(edges[s : s + step], dtype=np.intp)
-            block = _coface_values(*source, i[e], j[e])[0]
+            block = _coface_values(D, kind, np.inf, gi[e], gj[e])[0]
             order = block.argsort(axis=1, kind="stable")  # (value, k) order is (value, id) order
             values, ids = block[np.arange(len(e))[:, None], order], _triple_keys(i[e, None], j[e, None], order, n)
-            ends = np.count_nonzero(values < np.inf, axis=1).tolist()
+            ends = np.count_nonzero(values <= cap[e][:, None], axis=1).tolist()  # a row's cofaces within the cap lead it
             out.extend((values[r, :end].tolist(), ids[r, :end].tolist()) for r, end in enumerate(ends))
         return out
 
-    sides = np.minimum([i, j], k) * n + np.maximum([i, j], k)  # the keys of edges (i, k) and (j, k)
-    apparent = (oldest < np.inf) & (_edge_rows(i * n + j, n, sides).max(axis=0) < np.arange(len(i)))
-    ids = np.where(oldest < np.inf, _triple_keys(i, j, k, n), -1)
-    return _Cofaces(oldest, ids, long, apparent, rows)
+    oldest[oldest > cap] = np.inf
+    # member t's edge (a, b) has key (t n + a) n + b < len(D) n <= keys²; sides: the keys of edges (i, k) and (j, k)
+    sides, keys = (np.minimum([i, j], k) + base) * n + np.maximum([i, j], k), math.isqrt(len(D) * n - 1) + 1
+    apparent = (oldest < np.inf) & (_edge_rows(gi * n + j, keys, sides).max(axis=0) < np.arange(len(i)))
+    ids, ends = np.where(oldest < np.inf, _triple_keys(i, j, k, n), -1), np.cumsum(sizes).tolist()
+    return [_Cofaces(oldest[s:e], ids[s:e], long[s:e], apparent[s:e], rows, s) for s, e in zip([0, *ends], ends)]
 
 
 def _explicit_cofaces(cx: FilteredComplex) -> _Cofaces:
@@ -442,7 +456,7 @@ def _explicit_cofaces(cx: FilteredComplex) -> _Cofaces:
         return [(values[t].tolist(), t.tolist()) for t in (order[starts[e] : starts[e + 1]] for e in wanted)]
 
     oldest, ids = np.append(values, np.inf)[first], np.where(first < len(values), first, -1)
-    return _Cofaces(oldest, ids, long, apparent, rows)
+    return _Cofaces(oldest, ids, long, apparent, rows, 0)
 
 
 def _bridges(links: list[tuple[int, int]]) -> list[int]:
@@ -483,23 +497,29 @@ def _union_components(cx: FilteredComplex) -> _Components:
     Off ties an edge is Short exactly when it merges. Before a group of edges tied at one
     value merges, each edge is read as a link between its endpoints' components; the Short
     edges are the bridges of that multigraph, which the group's other edges cannot replace.
-    The group merges in edge order, so the merges are the lexicographic Kruskal tree's.
+    The group merges in edge order, so the merges are the lexicographic Kruskal tree's. The
+    last merge comes early, so the edges are listed in chunks: 4n edges, then doubling, each
+    extended to the end of the tie group at its last edge.
     """
-    edges, values = cx.edge_vertices.tolist(), cx.edge_values
+    values = cx.edge_values
     starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
     sizes = np.diff(starts, append=len(values))
     tied = sizes > 1  # selected in numpy: most groups are single edges
     ties = dict(zip(starts[tied].tolist(), sizes[tied].tolist()))
     merges, short = np.zeros(len(values), dtype=bool), np.zeros(len(values), dtype=bool)
-    uf, components = UnionFind(cx.n_vertices), cx.n_vertices
-    for edge, (i, j) in enumerate(edges):
-        if components == 1:
-            break  # no later edge merges
-        if edge in ties:
-            links = [(uf.find(p), uf.find(q)) for p, q in edges[edge : edge + ties[edge]]]
-            short[[edge + e for e in _bridges(links)]] = True
-        if uf.union(i, j):
-            merges[edge], components = True, components - 1
+    uf, components, start, stop = UnionFind(cx.n_vertices), cx.n_vertices, 0, 4 * cx.n_vertices
+    while components > 1 and start < len(values):
+        stop = int(np.searchsorted(values, values[min(stop, len(values)) - 1], side="right"))
+        edges = cx.edge_vertices[start:stop].tolist()
+        for edge, (i, j) in enumerate(edges, start):
+            if components == 1:
+                break  # no later edge merges
+            if edge in ties:
+                links = [(uf.find(p), uf.find(q)) for p, q in edges[edge - start : edge - start + ties[edge]]]
+                short[[edge + e for e in _bridges(links)]] = True
+            if uf.union(i, j):
+                merges[edge], components = True, components - 1
+        start, stop = stop, 2 * stop
     short |= merges & np.repeat(~tied, sizes)
     return _Components(merges, short, components)
 
@@ -524,7 +544,7 @@ def build_vr(
     Raises:
         ValueError: coincident points, or a NaN or negative cap.
     """
-    return _capped_complex(_as_cloud(cloud).points, FiltrationKind.VR, max_scale, 2.0)
+    return _capped_complexes(_as_cloud(cloud).points[None], FiltrationKind.VR, max_scale)[0]
 
 
 def _meb_radius_from_sides(a: npt.ArrayLike, b: npt.ArrayLike, c: npt.ArrayLike) -> npt.NDArray[np.float64]:
@@ -567,7 +587,7 @@ def build_cech(
     Raises:
         ValueError: coincident points, or a NaN or negative cap.
     """
-    return _capped_complex(_as_cloud(cloud).points, FiltrationKind.CECH, max_scale, math.sqrt(3.0))
+    return _capped_complexes(_as_cloud(cloud).points[None], FiltrationKind.CECH, max_scale)[0]
 
 
 def _lex_smallest_triangulation(cycle: list[int]) -> list[tuple[int, int, int]]:
@@ -592,6 +612,8 @@ def _collinear_path_complex(points: npt.NDArray[np.float64]) -> FilteredComplex:
     """Path complex for collinear points: consecutive edges at half-length."""
     # order along the line spanned by the farthest pair
     D = _distance_matrix(points)
+    if D[np.triu_indices(len(D), k=1)].min(initial=np.inf) < COINCIDENT_TOL:
+        raise ValueError("coincident points are not allowed")
     i0, j0 = np.unravel_index(int(D.argmax()), D.shape)
     axis = points[j0] - points[i0]
     order = np.array(sorted(range(len(points)), key=lambda k: float(np.dot(points[k] - points[i0], axis))))
@@ -754,20 +776,21 @@ def _canonicalize_cocircular(
     graph = coo_array((np.ones(len(rows)), (rows, cols)), shape=(len(tris), len(tris)))
     _, labels = connected_components(graph, directed=False)
     linked = np.bincount(labels)[labels] >= 2
-    order = np.flatnonzero(linked)[np.argsort(labels[linked], kind="stable")]
-    out, cycles = [tris[~linked]], []
-    for group in np.split(tris[order], np.flatnonzero(np.diff(labels[order])) + 1):
-        members = np.unique(group)
-        rel = points[members] - points[members].mean(axis=0)
-        cycles.append(members[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]), kind="stable")])
-        out.append(np.array(_lex_smallest_triangulation(cycles[-1].tolist()), dtype=np.intp))
+    # each group's members once, by (group, vertex), then in cycle order: by angle about the group's centroid
+    keys = np.unique(labels[linked].repeat(3) * len(points) + tris[linked].ravel())
+    _, group, k = np.unique(keys // len(points), return_inverse=True, return_counts=True)
+    m = keys % len(points)
+    rel = points[m] - np.stack([np.bincount(group, weights=points[m, c]) for c in (0, 1)], axis=1)[group] / k[group, None]
+    m = m[np.lexsort((np.arctan2(rel[:, 1], rel[:, 0]), group))]
+    cycles, ends = m.tolist(), np.cumsum(k).tolist()
+    new = np.array([t for s, e in zip([0, *ends], ends) for t in _lex_smallest_triangulation(cycles[s:e])], dtype=np.intp)
     # per group its longest side (a, b), once per member m: k members give 3 (k - 2) sides, sorted by length
-    k, sides = np.array([len(c) for c in cycles]), np.concatenate(out[1:])[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
+    sides = new.reshape(-1, 3)[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
     by_length = np.lexsort((_norms(points[sides[:, 0]] - points[sides[:, 1]]), np.repeat(np.arange(len(k)), 3 * (k - 2))))
-    (a, b), m = sides[by_length[np.cumsum(3 * (k - 2)) - 1]].repeat(k, axis=0).T, np.concatenate(cycles)
+    a, b = sides[by_length[np.cumsum(3 * (k - 2)) - 1]].repeat(k, axis=0).T
     mid, half = (points[a] + points[b]) / 2.0, _norms(points[a] - points[b]) / 2.0  # the builder's Gabriel recipe
     inside = (m != a) & (m != b) & (_norms(points[m] - mid) < half)
-    return np.concatenate(out), a[inside] * len(points) + b[inside]
+    return np.concatenate([tris[~linked], new.reshape(-1, 3)]), a[inside] * len(points) + b[inside]
 
 
 def build_complex(
@@ -786,6 +809,22 @@ def build_complex(
             raise ValueError("the Delaunay filtration does not take a scale cap")
         return build_delaunay_2d(cloud)
     return (build_vr if kind is FiltrationKind.VR else build_cech)(cloud, max_scale)
+
+
+# Most stacked D entries (8 bytes each) in one group of `_complex_groups`.
+_STACK = 2**16
+
+
+def _complex_groups(clouds: Iterable[PointCloud | npt.ArrayLike], kind: FiltrationKind) -> Iterator[list[FilteredComplex]]:
+    """`build_complex(cloud, kind)` of each cloud, in order and in groups of consecutive clouds of one shape.
+    A VR/Cech group shares one stacked D of at most _STACK entries (a larger cloud is a group of one) and one
+    coface pass."""
+    for shape, same in itertools.groupby(map(_as_cloud, clouds), key=lambda cloud: cloud.points.shape):
+        while group := list(itertools.islice(same, max(1, _STACK // shape[0] ** 2))):
+            if kind is FiltrationKind.DELAUNAY:
+                yield [build_delaunay_2d(cloud) for cloud in group]
+            else:
+                yield _capped_complexes(np.stack([cloud.points for cloud in group]), kind, None)
 
 
 def critical_scales(complex: FilteredComplex) -> list[float]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Generator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,14 +104,21 @@ def compute_pd(complex: FilteredComplex, dim: int) -> PersistenceDiagram:
     """
     if dim not in (0, 1):
         raise ValueError("only dimensions 0 and 1 are supported")
+    if dim == 1:  # one reduction, sent the rows it asks for
+        reduction, cofaces, got = _dim1(complex), complex._cofaces, None
+        while isinstance(asked := reduction.send(got), list):
+            got = cofaces.rows([cofaces.offset + e for e in asked])
+        return asked
     merges, _, components = complex._components
-    if dim == 0:
-        deaths = complex.edge_values[merges].tolist()
-        pairs = [(0.0, value) for value in deaths if value > 0.0]
-        pairs.extend((0.0, math.inf) for _ in range(components))
-        return PersistenceDiagram(0, tuple(pairs), complex.max_scale)
+    deaths = complex.edge_values[merges].tolist()
+    pairs = [(0.0, value) for value in deaths if value > 0.0]
+    pairs.extend((0.0, math.inf) for _ in range(components))
+    return PersistenceDiagram(0, tuple(pairs), complex.max_scale)
 
-    cofaces = complex._cofaces
+
+def _dim1(complex: FilteredComplex) -> Generator[list[int] | PersistenceDiagram, list[tuple], None]:
+    """`compute_pd(complex, 1)`, yielding the edges whose rows it lacks, sent their rows, and the diagram last."""
+    merges, cofaces = complex._components.merges, complex._cofaces
     born = np.flatnonzero(~merges)[::-1]  # the cycle-closing edges, youngest first
     apparent, deaths = cofaces.apparent[born], cofaces.oldest_values[born]
     # pivot triangle id -> its column: an apparent edge, whose column is its row, or a reduced column's heap
@@ -121,7 +129,7 @@ def compute_pd(complex: FilteredComplex, dim: int) -> PersistenceDiagram:
     # a column's first pivot is its oldest coface, so the first call also brings the apparent rows there
     first = [columns[t] for t in cofaces.oldest_ids[born[others]].tolist() if t in columns]
     first = list(dict.fromkeys([*need.values(), *first]))
-    rows = dict(zip(first, cofaces.rows(first)))
+    rows = dict(zip(first, (yield first)))
 
     def settle(at: int) -> None:
         """Add to a column what its pivot meets while the rows are at hand; a missing row stays in `need`."""
@@ -142,17 +150,34 @@ def compute_pd(complex: FilteredComplex, dim: int) -> PersistenceDiagram:
         heap = heaps[at]
         if heap and heap[0][1] in columns:
             need[at] = columns[heap[0][1]]
-        while at in need:  # let every waiting column move on, then fetch the rows they wait for in one call
+        while at in need:  # let every waiting column move on, then ask for the rows they wait for at once
             for waiting in list(need):
                 settle(waiting)
             missing = [edge for edge in dict.fromkeys(need.values()) if edge not in rows]
-            rows.update(zip(missing, cofaces.rows(missing)))
+            rows.update(zip(missing, (yield missing)))
         if heap:
             columns[heap[0][1]] = heap
         deaths[at] = heap[0][0] if heap else math.inf
     births = complex.edge_values[born]
     pairs = zip(births[deaths > births].tolist(), deaths[deaths > births].tolist())
-    return PersistenceDiagram(1, tuple(pairs), complex.max_scale)
+    yield PersistenceDiagram(1, tuple(pairs), complex.max_scale)
+
+
+def _dim1_diagrams(complexes: Sequence[FilteredComplex]) -> list[PersistenceDiagram]:
+    """`compute_pd(cx, 1)` of each complex, the reductions run in lock step. Each round sends every waiting
+    reduction the rows it asked for, with one call per `rows` source: complexes built as one group share theirs."""
+    diagrams, waiting = [None] * len(complexes), [(k, _dim1(cx), None) for k, cx in enumerate(complexes)]
+    while waiting:
+        calls: dict = {}  # rows source -> (complex, reduction, edges it asks for) per reduction that waits on it
+        for k, reduction, got in waiting:  # a reduction's last yield is its diagram, the others ask for rows
+            diagrams[k], (rows, offset) = reduction.send(got), complexes[k]._cofaces[4:]
+            if isinstance(diagrams[k], list):
+                calls.setdefault(rows, []).append((k, reduction, [offset + e for e in diagrams[k]]))
+        waiting = []
+        for rows, asks in calls.items():
+            got = iter(rows([e for *_, edges in asks for e in edges]))
+            waiting += [(k, reduction, [next(got) for _ in edges]) for k, reduction, edges in asks]
+    return diagrams
 
 
 def _pivot(heap: list[tuple], rows: dict[int, tuple[list[float], list[int]]]) -> tuple | None:

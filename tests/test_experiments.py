@@ -1,11 +1,16 @@
 import math
 import re
+import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from pointpd import filtration
 from pointpd.experiments import (
     ExperimentConfig,
+    RawRecord,
+    _default_source,
     derive_rng,
     gap_ratio_sweep,
     histogram_csv,
@@ -14,7 +19,9 @@ from pointpd.experiments import (
     sample_uniform_cube,
     sweep_csv,
 )
+from pointpd.filtration import build_complex
 from pointpd.geometry import PointCloud
+from pointpd.persistence import compute_pd, gap_stats
 
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 SQUARE_PERS = math.sqrt(2.0) / 2.0 - 0.5
@@ -189,6 +196,73 @@ class TestGapRatioSweep:
         with pytest.raises(ValueError, match=re.escape(message)):
             gap_ratio_sweep(n_range, dim_range, 2, 0, kind=kind, cloud_source=counting_source)
         assert calls == []
+
+
+class TestGroupedCells:
+    """A cell's clouds are built in groups and reduced in lock step, with one build's results per trial."""
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    def test_coincident_cloud_at_trial_3_raises(self, kind):
+        def source(n, dim, trial):
+            points = derive_rng(0, n, dim, trial).random((n, dim))
+            if trial == 3:
+                points[5] = points[2]
+            return PointCloud(points)
+
+        with pytest.raises(ValueError, match="coincident points are not allowed"):
+            persistence_histogram(ExperimentConfig(8, 2, 6, 0, kind=kind), cloud_source=source)
+        with pytest.raises(ValueError, match="coincident points are not allowed"):
+            gap_ratio_sweep([8], [3], 6, 0, kind=kind, cloud_source=source)
+
+    @pytest.mark.parametrize("kind", ["vr", "cech", "delaunay"])
+    def test_clouds_of_varying_size_give_the_per_trial_results(self, kind):
+        sizes = [8, 8, 15, 15, 15, 4, 20, 20, 8]
+        seen = []
+
+        def source(n, dim, trial):
+            seen.append(trial)
+            return PointCloud(derive_rng(1, sizes[trial], dim, trial).random((sizes[trial], dim)))
+
+        result = persistence_histogram(ExperimentConfig(5, 2, len(sizes), 0, kind=kind), cloud_source=source)
+        want = [RawRecord(trial, birth, death) for trial in range(len(sizes))
+                for birth, death in compute_pd(build_complex(source(0, 2, trial), kind), 1).finite_pairs]
+        assert seen[: len(sizes)] == list(range(len(sizes)))
+        assert list(result.records) == want and len({record.trial for record in want}) >= 4
+
+    @pytest.mark.parametrize("kind", ["vr", "cech", "delaunay"])
+    def test_cells_equal_one_build_per_trial(self, kind):
+        source = _default_source(21)
+        result = gap_ratio_sweep([14, 23], [2], 12, 21, kind=kind)
+        for row in result.rows:
+            ratios = []
+            for trial in range(12):
+                try:
+                    ratios.append(gap_stats(compute_pd(build_complex(source(row.n, 2, trial), kind), 1)).ratio)
+                except ValueError:
+                    pass
+            assert row.trials_used == len(ratios) and ratios
+            assert row.median_gap_ratio == statistics.median(ratios)
+
+    def test_groups_stay_within_the_stack_budget(self):
+        clouds = [np.random.default_rng(t).random((n, 2)) for t, n in enumerate([100] * 13 + [300, 300, 100])]
+        groups = [len(g) for g in filtration._complex_groups(clouds, filtration.FiltrationKind.VR)]
+        per_group = filtration._STACK // 100**2
+        assert groups == [per_group, per_group, 13 - 2 * per_group, 1, 1, 1]
+
+    def test_large_cell_keeps_a_small_peak(self):
+        # the stacked stage of a 1 000-trial n = 100 VR cell: one stack of every D would hold 80 MB;
+        # each group's reductions hold only that group's complexes
+        source, built = _default_source(5), 0
+        tracemalloc.start()
+        try:
+            for group in filtration._complex_groups((source(100, 2, t) for t in range(1000)), filtration.FiltrationKind.VR):
+                assert group[0]._cofaces.rows is group[-1]._cofaces.rows  # one coface pass per group
+                built += len(group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert built == 1000
+        assert peak < 64 * 2**20
 
 
 class TestCsvWriters:

@@ -335,6 +335,96 @@ class TestImplicitCofaces:
         assert len(cx.triangles) == 200 * 199 * 198 // 6
 
 
+def grid_cell(seed: int, trials: int, n: int, dim: int) -> np.ndarray:
+    """A stack of `trials` clouds, each n distinct points of the 5-per-side integer grid: distances tie often."""
+    rng, cells = np.random.default_rng(seed), _lattice(5, dim)
+    return np.stack([cells[rng.choice(len(cells), n, replace=False)] for _ in range(trials)])
+
+
+# (stack of clouds, kind, cap): random cells, capped cells, tied grids at caps that hit ties exactly, tiny clouds
+GROUP_CASES = {
+    "vr_2d": (np.random.default_rng(1).random((6, 20, 2)), "vr", None),
+    "cech_3d": (np.random.default_rng(2).random((6, 17, 3)), "cech", None),
+    "cech_4d": (np.random.default_rng(3).random((5, 37, 4)), "cech", None),
+    "vr_capped": (np.random.default_rng(4).random((7, 40, 2)), "vr", 0.2),
+    "cech_capped": (np.random.default_rng(5).random((7, 40, 2)), "cech", 0.35),
+    "vr_grid_1": (grid_cell(6, 8, 12, 2), "vr", 1.0),
+    "cech_grid_1.25": (grid_cell(7, 8, 12, 2), "cech", 1.25),
+    "vr_grid_3d_1.25": (grid_cell(8, 6, 14, 3), "vr", 1.25),
+    "cech_grid_3d_1": (grid_cell(9, 6, 14, 3), "cech", 1.0),
+    "n1": (np.random.default_rng(10).random((4, 1, 2)), "vr", None),
+    "n2": (np.random.default_rng(11).random((4, 2, 3)), "cech", None),
+    "n3": (np.random.default_rng(12).random((4, 3, 2)), "vr", None),
+}
+
+
+def counted_rows(cofaces, calls: list[int]):
+    """The complex's `rows` source, recording the length of each call."""
+    def rows(edges):
+        calls.append(len(edges))
+        return cofaces.rows(edges)
+    return rows
+
+
+class TestGroupedCells:
+    """A cell's clouds built as one group and reduced in lock step give what one build per cloud gives."""
+
+    @pytest.mark.parametrize("name", sorted(GROUP_CASES))
+    def test_group_equals_single_builds(self, name):
+        stack, kind, cap = GROUP_CASES[name]
+        group = filtration._capped_complexes(stack, filtration.FiltrationKind(kind), cap)
+        diagrams = persistence._dim1_diagrams(group)
+        assert len({cx._cofaces.rows for cx in group}) == 1  # one coface pass and row source for the group
+        for points, cx, diagram in zip(stack, group, diagrams):
+            single = build_complex(points, kind, max_scale=cap)
+            assert cx.max_scale == single.max_scale and cx.kind == single.kind
+            assert np.array_equal(cx.edge_vertices, single.edge_vertices)
+            assert np.array_equal(cx.edge_values, single.edge_values)
+            for field in ("oldest_values", "oldest_ids", "long", "apparent"):
+                assert np.array_equal(getattr(cx._cofaces, field), getattr(single._cofaces, field)), field
+            for got, want in zip(cx._components, single._components):
+                assert np.array_equal(got, want)
+            assert diagram.pairs == compute_pd(single, 1).pairs == compute_pd(cx, 1).pairs
+            assert len(cx.triangles) == len(single.triangles)
+
+    def test_lock_step_equals_compute_pd_on_a_mix(self):
+        rng = np.random.default_rng(13)
+        collinear = np.stack([np.arange(6.0), 2.0 * np.arange(6.0)], axis=1)
+        # no column to reduce: no cycle-closing edge, or only apparent ones
+        idle = [build_complex(collinear, "vr"), build_complex(collinear, "delaunay"),
+                build_complex(rng.random((1, 2)), "vr"), build_complex(rng.random((3, 2)), "cech")]
+        mix = [
+            *filtration._capped_complexes(rng.random((3, 25, 2)), filtration.FiltrationKind.VR, None),
+            idle[0],
+            build_complex(rng.random((40, 2)), "delaunay"),
+            *filtration._capped_complexes(rng.random((3, 19, 3)), filtration.FiltrationKind.CECH, 0.4),
+            idle[1],
+            build_complex(SQUARE, "cech", max_scale=0.5),  # a column with an empty row: a class alive at the cap
+            *idle[2:],
+            build_complex(rng.random((30, 2)), "delaunay"),
+        ]
+        want = [compute_pd(materialized(cx) if cx.kind != "delaunay" else cx, 1) for cx in mix]
+        assert [d.pairs for d in persistence._dim1_diagrams(mix)] == [d.pairs for d in want]
+        assert all((cx._components.merges | cx._cofaces.apparent).all() for cx in idle)
+        assert compute_pd(mix[9], 1).pairs == ((0.5, math.inf),)
+
+    def test_cell_fetches_rows_no_more_often_than_its_busiest_trial(self):
+        # a sweep_trials cell shape: six 4D Cech clouds of 37 points
+        stack, calls = np.random.default_rng(14).random((6, 37, 4)), []
+        group = filtration._capped_complexes(stack, filtration.FiltrationKind.CECH, None)
+        shared = counted_rows(group[0]._cofaces, calls)
+        for cx in group:
+            cx.__dict__["_cofaces"] = cx._cofaces._replace(rows=shared)
+        persistence._dim1_diagrams(group)
+        cell, single = len(calls), []
+        for points in stack:
+            cx, calls[:] = build_complex(points, "cech"), []
+            cx.__dict__["_cofaces"] = cx._cofaces._replace(rows=counted_rows(cx._cofaces, calls))
+            compute_pd(cx, 1)
+            single.append(len(calls))
+        assert cell <= max(single) < sum(single) / 2
+
+
 class TestTiedCloudProperties:
     @given(cloud=grid_clouds(), kind=st.sampled_from(["vr", "cech"]), cap=st.sampled_from([None, 1.0, 1.25]))
     def test_matches_rank_oracle(self, cloud, kind, cap):

@@ -187,6 +187,17 @@ def commands(cloud_points: dict[str, np.ndarray]) -> list[tuple[list[str], list[
         argv = ["experiment", "sweep", "--n", "8:12:2", "--N", "2:3", "--trials", "4", "--seed", str(k),
                 "--kind", kind, "--out", f"sweep{k}"]
         runs.append((argv, [f"sweep{k}/{f}" for f in ("config.json", "sweep.csv")]))
+    # a cell's clouds are built in groups of consecutive equal-shape clouds, up to a budget of stacked distances
+    # (2**16 entries): Delaunay cells, a cell of 40 clouds of 60 points (18 to a group) and a grid of n and N
+    for name, experiment, extra in [
+        ("hist_delaunay", "hist", ["--n", "15", "--N", "2", "--trials", "8", "--bins", "6", "--kind", "delaunay"]),
+        ("sweep_delaunay", "sweep", ["--n", "8:20:6", "--N", "2", "--trials", "6", "--kind", "delaunay"]),
+        ("hist_groups", "hist", ["--n", "60", "--N", "2", "--trials", "40", "--kind", "vr"]),
+        ("sweep_grid", "sweep", ["--n", "10:40:15", "--N", "2:4", "--trials", "7", "--kind", "cech"]),
+    ]:
+        files = ("config.json", "histogram.csv", "raw.csv") if experiment == "hist" else ("config.json", "sweep.csv")
+        argv = ["experiment", experiment, *extra, "--seed", "5", "--out", name]
+        runs.append((argv, [f"{name}/{f}" for f in files]))
     return runs
 
 
