@@ -17,13 +17,12 @@ and `FilteredComplex.from_arrays` its only constructor. The `edges` and
 `triangles` views read one dimension's arrays as `FilteredSimplex` tuples;
 the builders, the reduction and the classifier never read them.
 
-VR and Cech complexes keep the distance matrix D in place of triangles. The
-dim-1 reduction and the Long test share one cached pass over D (clouds built as
-one group share one pass over their stacked D), in which an edge reads vertices
-only up to its first Long witness; `len(cx.triangles)` reads every (edge,
-vertex) once, lazily. Reading a triangle array, calling `critical_scales` or
-iterating a tuple view builds all three arrays. Uncapped VR build + dim-1 pairs
-on 200 planar points: 0.07 s, 9 MiB peak.
+VR and Cech complexes keep D in place of triangles. The dim-1 reduction and the
+Long test share one cached pass over D (a group of clouds, over their stacked D),
+in which an edge reads vertices only up to its first Long witness;
+`len(cx.triangles)` reads every (edge, vertex) once, lazily. Reading a triangle
+array, calling `critical_scales` or iterating a tuple view builds all three
+arrays. Uncapped VR build + dim-1 pairs on 200 planar points: 0.07 s, 9 MiB peak.
 """
 
 from __future__ import annotations
@@ -277,7 +276,7 @@ class FilteredComplex:
     @cached_property
     def _triangle_count(self) -> int:
         """A VR/Cech complex's triangles, counted off D in the rows of their three edges."""
-        (i, j), source = self.edge_vertices.T, (self._distances, self.kind, self.max_scale)
+        (i, j), source = self.edge_vertices.T, (self._distances[None], self.kind, self.max_scale, 0)
         step = max(1, _BLOCK // self.n_vertices)
         blocks = (_coface_values(*source, i[s : s + step], j[s : s + step])[0] for s in range(0, len(i), step))
         return sum(np.count_nonzero(values < np.inf) for values in blocks) // 3
@@ -324,32 +323,31 @@ def _capped_complexes(
     kind: FiltrationKind,
     max_scale: float | None,
 ) -> list[FilteredComplex]:
-    """VR/Cech complexes of a stack of clouds (T, n, d): edges (i < j) at D/2,
-    and every triple i < j < k whose three edges are kept at the kind's value of
-    (D_ij, D_ik, D_jk); both only where the value is at most the cap, max(D) / 2
-    (VR) or max(D) / sqrt(3) (Cech) unless max_scale is given. A NaN or negative
-    cap would keep only the vertices, so it is rejected; clouds are checked in
-    order. Each complex keeps its D in place of triangle arrays; the stack shares
-    one D (T n, n) and one coface pass, run at the first read."""
+    """VR/Cech complexes of a stack of clouds (T, n, d): edges (i < j) at D/2, and every triple i < j < k
+    whose three edges are kept at the kind's value of (D_ij, D_ik, D_jk); both only where the value is at
+    most the cap, max(D) / 2 (VR) or max(D) / sqrt(3) (Cech) unless max_scale is given. A NaN or negative
+    cap would keep only the vertices, so it is rejected; clouds are checked in order. Each complex keeps its
+    D in place of triangle arrays; the stack shares one D and one coface pass, run at the first read."""
     D, n = _distance_matrix(points), points.shape[1]
     i, j = np.triu_indices(n, k=1)
-    lengths = D[:, i, j]
+    values = D[:, i, j]
     # the edge taxonomy assumes distinct points; a zero-length edge would
     # classify meaninglessly, so reject up front in every builder
-    close = (lengths.min(axis=1, initial=np.inf) < COINCIDENT_TOL).tolist()
+    close = (values.min(axis=1, initial=np.inf) < COINCIDENT_TOL).tolist()
+    values /= 2.0
     default = D.max(axis=(1, 2)) / (2.0 if kind is FiltrationKind.VR else math.sqrt(3.0))
     caps = default.tolist() if max_scale is None else [float(max_scale)] * len(D)
     D.flags.writeable = False
     complexes, members = [], []
-    group_pass = cache(partial(_implicit_cofaces, D.reshape(-1, n), kind, members))  # holds no complex: no cycle
-    for t, (values, cap) in enumerate(zip(lengths / 2.0, caps)):
+    group_pass = cache(partial(_implicit_cofaces, D, kind, members))  # holds no complex: no cycle
+    for t, cap in enumerate(caps):
         if close[t]:
             raise ValueError("coincident points are not allowed")
         if not cap >= 0.0:
             raise ValueError(f"max_scale must be a nonnegative number, got {cap}")
-        kept = values <= cap
+        kept = values[t] <= cap
         complexes.append(FilteredComplex.__new__(FilteredComplex))
-        complexes[-1]._store(n, np.stack([i[kept], j[kept]], axis=1), values[kept], kind, cap, D[t], (group_pass, t))
+        complexes[-1]._store(n, np.stack([i[kept], j[kept]], axis=1), values[t, kept], kind, cap, D[t], (group_pass, t))
         members.append((complexes[-1].edge_vertices, cap))
     return complexes
 
@@ -377,10 +375,10 @@ def _triangle_values(kind: FiltrationKind, e, x, y):
     return values, (values == e / 2.0) & (x < e) & (y < e)
 
 
-def _coface_values(D, kind: FiltrationKind, cap: float, i, j, k0: int = 0, k1: int | None = None):
-    """Values of the triangles {i, j, k} for k in [k0, k1), inf where k is i or j or above the cap; and per entry
-    whether it witnesses that edge (i, j) is Long. i and j are rows of D, which may stack many clouds' (n, n) D."""
-    e, x, y = D[i, j % D.shape[1] if len(D) > D.shape[1] else j][:, None], D[i, k0:k1], D[j, k0:k1]
+def _coface_values(D, kind: FiltrationKind, cap, t, i, j, k0: int = 0, k1: int | None = None):
+    """Values of the triangles {i, j, k} of cloud t of the stack D (T, n, n) for k in [k0, k1), inf where k is i or j
+    or above the cap (per edge, or one for all); and per entry whether it witnesses that edge (i, j) is Long."""
+    e, x, y = D[t, i, j][:, None], D[t, i, k0:k1], D[t, j, k0:k1]
     values, witness = _triangle_values(kind, e, x, y)
     np.putmask(values, (values > cap) | (np.minimum(x, y) == 0.0), np.inf)  # no two points coincide: D_ik = 0 at k = i
     return values, witness
@@ -389,26 +387,29 @@ def _coface_values(D, kind: FiltrationKind, cap: float, i, j, k0: int = 0, k1: i
 def _implicit_cofaces(D, kind: FiltrationKind, members: list[tuple[npt.NDArray[np.intp], float]]) -> list[_Cofaces]:
     """Bauer's implicit coboundary (Ripser), read lazily off D: no triangle arrays.
 
-    One pass serves a group of complexes on clouds of n points, given as (edge vertices, cap) per member: D stacks
-    their distances (T n, n), member t's vertex v being row t n + v. Edge (i, j)'s oldest coface is the first k of
-    least value, as the triples {i, j, k} sort like k. A Long witness has the edge's own value, the least a coface
-    can have, so k is read in rounds of doubling width and an edge leaves at its first witness. A block keeps its
-    first least k; a later block wins only on a strictly smaller value, so no result depends on the rounds. Each
-    member gets its slice of the result. `rows` recomputes its edges' rows in blocks and numbers the group's edges
-    member by member; its closure holds D and the kind, not the complexes, so no reference cycle keeps it alive.
+    One pass serves a group of complexes on clouds of n points, given as (edge vertices, cap) per member, with
+    D (T, n, n). Edge (i, j)'s oldest coface is the first k of least value, as the triples {i, j, k} sort like k.
+    A Long witness has the edge's own value, the least a coface can have, so k is read in rounds of doubling width
+    and an edge leaves at its first witness. A block keeps its first least k; a later block wins only on a strictly
+    smaller value. Each member gets its slice. `rows` recomputes its edges' rows in blocks, numbering the group's
+    edges member by member; its closure holds D, the kind, the caps and the edges (a single complex's own array),
+    not the complexes, so no reference cycle keeps it alive.
     """
-    n, sizes, caps = D.shape[1], [len(edges) for edges, _ in members], [cap for _, cap in members]
-    (i, j), base = np.concatenate([edges for edges, _ in members]).T, np.repeat(np.arange(len(sizes)) * n, sizes)
-    gi, gj, k, long = i + base, j + base, np.zeros_like(i), np.zeros(len(i), dtype=bool)
+    n, caps, sizes = D.shape[1], np.array([cap for _, cap in members]), [len(edges) for edges, _ in members]
+    vertices = members[0][0] if len(members) == 1 else np.concatenate([edges for edges, _ in members])
+    (i, j), stops = vertices.T, np.cumsum(sizes)  # member t's edges end at stops[t]
+    def member(e):  # the member of each of the group's edges e; 0 for a single complex
+        return np.searchsorted(stops, e, side="right") if len(stops) > 1 else 0
+
     # oldest starts just above the cap, so only a coface within the cap is ever oldest
-    oldest, cap = np.repeat(np.nextafter(caps, np.inf), sizes), np.repeat(caps, sizes)
+    oldest, k, long = np.repeat(np.nextafter(caps, np.inf), sizes), np.zeros_like(i), np.zeros(len(i), dtype=bool)
     active, k0, width = np.arange(len(i)), 0, max(8, _BLOCK // max(1, len(i)))
     while active.size and k0 < n:
         k1 = min(k0 + width, n)
         step = _BLOCK // (k1 - k0)  # at least 1: the width never passes _BLOCK
         for s in range(0, len(active), step):
             batch = active[s : s + step]
-            block, witness = _coface_values(D, kind, np.inf, gi[batch], gj[batch], k0, k1)
+            block, witness = _coface_values(D, kind, np.inf, member(batch), i[batch], j[batch], k0, k1)
             first = block.argmin(axis=1)
             least = block[np.arange(len(batch)), first]
             better = least < oldest[batch]
@@ -420,19 +421,21 @@ def _implicit_cofaces(D, kind: FiltrationKind, members: list[tuple[npt.NDArray[n
         out, step = [], max(1, _BLOCK // n)
         for s in range(0, len(edges), step):
             e = np.array(edges[s : s + step], dtype=np.intp)
-            block = _coface_values(D, kind, np.inf, gi[e], gj[e])[0]
+            t = member(e)
+            block = _coface_values(D, kind, caps[t, None], t, i[e], j[e])[0]
             order = block.argsort(axis=1, kind="stable")  # (value, k) order is (value, id) order
             values, ids = block[np.arange(len(e))[:, None], order], _triple_keys(i[e, None], j[e, None], order, n)
-            ends = np.count_nonzero(values <= cap[e][:, None], axis=1).tolist()  # a row's cofaces within the cap lead it
+            ends = np.count_nonzero(values < np.inf, axis=1).tolist()
             out.extend((values[r, :end].tolist(), ids[r, :end].tolist()) for r, end in enumerate(ends))
         return out
 
-    oldest[oldest > cap] = np.inf
-    # member t's edge (a, b) has key (t n + a) n + b < len(D) n <= keys²; sides: the keys of edges (i, k) and (j, k)
-    sides, keys = (np.minimum([i, j], k) + base) * n + np.maximum([i, j], k), math.isqrt(len(D) * n - 1) + 1
-    apparent = (oldest < np.inf) & (_edge_rows(gi * n + j, keys, sides).max(axis=0) < np.arange(len(i)))
-    ids, ends = np.where(oldest < np.inf, _triple_keys(i, j, k, n), -1), np.cumsum(sizes).tolist()
-    return [_Cofaces(oldest[s:e], ids[s:e], long[s:e], apparent[s:e], rows, s) for s, e in zip([0, *ends], ends)]
+    oldest[oldest > np.repeat(caps, sizes)] = np.inf
+    # member t's edge (a, b) has key (t n + a) n + b < T n n <= keys²; sides: the keys of edges (i, k) and (j, k)
+    base, keys = member(np.arange(len(i))) * n, math.isqrt(len(D) * n * n - 1) + 1
+    sides = (np.minimum([i, j], k) + base) * n + np.maximum([i, j], k)
+    apparent = (oldest < np.inf) & (_edge_rows((i + base) * n + j, keys, sides).max(axis=0) < np.arange(len(i)))
+    ids, bounds = np.where(oldest < np.inf, _triple_keys(i, j, k, n), -1), [0, *stops.tolist()]
+    return [_Cofaces(oldest[s:e], ids[s:e], long[s:e], apparent[s:e], rows, s) for s, e in zip(bounds, bounds[1:])]
 
 
 def _explicit_cofaces(cx: FilteredComplex) -> _Cofaces:

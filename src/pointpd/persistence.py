@@ -27,6 +27,7 @@ import heapq
 import math
 from collections.abc import Generator, Sequence
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import numpy.typing as npt
@@ -104,11 +105,8 @@ def compute_pd(complex: FilteredComplex, dim: int) -> PersistenceDiagram:
     """
     if dim not in (0, 1):
         raise ValueError("only dimensions 0 and 1 are supported")
-    if dim == 1:  # one reduction, sent the rows it asks for
-        reduction, cofaces, got = _dim1(complex), complex._cofaces, None
-        while isinstance(asked := reduction.send(got), list):
-            got = cofaces.rows([cofaces.offset + e for e in asked])
-        return asked
+    if dim == 1:
+        return _dim1_diagrams([complex])[0]
     merges, _, components = complex._components
     deaths = complex.edge_values[merges].tolist()
     pairs = [(0.0, value) for value in deaths if value > 0.0]
@@ -164,19 +162,21 @@ def _dim1(complex: FilteredComplex) -> Generator[list[int] | PersistenceDiagram,
 
 
 def _dim1_diagrams(complexes: Sequence[FilteredComplex]) -> list[PersistenceDiagram]:
-    """`compute_pd(cx, 1)` of each complex, the reductions run in lock step. Each round sends every waiting
-    reduction the rows it asked for, with one call per `rows` source: complexes built as one group share theirs."""
-    diagrams, waiting = [None] * len(complexes), [(k, _dim1(cx), None) for k, cx in enumerate(complexes)]
-    while waiting:
-        calls: dict = {}  # rows source -> (complex, reduction, edges it asks for) per reduction that waits on it
-        for k, reduction, got in waiting:  # a reduction's last yield is its diagram, the others ask for rows
-            diagrams[k], (rows, offset) = reduction.send(got), complexes[k]._cofaces[4:]
-            if isinstance(diagrams[k], list):
-                calls.setdefault(rows, []).append((k, reduction, [offset + e for e in diagrams[k]]))
-        waiting = []
-        for rows, asks in calls.items():
-            got = iter(rows([e for *_, edges in asks for e in edges]))
-            waiting += [(k, reduction, [next(got) for _ in edges]) for k, reduction, edges in asks]
+    """`compute_pd(cx, 1)` of each complex. The reductions on one `rows` source (complexes built as one group share
+    theirs) run in lock step: each round sends every waiting one the rows it asked for, fetched in one call."""
+    reductions, diagrams, sources = [_dim1(cx) for cx in complexes], [None] * len(complexes), {}
+    for k, cx in enumerate(complexes):
+        sources.setdefault(cx._cofaces.rows, []).append((k, cx._cofaces.offset, None))  # (reduction, offset, rows sent)
+    for rows, waiting in sources.items():
+        while waiting:
+            asks, edges = [], []
+            for k, offset, got in waiting:  # a reduction's last yield is its diagram, the others ask for rows
+                diagrams[k] = reductions[k].send(got)
+                if isinstance(diagrams[k], list):
+                    asks.append((k, offset))
+                    edges += map(offset.__add__, diagrams[k])
+            got = iter(rows(edges) if asks else ())
+            waiting = [(k, offset, list(islice(got, len(diagrams[k])))) for k, offset in asks]
     return diagrams
 
 

@@ -243,8 +243,8 @@ def coface_blocks(monkeypatch) -> list[tuple[int, int]]:
     blocks: list[tuple[int, int]] = []
     coface_values = filtration._coface_values
 
-    def recorded(D, rule, cap, i, j, k0=0, k1=None):
-        values, witness = coface_values(D, rule, cap, i, j, k0, k1)
+    def recorded(D, rule, cap, t, i, j, k0=0, k1=None):
+        values, witness = coface_values(D, rule, cap, t, i, j, k0, k1)
         blocks.append((k0, values.size))
         return values, witness
 
