@@ -17,12 +17,12 @@ and `FilteredComplex.from_arrays` its only constructor. The `edges` and
 `triangles` views read one dimension's arrays as `FilteredSimplex` tuples;
 the builders, the reduction and the classifier never read them.
 
-VR and Cech complexes keep D in place of triangles. The dim-1 reduction and the
-Long test share one cached pass over D (a group of clouds, over their stacked D),
-in which an edge reads vertices only up to its first Long witness;
-`len(cx.triangles)` reads every (edge, vertex) once, lazily. Reading a triangle
-array, calling `critical_scales` or iterating a tuple view builds all three
-arrays. Uncapped VR build + dim-1 pairs on 200 planar points: 0.07 s, 9 MiB peak.
+VR and Cech complexes keep D in place of triangles, and their builder emits the edges in
+filtration order; a group of T clouds shares one (T, m) edge array and one stacked D. The
+dim-1 reduction and the Long test share one cached pass over D, in which an edge reads
+vertices only up to its first Long witness; `len(cx.triangles)` reads every (edge, vertex)
+once, lazily. Reading a triangle array, calling `critical_scales` or iterating a tuple view
+builds all three arrays. Uncapped VR build + dim-1 pairs on 200 planar points: 0.07 s, 9 MiB peak.
 """
 
 from __future__ import annotations
@@ -114,15 +114,12 @@ def _row(vertices: npt.NDArray[np.intp], idx: int) -> tuple[int, ...]:
 
 
 def _sorted_group(
-    n: int,
-    vertices: npt.ArrayLike,
-    values: npt.ArrayLike,
-    width: int,
-) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64], npt.NDArray[np.int64]]:
+    n: int, vertices: npt.ArrayLike, values: npt.ArrayLike, width: int
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64]]:
     """Check one dimension's simplices and sort them by (value, vertices).
 
-    Returns the sorted vertices and values, and each simplex's key: its
-    vertex tuple read as digits in base n, which orders keys like tuples.
+    Ties in value sort by key: the vertex tuple read as digits in base n,
+    which orders keys like tuples.
     """
     vertices = np.asarray(vertices, dtype=np.intp).reshape(-1, width)
     values = np.asarray(values, dtype=np.float64).reshape(-1)
@@ -147,7 +144,7 @@ def _sorted_group(
     if dup.size:
         raise ValueError(f"duplicate simplex {_row(vertices, order[dup[0]])}")
     order = order[np.argsort(values[order], kind="stable")]
-    return vertices[order], values[order], keys[order]
+    return vertices[order], values[order]
 
 
 def _edge_rows(
@@ -207,27 +204,26 @@ class FilteredComplex:
         max_scale: float,
     ) -> FilteredComplex:
         """Complex on vertices 0..n-1 from edge and triangle arrays in any order."""
+        if n_vertices < 1:
+            raise ValueError("complex needs at least one vertex")
+        if n_vertices > _MAX_VERTICES:
+            raise ValueError(f"at most {_MAX_VERTICES} vertices are supported")
         self = cls.__new__(cls)
-        self._store(n_vertices, edge_vertices, edge_values, kind, max_scale)
+        self._store(n_vertices, *_sorted_group(n_vertices, edge_vertices, edge_values, 2), kind, max_scale)
         self._store_triangles(triangle_vertices, triangle_values)
         return self
 
     def _store(self, n, edge_vertices, edge_values, kind, max_scale, distances=None, group=None) -> None:
-        """Keep the edges; a VR/Cech builder passes D in place of triangles (the kind picks their rule) and its group."""
-        if n < 1:
-            raise ValueError("complex needs at least one vertex")
-        if n > _MAX_VERTICES:
-            raise ValueError(f"at most {_MAX_VERTICES} vertices are supported")
-        ev, ex, _ = _sorted_group(n, edge_vertices, edge_values, 2)
-        for arr in (ev, ex):
+        """Keep the edges, in filtration order; a VR/Cech builder passes D for the kind's triangles, and its group."""
+        for arr in (edge_vertices, edge_values):
             arr.flags.writeable = False
         self.__dict__.update(n_vertices=int(n), kind=FiltrationKind(kind), max_scale=float(max_scale))
-        self.__dict__.update(edge_vertices=ev, edge_values=ex, _distances=distances, _group=group)
+        self.__dict__.update(edge_vertices=edge_vertices, edge_values=edge_values, _distances=distances, _group=group)
 
     def _store_triangles(self, triangle_vertices, triangle_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sort and check the triangles against the edges, and keep them."""
         n, ev, ex = self.n_vertices, self.edge_vertices, self.edge_values
-        tv, tx, _ = _sorted_group(n, triangle_vertices, triangle_values, 3)
+        tv, tx = _sorted_group(n, triangle_vertices, triangle_values, 3)
         triangle_edges = _edge_rows(ev[:, 0] * n + ev[:, 1], n, tv[:, [0, 0, 1]] * n + tv[:, [1, 2, 2]])
         missing = triangle_edges < 0
         bad = np.flatnonzero(missing.any(axis=1))
@@ -323,32 +319,40 @@ def _capped_complexes(
     kind: FiltrationKind,
     max_scale: float | None,
 ) -> list[FilteredComplex]:
-    """VR/Cech complexes of a stack of clouds (T, n, d): edges (i < j) at D/2, and every triple i < j < k
-    whose three edges are kept at the kind's value of (D_ij, D_ik, D_jk); both only where the value is at
-    most the cap, max(D) / 2 (VR) or max(D) / sqrt(3) (Cech) unless max_scale is given. A NaN or negative
-    cap would keep only the vertices, so it is rejected; clouds are checked in order. Each complex keeps its
-    D in place of triangle arrays; the stack shares one D and one coface pass, run at the first read."""
+    """VR/Cech complexes of a stack of clouds (T, n, d): edges (i < j) at D/2, and every triple i < j < k whose
+    three edges are kept at the kind's value of (D_ij, D_ik, D_jk); both only where the value is at most the cap,
+    max(D) / 2 (VR) or max(D) / sqrt(3) (Cech), which keep every edge, unless one cloud's max_scale is given. A NaN
+    or negative cap would keep only the vertices, so it is rejected; clouds are checked in order. The edges leave in
+    filtration order as views of one (T, m, 2) array; each complex keeps its D in place of triangle arrays, and the
+    stack shares one D and one coface pass, run at the first read."""
+    if max_scale is not None and len(points) > 1:
+        raise ValueError(f"a scale cap takes one cloud, got {len(points)}")
     D, n = _distance_matrix(points), points.shape[1]
     i, j = np.triu_indices(n, k=1)
     values = D[:, i, j]
-    # the edge taxonomy assumes distinct points; a zero-length edge would
-    # classify meaninglessly, so reject up front in every builder
+    # the edge taxonomy assumes distinct points (a zero-length edge classifies meaninglessly): every builder checks
     close = (values.min(axis=1, initial=np.inf) < COINCIDENT_TOL).tolist()
     values /= 2.0
     default = D.max(axis=(1, 2)) / (2.0 if kind is FiltrationKind.VR else math.sqrt(3.0))
-    caps = default.tolist() if max_scale is None else [float(max_scale)] * len(D)
+    caps = default.tolist() if max_scale is None else [float(max_scale)]
+    # select before sorting: a sparse cap keeps few of the n(n-1)/2 edges; triu_indices lists them in key order
+    kept = values[0] <= caps[0]
+    edges, values = np.stack([i[kept], j[kept]], axis=1), values.compress(kept, axis=1)  # [:, kept] is 10x slower
+    order = np.argsort(values, axis=1, kind="stable")  # stable: (value, key) order
+    values, vertices = np.take_along_axis(values, order, axis=1), edges[order]
     D.flags.writeable = False
-    complexes, members = [], []
-    group_pass = cache(partial(_implicit_cofaces, D, kind, members))  # holds no complex: no cycle
+    group_pass = cache(partial(_implicit_cofaces, D, kind, vertices, np.array(caps)))  # holds no complex: no cycle
+    complexes = []
     for t, cap in enumerate(caps):
         if close[t]:
             raise ValueError("coincident points are not allowed")
         if not cap >= 0.0:
             raise ValueError(f"max_scale must be a nonnegative number, got {cap}")
-        kept = values[t] <= cap
+        bad = np.flatnonzero(values[t] == np.inf)  # a distance that overflowed; ties at inf stay in key order
+        if bad.size:
+            raise ValueError(f"simplex value must be finite and nonnegative: {_row(vertices[t], bad[0])} at inf")
         complexes.append(FilteredComplex.__new__(FilteredComplex))
-        complexes[-1]._store(n, np.stack([i[kept], j[kept]], axis=1), values[t, kept], kind, cap, D[t], (group_pass, t))
-        members.append((complexes[-1].edge_vertices, cap))
+        complexes[-1]._store(n, vertices[t], values[t], kind, cap, D[t], (group_pass, t))
     return complexes
 
 
@@ -384,32 +388,28 @@ def _coface_values(D, kind: FiltrationKind, cap, t, i, j, k0: int = 0, k1: int |
     return values, witness
 
 
-def _implicit_cofaces(D, kind: FiltrationKind, members: list[tuple[npt.NDArray[np.intp], float]]) -> list[_Cofaces]:
+def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], caps) -> list[_Cofaces]:
     """Bauer's implicit coboundary (Ripser), read lazily off D: no triangle arrays.
 
-    One pass serves a group of complexes on clouds of n points, given as (edge vertices, cap) per member, with
-    D (T, n, n). Edge (i, j)'s oldest coface is the first k of least value, as the triples {i, j, k} sort like k.
-    A Long witness has the edge's own value, the least a coface can have, so k is read in rounds of doubling width
-    and an edge leaves at its first witness. A block keeps its first least k; a later block wins only on a strictly
-    smaller value. Each member gets its slice. `rows` recomputes its edges' rows in blocks, numbering the group's
-    edges member by member; its closure holds D, the kind, the caps and the edges (a single complex's own array),
-    not the complexes, so no reference cycle keeps it alive.
+    One pass serves a group of T complexes on clouds of n points: D (T, n, n), their edges (T, m, 2) in filtration
+    order and their caps; the group's edge e is member e // m's edge e % m. Edge (i, j)'s oldest coface is the first
+    k of least value, as the triples {i, j, k} sort like k. A Long witness has the edge's own value, the least a
+    coface can have, so k is read in rounds of doubling width and an edge leaves at its first witness. A block keeps
+    its first least k; a later block wins only on a strictly smaller value. `rows` recomputes rows in blocks, for
+    edges numbered as above; its closure holds D, the kind, the caps and the edges, not the complexes, so no
+    reference cycle keeps it alive.
     """
-    n, caps, sizes = D.shape[1], np.array([cap for _, cap in members]), [len(edges) for edges, _ in members]
-    vertices = members[0][0] if len(members) == 1 else np.concatenate([edges for edges, _ in members])
-    (i, j), stops = vertices.T, np.cumsum(sizes)  # member t's edges end at stops[t]
-    def member(e):  # the member of each of the group's edges e; 0 for a single complex
-        return np.searchsorted(stops, e, side="right") if len(stops) > 1 else 0
-
+    n, m = D.shape[1], vertices.shape[1]
+    i, j = vertices.reshape(-1, 2).T
     # oldest starts just above the cap, so only a coface within the cap is ever oldest
-    oldest, k, long = np.repeat(np.nextafter(caps, np.inf), sizes), np.zeros_like(i), np.zeros(len(i), dtype=bool)
+    oldest, k, long = np.repeat(np.nextafter(caps, np.inf), m), np.zeros_like(i), np.zeros(len(i), dtype=bool)
     active, k0, width = np.arange(len(i)), 0, max(8, _BLOCK // max(1, len(i)))
     while active.size and k0 < n:
         k1 = min(k0 + width, n)
         step = _BLOCK // (k1 - k0)  # at least 1: the width never passes _BLOCK
         for s in range(0, len(active), step):
             batch = active[s : s + step]
-            block, witness = _coface_values(D, kind, np.inf, member(batch), i[batch], j[batch], k0, k1)
+            block, witness = _coface_values(D, kind, np.inf, batch // m, i[batch], j[batch], k0, k1)
             first = block.argmin(axis=1)
             least = block[np.arange(len(batch)), first]
             better = least < oldest[batch]
@@ -421,21 +421,21 @@ def _implicit_cofaces(D, kind: FiltrationKind, members: list[tuple[npt.NDArray[n
         out, step = [], max(1, _BLOCK // n)
         for s in range(0, len(edges), step):
             e = np.array(edges[s : s + step], dtype=np.intp)
-            t = member(e)
-            block = _coface_values(D, kind, caps[t, None], t, i[e], j[e])[0]
+            block = _coface_values(D, kind, caps[e // m, None], e // m, i[e], j[e])[0]
             order = block.argsort(axis=1, kind="stable")  # (value, k) order is (value, id) order
             values, ids = block[np.arange(len(e))[:, None], order], _triple_keys(i[e, None], j[e, None], order, n)
             ends = np.count_nonzero(values < np.inf, axis=1).tolist()
             out.extend((values[r, :end].tolist(), ids[r, :end].tolist()) for r, end in enumerate(ends))
         return out
 
-    oldest[oldest > np.repeat(caps, sizes)] = np.inf
+    oldest[oldest > np.repeat(caps, m)] = np.inf
     # member t's edge (a, b) has key (t n + a) n + b < T n n <= keys²; sides: the keys of edges (i, k) and (j, k)
-    base, keys = member(np.arange(len(i))) * n, math.isqrt(len(D) * n * n - 1) + 1
+    base, keys = np.arange(len(i)) // m * n, math.isqrt(len(D) * n * n - 1) + 1
     sides = (np.minimum([i, j], k) + base) * n + np.maximum([i, j], k)
     apparent = (oldest < np.inf) & (_edge_rows((i + base) * n + j, keys, sides).max(axis=0) < np.arange(len(i)))
-    ids, bounds = np.where(oldest < np.inf, _triple_keys(i, j, k, n), -1), [0, *stops.tolist()]
-    return [_Cofaces(oldest[s:e], ids[s:e], long[s:e], apparent[s:e], rows, s) for s, e in zip(bounds, bounds[1:])]
+    ids = np.where(oldest < np.inf, _triple_keys(i, j, k, n), -1)
+    fields = zip(*(a.reshape(len(D), m) for a in (oldest, ids, long, apparent)))
+    return [_Cofaces(*member, rows, t * m) for t, member in enumerate(fields)]
 
 
 def _explicit_cofaces(cx: FilteredComplex) -> _Cofaces:

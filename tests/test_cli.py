@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pointpd
 from pointpd.cli import main
 from pointpd.cloudfile import read_cloud
 from pointpd.edges import classify_all
@@ -588,3 +593,27 @@ class TestExperimentSweep:
              "--out", str(tmp_path / "x")],
         )
         assert code == 2
+
+
+# every VR/Cech subcommand that builds a complex; scipy is imported only by the Delaunay builder
+SCIPY_FREE_SCRIPT = """
+import json, sys
+from pointpd.cli import main
+cloud, out = sys.argv[1:]
+for kind in ("vr", "cech"):
+    for argv in (["pd", cloud, "--kind", kind], ["classify", cloud, "--kind", kind, "--max-scale", "0.6"],
+                 ["experiment", "hist", "--n", "9", "--N", "3", "--trials", "4", "--kind", kind, "--out", out + kind],
+                 ["make-tail", "--n", "5", "--kind", kind, "--out", out + kind + ".txt"]):
+        assert main(argv) == 0, argv
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+class TestColdStart:
+    def test_vr_and_cech_commands_never_load_scipy(self, square, tmp_path):
+        # a fresh process pays for every module it imports: scipy.sparse.csgraph alone adds about 0.37 s
+        env = {**os.environ, "PYTHONPATH": str(Path(pointpd.__file__).parents[1])}
+        argv = [sys.executable, "-c", SCIPY_FREE_SCRIPT, square, str(tmp_path / "out_")]
+        done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []

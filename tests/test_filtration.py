@@ -765,6 +765,21 @@ class TestBuildComplex:
         assert full.max_scale == math.inf
         assert len(full.edge_values) == 6 and len(full.triangle_values) == 4
 
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    @pytest.mark.parametrize("cap", [None, math.inf])
+    def test_kept_distance_that_overflows_rejected(self, kind, cap):
+        # the distance from (0, 0) to (1e200, 0) squares past the largest float; numpy warns as it overflows
+        with pytest.warns(RuntimeWarning), pytest.raises(
+            ValueError, match=r"^simplex value must be finite and nonnegative: \(0, 1\) at inf$"
+        ):
+            build_complex([[0.0, 0.0], [1e200, 0.0], [0.0, 1.0]], kind, max_scale=cap)
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    def test_overflowed_distance_above_the_cap_left_out(self, kind):
+        with pytest.warns(RuntimeWarning):
+            cx = build_complex([[0.0, 0.0], [1e200, 0.0], [0.0, 1.0]], kind, max_scale=1.0)
+        assert cx.edge_vertices.tolist() == [[0, 2]] and cx.edge_values.tolist() == [0.5]
+
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("seed", range(5))
     def test_random_clouds_build_valid_filtrations(self, kind, seed):

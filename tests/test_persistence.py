@@ -322,6 +322,18 @@ class TestImplicitCofaces:
         cofaces = cx._cofaces
         assert not (cofaces.long & ~cofaces.apparent).any()
 
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 40), dim=st.sampled_from([2, 3]),
+           cap=st.sampled_from([None, 0.2, 0.35]))
+    def test_off_ties_vr_reduces_exactly_the_medium_edges(self, seed, n, dim, cap):
+        # the converse of the test above, for VR only: a VR triangle enters with its youngest facet, so an edge
+        # that is the youngest facet of its oldest coface is Long. A Cech triangle can enter above its longest
+        # side, which is then apparent but Medium, so under Cech the reduction visits only some Medium edges.
+        cx = build_vr(np.random.default_rng(seed).random((n, dim)), max_scale=cap)
+        assert len(np.unique(cx.edge_values)) == len(cx.edge_values)
+        visited = ~cx._components.merges & ~cx._cofaces.apparent
+        medium = [cls is EdgeClass.MEDIUM for cls in classify_all(cx).values()]
+        assert visited.tolist() == medium
+
     def test_vr_200_stays_small(self):
         points = np.random.default_rng(0).random((200, 2))
         tracemalloc.start()
@@ -341,7 +353,8 @@ def grid_cell(seed: int, trials: int, n: int, dim: int) -> np.ndarray:
     return np.stack([cells[rng.choice(len(cells), n, replace=False)] for _ in range(trials)])
 
 
-# (stack of clouds, kind, cap): random cells, capped cells, tied grids at caps that hit ties exactly, tiny clouds
+# (stack of clouds, kind, cap): random cells, tied grids, tiny clouds. A group is uncapped, as experiment cells are;
+# a cap (one that hits grid ties exactly) is where each cloud's own capped build cuts its member's edges.
 GROUP_CASES = {
     "vr_2d": (np.random.default_rng(1).random((6, 20, 2)), "vr", None),
     "cech_3d": (np.random.default_rng(2).random((6, 17, 3)), "cech", None),
@@ -372,11 +385,11 @@ class TestGroupedCells:
     @pytest.mark.parametrize("name", sorted(GROUP_CASES))
     def test_group_equals_single_builds(self, name):
         stack, kind, cap = GROUP_CASES[name]
-        group = filtration._capped_complexes(stack, filtration.FiltrationKind(kind), cap)
+        group = filtration._capped_complexes(stack, filtration.FiltrationKind(kind), None)
         diagrams = persistence._dim1_diagrams(group)
         assert len({cx._cofaces.rows for cx in group}) == 1  # one coface pass and row source for the group
         for points, cx, diagram in zip(stack, group, diagrams):
-            single = build_complex(points, kind, max_scale=cap)
+            single = build_complex(points, kind)
             assert cx.max_scale == single.max_scale and cx.kind == single.kind
             assert np.array_equal(cx.edge_vertices, single.edge_vertices)
             assert np.array_equal(cx.edge_values, single.edge_values)
@@ -386,6 +399,20 @@ class TestGroupedCells:
                 assert np.array_equal(got, want)
             assert diagram.pairs == compute_pd(single, 1).pairs == compute_pd(cx, 1).pairs
             assert len(cx.triangles) == len(single.triangles)
+            if cap is not None:  # (value, key) order: the capped build keeps a prefix
+                capped = build_complex(points, kind, max_scale=cap)
+                kept = len(capped.edge_values)
+                assert np.array_equal(capped.edge_vertices, cx.edge_vertices[:kept])
+                assert np.array_equal(capped.edge_values, cx.edge_values[:kept])
+                assert (cx.edge_values[kept:] > cap).all() and 0 < kept < len(cx.edge_values)
+
+    def test_a_cap_takes_one_cloud(self):
+        # members would take the first cloud's edges, dropping others' edges within their caps
+        stack = np.random.default_rng(15).random((2, 10, 2))
+        for kind in filtration.FiltrationKind.VR, filtration.FiltrationKind.CECH:
+            with pytest.raises(ValueError, match="^a scale cap takes one cloud, got 2$"):
+                filtration._capped_complexes(stack, kind, 0.3)
+        assert len(filtration._capped_complexes(stack[:1], filtration.FiltrationKind.VR, 0.3)) == 1
 
     def test_lock_step_equals_compute_pd_on_a_mix(self):
         rng = np.random.default_rng(13)
@@ -397,7 +424,7 @@ class TestGroupedCells:
             *filtration._capped_complexes(rng.random((3, 25, 2)), filtration.FiltrationKind.VR, None),
             idle[0],
             build_complex(rng.random((40, 2)), "delaunay"),
-            *filtration._capped_complexes(rng.random((3, 19, 3)), filtration.FiltrationKind.CECH, 0.4),
+            *(build_complex(points, "cech", max_scale=0.4) for points in rng.random((3, 19, 3))),
             idle[1],
             build_complex(SQUARE, "cech", max_scale=0.5),  # a column with an empty row: a class alive at the cap
             *idle[2:],
