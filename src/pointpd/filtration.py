@@ -392,12 +392,12 @@ def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], c
     """Bauer's implicit coboundary (Ripser), read lazily off D: no triangle arrays.
 
     One pass serves a group of T complexes on clouds of n points: D (T, n, n), their edges (T, m, 2) in filtration
-    order and their caps; the group's edge e is member e // m's edge e % m. Edge (i, j)'s oldest coface is the first
-    k of least value, as the triples {i, j, k} sort like k. A Long witness has the edge's own value, the least a
-    coface can have, so k is read in rounds of doubling width and an edge leaves at its first witness. A block keeps
-    its first least k; a later block wins only on a strictly smaller value. `rows` recomputes rows in blocks, for
-    edges numbered as above; its closure holds D, the kind, the caps and the edges, not the complexes, so no
-    reference cycle keeps it alive.
+    order and their caps; the group's edge e is member e // m's edge e % m, and a lone cloud indexes D with the
+    scalar 0 rather than an array of zeros. Edge (i, j)'s oldest coface is the first k of least value, as the
+    triples {i, j, k} sort like k. A Long witness has the edge's own value, the least a coface can have, so k is read
+    in rounds of doubling width and an edge leaves at its first witness. A block keeps its first least k; a later
+    block wins only on a strictly smaller value. `rows` recomputes rows in blocks, for edges numbered as above; its
+    closure holds D, the kind, the caps and the edges, not the complexes, so no reference cycle keeps it alive.
     """
     n, m = D.shape[1], vertices.shape[1]
     i, j = vertices.reshape(-1, 2).T
@@ -409,7 +409,7 @@ def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], c
         step = _BLOCK // (k1 - k0)  # at least 1: the width never passes _BLOCK
         for s in range(0, len(active), step):
             batch = active[s : s + step]
-            block, witness = _coface_values(D, kind, np.inf, batch // m, i[batch], j[batch], k0, k1)
+            block, witness = _coface_values(D, kind, np.inf, batch // m if len(D) > 1 else 0, i[batch], j[batch], k0, k1)
             first = block.argmin(axis=1)
             least = block[np.arange(len(batch)), first]
             better = least < oldest[batch]
@@ -421,7 +421,8 @@ def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], c
         out, step = [], max(1, _BLOCK // n)
         for s in range(0, len(edges), step):
             e = np.array(edges[s : s + step], dtype=np.intp)
-            block = _coface_values(D, kind, caps[e // m, None], e // m, i[e], j[e])[0]
+            t = e // m if len(D) > 1 else 0
+            block = _coface_values(D, kind, caps[t, None], t, i[e], j[e])[0]
             order = block.argsort(axis=1, kind="stable")  # (value, k) order is (value, id) order
             values, ids = block[np.arange(len(e))[:, None], order], _triple_keys(i[e, None], j[e, None], order, n)
             ends = np.count_nonzero(values < np.inf, axis=1).tolist()

@@ -11,14 +11,18 @@ computes all the rows they lack.
 
 The bottleneck distance is the smallest candidate threshold (0, an L-inf
 distance between two points or a half-persistence) with a perfect matching
-of the diagonal-augmented graph. The exact lower bound is a candidate and is
-tested first; only when it fails are the candidates sorted and bisected.
-The diagonal blocks are complete, so by Mendelsohn-Dulmage each test splits
-into two matchings of the sparse point-to-point graph, each covering the
-points of one diagram that are too far from the diagonal. One O(mk)
-comparison gives a test's neighbour lists, with no row sort, and an
-iterative Hopcroft-Karp matcher, with no recursion limit, checks them in
-O(E sqrt V). diagram_equal with a tolerance uses the same test.
+of the diagonal-augmented graph. The diagonal blocks are complete, so by
+Mendelsohn-Dulmage each test splits into two matchings of the sparse
+point-to-point graph, each covering the points of one diagram that are too
+far from the diagonal. A point is forced only below its half-persistence,
+so a test uses only pairs nearer than that: birth windows over the
+diagrams' sorted points find them once, with no m x k matrix. The exact
+lower bound is a candidate and is tested first. When it fails, thresholds
+doubling away from it bracket the answer, and only the candidates inside
+the bracket are sorted and bisected. An iterative Hopcroft-Karp matcher,
+with no recursion limit, checks each test in O(E sqrt V), starting from the
+matchings of the last infeasible threshold. diagram_equal with a tolerance
+uses the same test.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import heapq
 import math
 from collections.abc import Generator, Sequence
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from typing import NamedTuple
 
 import numpy as np
 import numpy.typing as npt
@@ -214,20 +219,26 @@ def mst(cloud: PointCloud | npt.NDArray[np.float64]) -> list[tuple[tuple[int, in
     return list(zip(map(tuple, cx.edge_vertices[merges].tolist()), (2.0 * cx.edge_values[merges]).tolist()))
 
 
-def _saturates(adj: list[list[int]], n_right: int) -> bool:
+def _saturates(adj: list[list[int]], n_right: int, mate_left: list[int]) -> bool:
     """True iff some matching covers every left vertex; adj[u] lists u's right neighbours.
 
-    Hopcroft-Karp (SIAM J. Comput. 1973) seeded by a greedy pass that takes
-    each vertex's first free neighbour. The depth-first search keeps its own
-    stack, so no recursion limit applies at any diagram size.
+    mate_left holds a matching to start from (a right neighbour per left
+    vertex, -1 where none) and is left holding a maximum one when the
+    answer is False. Hopcroft-Karp (SIAM J. Comput. 1973), after a greedy
+    pass that gives each free vertex its first free neighbour. The
+    depth-first search keeps its own stack, so no recursion limit applies
+    at any diagram size.
     """
-    mate_left = [-1] * len(adj)
     mate_right = [-1] * n_right
+    for u, v in enumerate(mate_left):
+        if v >= 0:
+            mate_right[v] = u
     for u, nbrs in enumerate(adj):
-        for v in nbrs:
-            if mate_right[v] < 0:
-                mate_left[u], mate_right[v] = v, u
-                break
+        if mate_left[u] < 0:
+            for v in nbrs:
+                if mate_right[v] < 0:
+                    mate_left[u], mate_right[v] = v, u
+                    break
     free = [u for u, v in enumerate(mate_left) if v < 0]
     while free:
         # layers of the alternating paths from the free left vertices
@@ -269,26 +280,81 @@ def _saturates(adj: list[list[int]], n_right: int) -> bool:
     return True
 
 
-def _linf_matrix(a: npt.NDArray[np.float64], b: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    """L-inf distances between the (birth, death) rows of a and those of b."""
-    return np.maximum(np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1]))
+def _stack(d1: PersistenceDiagram, d2: PersistenceDiagram) -> tuple[npt.NDArray[np.float64], int, list[float], list[float]]:
+    """Both diagrams' finite points as one (m + k, 2) array with d1's m first, m, and each diagram's infinite bars'
+    births. A diagram keeps its pairs sorted, so each part of the array is sorted by birth, and so are the births."""
+    n1, pairs = len(d1.pairs), chain(d1.pairs, d2.pairs)
+    pts = np.fromiter(chain.from_iterable(pairs), np.float64, 2 * (n1 + len(d2.pairs))).reshape(-1, 2)
+    infinite = np.isinf(pts[:, 1])
+    inf1, inf2 = pts[:n1][infinite[:n1], 0].tolist(), pts[n1:][infinite[n1:], 0].tolist()
+    return pts[~infinite], n1 - len(inf1), inf1, inf2
 
 
-def _finite_array(diagram: PersistenceDiagram) -> npt.NDArray[np.float64]:
-    return np.array(diagram.finite_pairs, dtype=np.float64).reshape(-1, 2)
+# Birth-window entries scanned at once by _near, which bounds its temporaries.
+_WINDOW_BLOCK = 1 << 16
+# The bracket's first step above the lower bound covers 1 / _BRACKET_STEPS of the way to the largest half-persistence.
+_BRACKET_STEPS = 256
 
 
-def _cover_test(cost: npt.NDArray[np.float64], half: npt.NDArray[np.float64], delta: float) -> bool:
-    """Can every row with half > delta be matched to a distinct column within delta?
+class _Near(NamedTuple):
+    """Pairs of points of two diagrams, by row: rows index one diagram, cols the other, cost is their L-inf distance."""
 
-    The neighbour lists come from one comparison of the forced rows against
-    delta, in column order; whether a full matching exists does not depend
-    on the order its neighbours are tried in.
+    rows: npt.NDArray[np.intp]
+    cols: npt.NDArray[np.intp]
+    cost: npt.NDArray[np.float64]
+
+
+def _near(pts: npt.NDArray[np.float64], m: int, radius: npt.NDArray[np.float64]) -> tuple[_Near, _Near]:
+    """Each point's partners in the other diagram nearer than its radius in L-inf.
+
+    pts stacks two diagrams' points, the first m one's, each part sorted by
+    birth. Returns the pairs (i, j) with the second's point j within
+    radius[i] of the first's point i, by i, and the pairs (j, i) with i
+    within radius[m + j] of j, by j. The distance is `max(|db|, |dd|)`, the
+    same float in either order. A partner's birth gap is below the radius
+    too, and rounding is monotone, so the partner lies in the window
+    [b - r, b + r] of the other diagram's births as computed in floats: no
+    margin is needed. Both sides' windows are scanned together, about
+    _WINDOW_BLOCK entries at a time.
     """
-    forced = half > delta
-    rows, cols = np.nonzero(cost[forced] <= delta)
-    flat, ends = cols.tolist(), np.cumsum(np.bincount(rows, minlength=int(forced.sum()))).tolist()
-    return _saturates([flat[s:e] for s, e in zip([0, *ends], ends)], cost.shape[1])
+    b, d = pts.T
+    lo, hi = b - radius, b + radius
+    # the first diagram's points look among pts[m:], the second's among pts[:m]
+    start = np.concatenate([b[m:].searchsorted(lo[:m]) + m, b[:m].searchsorted(lo[m:])])
+    stop = np.concatenate([b[m:].searchsorted(hi[:m], "right") + m, b[:m].searchsorted(hi[m:], "right")])
+    ends = np.zeros(len(pts) + 1, dtype=np.intp)  # point u's window is entries ends[u]:ends[u + 1] of the scan
+    np.cumsum(stop - start, out=ends[1:])
+    shift = start - ends[:-1]
+    cuts = [0, len(pts)]
+    if ends[-1] > _WINDOW_BLOCK:
+        cuts[1:1] = ends.searchsorted(np.arange(_WINDOW_BLOCK, ends[-1], _WINDOW_BLOCK)).tolist()
+    parts = []
+    for r0, r1 in zip(cuts, cuts[1:]):
+        n = stop[r0:r1] - start[r0:r1]
+        pos = shift[r0:r1].repeat(n)
+        pos += np.arange(ends[r0], ends[r1])
+        cost = np.maximum(np.abs(b[r0:r1].repeat(n) - b[pos]), np.abs(d[r0:r1].repeat(n) - d[pos]))
+        at = np.flatnonzero(cost < radius[r0:r1].repeat(n))
+        parts.append((ends.searchsorted(at + ends[r0], "right") - 1, pos[at], cost[at]))
+    rows, cols, cost = parts[0] if len(parts) == 1 else map(np.concatenate, zip(*parts))
+    cut = int(rows.searchsorted(m))
+    return _Near(rows[:cut], cols[:cut] - m, cost[:cut]), _Near(rows[cut:] - m, cols[cut:], cost[cut:])
+
+
+def _cover_test(near: _Near, forced: npt.NDArray[np.bool_], delta: float, n_right: int,
+                seed: npt.NDArray[np.intp]) -> tuple[bool, npt.NDArray[np.intp], list[int]]:
+    """Can every forced row be matched to a distinct column within delta?
+
+    `near` must hold every pair within delta of a forced row. The matching
+    starts from seed (a column per row, -1 where none), which must be a
+    matching within delta. Returns the verdict, the forced rows and the
+    columns the matching found gives them.
+    """
+    use = forced[near.rows] & (near.cost <= delta)
+    ids = np.flatnonzero(forced)
+    flat, ends = near.cols[use].tolist(), np.cumsum(np.bincount(near.rows[use], minlength=len(forced))[ids]).tolist()
+    mate = seed[ids].tolist()
+    return _saturates([flat[s:e] for s, e in zip([0, *ends], ends)], n_right, mate), ids, mate
 
 
 def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
@@ -303,47 +369,72 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
     the diagonal-augmented graph exists. The diagonal blocks are complete,
     so by Mendelsohn-Dulmage a threshold is feasible iff a matching of the
     point-to-point graph covers every point of d1 farther than it from the
-    diagonal, and another covers every such point of d2. Feasibility is
-    monotone and fails below the largest point-wise lower bound, itself a
-    candidate; that bound is tested first, as pruning by geometry before
-    matching (Efrat, Itai & Katz, Algorithmica 2001; Kerber, Morozov &
-    Nigmetov, ACM JEA 2017) makes it the answer on nearby diagrams. Only
-    when it fails are the candidates sorted and bisected above it.
+    diagonal, and another covers every such point of d2. A point is forced
+    only below its half-persistence, so every edge a test can use is one
+    of the pairs nearer than the forced point's half-persistence: those
+    are found once, by birth windows (Kerber, Morozov & Nigmetov, ACM JEA
+    2017), and each test filters them. Feasibility changes only at those
+    pairs' distances and at half-persistences, so the answer is one of
+    them: the same float as over all candidates. Feasibility is monotone
+    and fails below the largest point-wise lower bound, itself a
+    candidate; that bound is tested first and is the answer on nearby
+    diagrams. When it fails, thresholds doubling away from it bracket the
+    answer, and only the candidates inside the bracket are sorted and
+    bisected. Each test starts from the matchings of the last infeasible
+    threshold, which stay valid above it (Efrat, Itai & Katz, Algorithmica
+    2001).
     """
     if d1.dim != d2.dim:
         raise ValueError("diagrams of different dimensions are not comparable")
-    inf1 = sorted(b for b, _ in d1.infinite_pairs)
-    inf2 = sorted(b for b, _ in d2.infinite_pairs)
+    pts, m, inf1, inf2 = _stack(d1, d2)
     if len(inf1) != len(inf2):
         return math.inf
     floor = max((abs(a - b) for a, b in zip(inf1, inf2)), default=0.0)
-
-    pts1, pts2 = _finite_array(d1), _finite_array(d2)
-    if len(pts1) == 0 and len(pts2) == 0:
+    if len(pts) == 0:
         return floor
-    cost = _linf_matrix(pts1, pts2)
-    half1 = (pts1[:, 1] - pts1[:, 0]) / 2.0
-    half2 = (pts2[:, 1] - pts2[:, 0]) / 2.0
+    k, half = len(pts) - m, (pts[:, 1] - pts[:, 0]) / 2.0
+    near1, near2 = _near(pts, m, half)
+    sides = [(near1, half[:m], k), (near2, half[m:], m)]
     # each point goes to the diagonal or to its nearest partner at best
-    lower = float(max(
-        np.minimum(half1, cost.min(axis=1, initial=math.inf)).max(initial=0.0),
-        np.minimum(half2, cost.min(axis=0, initial=math.inf)).max(initial=0.0),
-    ))
+    best = half.copy()
+    np.minimum.at(best, near1.rows, near1.cost)
+    np.minimum.at(best, near2.rows + m, near2.cost)
+    lower = float(best.max())
+    seeds = [np.full(m, -1, dtype=np.intp), np.full(k, -1, dtype=np.intp)]
 
     def feasible(delta: float) -> bool:
-        return _cover_test(cost, half1, delta) and _cover_test(cost.T, half2, delta)
+        found = []
+        for (near, part, n_right), seed in zip(sides, seeds):
+            ok, ids, mate = _cover_test(near, part > delta, delta, n_right, seed)
+            found.append((ids, mate))
+            if not ok:  # matchings within an infeasible threshold stay valid above it
+                for kept, (ids, mate) in zip(seeds, found):
+                    kept[ids] = mate
+                return False
+        return True
 
     if feasible(lower):
         return max(floor, lower)
-    candidates = np.unique(np.concatenate([[0.0], cost.ravel(), half1, half2]))
-    lo, hi = int(np.searchsorted(candidates, lower)) + 1, len(candidates) - 1  # the largest is feasible
-    while lo < hi:
-        mid = (lo + hi) // 2
+    top = float(half.max())  # nothing is forced at top: feasible
+    lo, step = lower, (top - lower) / _BRACKET_STEPS
+    hi = min(lower + step, top)
+    while hi < top and not feasible(hi):
+        lo, step = hi, 2.0 * step
+        hi = min(lower + step, top)
+    # the tests left lie in (lo, hi]: they use only the pairs within hi of a row forced above lo
+    for at, (near, part, n_right) in enumerate(sides):
+        use = np.flatnonzero((part[near.rows] > lo) & (near.cost <= hi))
+        sides[at] = _Near(near.rows[use], near.cols[use], near.cost[use]), part, n_right
+    values = np.concatenate([sides[0][0].cost, sides[1][0].cost, half])
+    candidates = np.unique(values[(values > lo) & (values <= hi)])  # the largest is feasible as hi is
+    i, j = 0, len(candidates) - 1
+    while i < j:
+        mid = (i + j) // 2
         if feasible(float(candidates[mid])):
-            hi = mid
+            j = mid
         else:
-            lo = mid + 1
-    return max(floor, float(candidates[lo]))
+            i = mid + 1
+    return max(floor, float(candidates[i]))
 
 
 def diagram_equal(d1: PersistenceDiagram, d2: PersistenceDiagram, tol: float = 0.0) -> bool:
@@ -358,17 +449,20 @@ def diagram_equal(d1: PersistenceDiagram, d2: PersistenceDiagram, tol: float = 0
         raise ValueError("diagrams of different dimensions are not comparable")
     if len(d1.pairs) != len(d2.pairs):
         return False
-    inf1 = sorted(b for b, _ in d1.infinite_pairs)
-    inf2 = sorted(b for b, _ in d2.infinite_pairs)
+    pts, m, inf1, inf2 = _stack(d1, d2)
     if len(inf1) != len(inf2):
         return False
     if any(abs(a - b) > tol for a, b in zip(inf1, inf2)):
         return False
+    if np.array_equal(pts[:m], pts[m:]):  # equal multisets match at any tol
+        return True
     if tol == 0.0:
-        return sorted(d1.finite_pairs) == sorted(d2.finite_pairs)
-    # the bottleneck feasibility test with every point forced, as no pair may go to the diagonal
-    cost = _linf_matrix(_finite_array(d1), _finite_array(d2))
-    return _cover_test(cost, np.full(len(cost), math.inf), tol)
+        return False
+    # the bottleneck feasibility test with every point forced, as no pair may go to the diagonal;
+    # the pairs within tol are those nearer than the next float above it
+    radius = np.repeat([math.nextafter(tol, math.inf), 0.0], [m, len(pts) - m])
+    near, _ = _near(pts, m, radius)
+    return _cover_test(near, np.ones(m, dtype=bool), tol, m, np.full(m, -1, dtype=np.intp))[0]
 
 
 def gap_stats(diagram: PersistenceDiagram) -> GapStats:

@@ -10,7 +10,7 @@ the vectorized builders must match it bit for bit. `boundary_pd1` is the
 textbook boundary-matrix reduction the package used to run, so the
 package's cohomology route must give the very same pairs, float for float.
 `kuhn_bottleneck` is the dense bisection-plus-Kuhn matching the package
-used to run, so its sparse matcher must return the very same float.
+used to run, so its windowed, warm-started matcher must return the very same float.
 `scipy_bottleneck` is a third, independent route for diagrams too large
 for the recursive one: the same bisection with scipy's Hopcroft-Karp.
 `lex_greedy_triangulation` is the arc-splitting greedy the package used to

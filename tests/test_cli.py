@@ -609,11 +609,32 @@ print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "s
 """
 
 
+# bottleneck matching and diagram_equal(tol) run their own matcher on VR diagrams
+SCIPY_FREE_METRICS_SCRIPT = """
+import json, sys
+import numpy as np
+from pointpd import PersistenceDiagram, bottleneck_distance, build_complex, compute_pd, diagram_equal
+points = np.random.default_rng(0).random((40, 2))
+moved = points + np.random.default_rng(1).uniform(-1e-3, 1e-3, points.shape)
+d1, d2 = (compute_pd(build_complex(p, "vr"), 1) for p in (points, moved))
+assert len(d1) > 0 and 0.0 < bottleneck_distance(d1, d2) <= 2e-3
+shifted = PersistenceDiagram(1, tuple((b + 1e-4, d + 1e-4) for b, d in d1.pairs))
+assert diagram_equal(d1, shifted, 2e-4) and not diagram_equal(d1, shifted, 5e-5)
+print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
 class TestColdStart:
     def test_vr_and_cech_commands_never_load_scipy(self, square, tmp_path):
         # a fresh process pays for every module it imports: scipy.sparse.csgraph alone adds about 0.37 s
         env = {**os.environ, "PYTHONPATH": str(Path(pointpd.__file__).parents[1])}
         argv = [sys.executable, "-c", SCIPY_FREE_SCRIPT, square, str(tmp_path / "out_")]
         done = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []
+
+    def test_bottleneck_and_diagram_equal_never_load_scipy(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(pointpd.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", SCIPY_FREE_METRICS_SCRIPT], capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == []

@@ -601,8 +601,8 @@ def matchings(monkeypatch) -> list[bool]:
     outcomes: list[bool] = []
     saturates = persistence._saturates
 
-    def recorded(adj, n_right):
-        outcomes.append(saturates(adj, n_right))
+    def recorded(*args):
+        outcomes.append(saturates(*args))
         return outcomes[-1]
 
     monkeypatch.setattr(persistence, "_saturates", recorded)
@@ -681,6 +681,32 @@ class TestBottleneckExact:
     def test_property(self, data, grid):
         self.assert_exact(data.draw(diagrams(grid)), data.draw(diagrams(grid)))
 
+    def test_window_boundary(self):
+        # births 0.8 and 0.3 are 0.5 apart in floats, yet 0.8 - 0.5 rounds to 0.30000000000000004: a birth
+        # window [b - 0.5, b + 0.5] computed in floats leaves out the partner that L-inf <= 0.5 keeps
+        assert 0.8 - 0.3 == 2.8 - 2.3 == 0.5
+        assert np.searchsorted([0.3], 0.8 - 0.5) == 1
+        d1, d2 = PersistenceDiagram(1, ((0.8, 2.8),)), PersistenceDiagram(1, ((0.3, 2.3),))
+        for a, b in ((d1, d2), (d2, d1)):
+            assert bottleneck_distance(a, b) == kuhn_bottleneck(a, b) == 0.5
+            assert diagram_equal(a, b, 0.5)
+            assert not diagram_equal(a, b, math.nextafter(0.5, 0.0))
+        self.assert_exact(PersistenceDiagram(1, ((0.8, 2.8), (0.75, 0.9))), PersistenceDiagram(1, ((0.3, 2.3), (0.3, 0.35))))
+
+    @given(data=st.data(), grid=st.booleans())
+    def test_windows_find_every_near_pair(self, data, grid):
+        # each point's partners nearer than its radius, against the dense comparison; on the 0.1 grid
+        # the birth gaps and the radii tie often
+        d1, d2 = data.draw(diagrams(grid)), data.draw(diagrams(grid))
+        pts, m, _, _ = persistence._stack(d1, d2)
+        radius = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 0.5]) if grid else st.floats(0.0, 1.0),
+                                             min_size=len(pts), max_size=len(pts))))
+        for side, (a, b, r) in zip(persistence._near(pts, m, radius), ((pts[:m], pts[m:], radius[:m]), (pts[m:], pts[:m], radius[m:]))):
+            cost = np.maximum(np.abs(a[:, None, 0] - b[None, :, 0]), np.abs(a[:, None, 1] - b[None, :, 1]))
+            rows, cols = np.nonzero(cost < r[:, None])
+            assert sorted(zip(side.rows.tolist(), side.cols.tolist())) == list(zip(rows.tolist(), cols.tolist()))
+            assert side.cost.tolist() == cost[side.rows, side.cols].tolist()
+
 
 class TestLargeDiagrams:
     def test_alpha_600(self):
@@ -691,6 +717,19 @@ class TestLargeDiagrams:
         got = bottleneck_distance(d1, d2)
         assert got <= float(np.max(np.linalg.norm(moved - points, axis=1)))
         assert got == scipy_bottleneck(d1.finite_pairs, d2.finite_pairs)
+
+    def test_jittered_2400_exact_within_20_mib(self):
+        # the lower bound fails on this cloud (the dense matrix took 42 cover tests), so the bracket and the
+        # warm-started bisection run; a 2 312 x 2 271 L-inf matrix alone would take 40 MiB
+        d1, d2 = alpha_diagrams(*jittered_cloud(3, 2400))
+        tracemalloc.start()
+        try:
+            got = bottleneck_distance(d1, d2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert got == bottleneck_distance(d2, d1) == scipy_bottleneck(d1.finite_pairs, d2.finite_pairs)
 
     def test_diagram_equal_long_augmenting_paths(self):
         # pair i lies within tol of shifted pairs i - 1 and i, so matching
