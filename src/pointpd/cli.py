@@ -294,8 +294,16 @@ def cmd_family(args) -> int:
     return 0
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, newline="\n")
+def _write_experiment(args, command: str, fields: dict, tables: dict[str, str], counts: dict[str, int]) -> int:
+    """Write an experiment's tables and its config.json into args.out, and emit one summary line."""
+    config = {"command": command, **fields, "trials": args.trials, "seed": args.seed,
+              "kind": FiltrationKind(args.kind).value}
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in {**tables, "config.json": json.dumps(config, sort_keys=True, indent=2) + "\n"}.items():
+        (out / name).write_text(text, newline="\n")
+    _emit({"command": command, **counts, "out": str(args.out), "files": sorted(["config.json", *tables])})
+    return 0
 
 
 def cmd_experiment_hist(args) -> int:
@@ -308,50 +316,24 @@ def cmd_experiment_hist(args) -> int:
         bins=args.bins,
     )
     result = persistence_histogram(cfg)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "histogram.csv", histogram_csv(result))
-    _write(out / "raw.csv", raw_csv(result))
-    config = {
-        "command": "experiment-hist",
-        "n": args.n,
-        "N": args.N,
-        "trials": args.trials,
-        "seed": args.seed,
-        "bins": args.bins,
-        "kind": FiltrationKind(args.kind).value,
-    }
-    _write(out / "config.json", json.dumps(config, sort_keys=True, indent=2) + "\n")
-    _emit({
-        "command": "experiment-hist",
-        "records": len(result.records),
-        "out": str(args.out),
-        "files": ["config.json", "histogram.csv", "raw.csv"],
-    })
-    return 0
+    return _write_experiment(
+        args,
+        "experiment-hist",
+        {"n": args.n, "N": args.N, "bins": args.bins},
+        {"histogram.csv": histogram_csv(result), "raw.csv": raw_csv(result)},
+        {"records": len(result.records)},
+    )
 
 
 def cmd_experiment_sweep(args) -> int:
     result = gap_ratio_sweep(args.n, args.N, args.trials, args.seed, kind=args.kind)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write(out / "sweep.csv", sweep_csv(result))
-    config = {
-        "command": "experiment-sweep",
-        "n_range": args.n,
-        "N_range": args.N,
-        "trials": args.trials,
-        "seed": args.seed,
-        "kind": FiltrationKind(args.kind).value,
-    }
-    _write(out / "config.json", json.dumps(config, sort_keys=True, indent=2) + "\n")
-    _emit({
-        "command": "experiment-sweep",
-        "rows": len(result.rows),
-        "out": str(args.out),
-        "files": ["config.json", "sweep.csv"],
-    })
-    return 0
+    return _write_experiment(
+        args,
+        "experiment-sweep",
+        {"n_range": args.n, "N_range": args.N},
+        {"sweep.csv": sweep_csv(result)},
+        {"rows": len(result.rows)},
+    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -451,10 +433,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except HypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RuntimeError as exc:
+    except (HypothesisError, RuntimeError) as exc:  # before ValueError: a HypothesisError is one
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (CloudFormatError, ValueError, IndexError, OSError) as exc:

@@ -22,7 +22,6 @@ from .geometry import (
     COINCIDENT_TOL,
     PointCloud,
     Ray,
-    _as_cloud,
     _row_norms,
     angular_deviation,
     angular_thickness,
@@ -182,9 +181,6 @@ def validate_tail(
     filtrations that omit some skip edges (Delaunay), absent edges are
     vacuously fine, but a missing successive edge is a failure.
     """
-    tail = _as_cloud(tail)
-    if tail.n_points == 1:
-        return TailCheck(True, {}, ())
     return _tail_check(build_complex(tail, kind))
 
 

@@ -114,9 +114,9 @@ def _row(vertices: npt.NDArray[np.intp], idx: int) -> tuple[int, ...]:
 
 
 def _sorted_group(
-    n: int, vertices: npt.ArrayLike, values: npt.ArrayLike, width: int
+    n: int, vertices: npt.ArrayLike, values: npt.ArrayLike, width: int, cap: float
 ) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64]]:
-    """Check one dimension's simplices and sort them by (value, vertices).
+    """Check one dimension's simplices against n vertices and the cap, and sort them by (value, vertices).
 
     Ties in value sort by key: the vertex tuple read as digits in base n,
     which orders keys like tuples.
@@ -136,6 +136,9 @@ def _sorted_group(
         raise ValueError(
             f"simplex value must be finite and nonnegative: {_row(vertices, bad[0])} at {values[bad[0]]}"
         )
+    bad = np.flatnonzero(values > cap)
+    if bad.size:
+        raise ValueError(f"simplex {_row(vertices, bad[0])} at {values[bad[0]]} is above max_scale {cap}")
     keys = np.zeros(len(values), dtype=np.int64)
     for col in vertices.T:
         keys = keys * n + col
@@ -175,8 +178,8 @@ class FilteredComplex:
     larger than the simplex's own (so the (value, dim, lex) order is a
     valid filtration order).
 
-    `max_scale` records the cap the builder used; simplices above the cap
-    were omitted at build time.
+    `max_scale` is the cap the complex was built under: no simplex has a
+    value above it, and inf means nothing was left out.
 
     `from_arrays` is the one constructor: it takes the per-dimension
     arrays in any order, and sorts and checks them. Instances are
@@ -203,13 +206,16 @@ class FilteredComplex:
         kind: FiltrationKind | str,
         max_scale: float,
     ) -> FilteredComplex:
-        """Complex on vertices 0..n-1 from edge and triangle arrays in any order."""
+        """Complex on vertices 0..n-1 from edge and triangle arrays in any order, none above max_scale (inf: no cap)."""
         if n_vertices < 1:
             raise ValueError("complex needs at least one vertex")
         if n_vertices > _MAX_VERTICES:
             raise ValueError(f"at most {_MAX_VERTICES} vertices are supported")
+        cap = float(max_scale)
+        if not cap >= 0.0:
+            raise ValueError(f"max_scale must be a nonnegative number, got {cap}")
         self = cls.__new__(cls)
-        self._store(n_vertices, *_sorted_group(n_vertices, edge_vertices, edge_values, 2), kind, max_scale)
+        self._store(n_vertices, *_sorted_group(n_vertices, edge_vertices, edge_values, 2, cap), kind, cap)
         self._store_triangles(triangle_vertices, triangle_values)
         return self
 
@@ -223,7 +229,7 @@ class FilteredComplex:
     def _store_triangles(self, triangle_vertices, triangle_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sort and check the triangles against the edges, and keep them."""
         n, ev, ex = self.n_vertices, self.edge_vertices, self.edge_values
-        tv, tx = _sorted_group(n, triangle_vertices, triangle_values, 3)
+        tv, tx = _sorted_group(n, triangle_vertices, triangle_values, 3, self.max_scale)
         triangle_edges = _edge_rows(ev[:, 0] * n + ev[:, 1], n, tv[:, [0, 0, 1]] * n + tv[:, [1, 2, 2]])
         missing = triangle_edges < 0
         bad = np.flatnonzero(missing.any(axis=1))
@@ -321,29 +327,28 @@ def _capped_complexes(
 ) -> list[FilteredComplex]:
     """VR/Cech complexes of a stack of clouds (T, n, d): edges (i < j) at D/2, and every triple i < j < k whose
     three edges are kept at the kind's value of (D_ij, D_ik, D_jk); both only where the value is at most the cap,
-    max(D) / 2 (VR) or max(D) / sqrt(3) (Cech), which keep every edge, unless one cloud's max_scale is given. A NaN
-    or negative cap would keep only the vertices, so it is rejected; clouds are checked in order. The edges leave in
-    filtration order as views of one (T, m, 2) array; each complex keeps its D in place of triangle arrays, and the
-    stack shares one D and one coface pass, run at the first read."""
+    one cloud's max_scale, or inf when none is given. A NaN or negative cap would keep only the vertices, so it is
+    rejected; clouds are checked in order. The edges leave in filtration order as views of one (T, m, 2) array;
+    each complex keeps its D in place of triangle arrays, and the stack shares one D and one coface pass, run at
+    the first read."""
     if max_scale is not None and len(points) > 1:
         raise ValueError(f"a scale cap takes one cloud, got {len(points)}")
+    cap = math.inf if max_scale is None else float(max_scale)
     D, n = _distance_matrix(points), points.shape[1]
     i, j = np.triu_indices(n, k=1)
     values = D[:, i, j]
     # the edge taxonomy assumes distinct points (a zero-length edge classifies meaninglessly): every builder checks
     close = (values.min(axis=1, initial=np.inf) < COINCIDENT_TOL).tolist()
     values /= 2.0
-    default = D.max(axis=(1, 2)) / (2.0 if kind is FiltrationKind.VR else math.sqrt(3.0))
-    caps = default.tolist() if max_scale is None else [float(max_scale)]
     # select before sorting: a sparse cap keeps few of the n(n-1)/2 edges; triu_indices lists them in key order
-    kept = values[0] <= caps[0]
+    kept = values[0] <= cap
     edges, values = np.stack([i[kept], j[kept]], axis=1), values.compress(kept, axis=1)  # [:, kept] is 10x slower
     order = np.argsort(values, axis=1, kind="stable")  # stable: (value, key) order
     values, vertices = np.take_along_axis(values, order, axis=1), edges[order]
     D.flags.writeable = False
-    group_pass = cache(partial(_implicit_cofaces, D, kind, vertices, np.array(caps)))  # holds no complex: no cycle
+    group_pass = cache(partial(_implicit_cofaces, D, kind, vertices, cap))  # holds no complex: no cycle
     complexes = []
-    for t, cap in enumerate(caps):
+    for t in range(len(points)):
         if close[t]:
             raise ValueError("coincident points are not allowed")
         if not cap >= 0.0:
@@ -379,37 +384,36 @@ def _triangle_values(kind: FiltrationKind, e, x, y):
     return values, (values == e / 2.0) & (x < e) & (y < e)
 
 
-def _coface_values(D, kind: FiltrationKind, cap, t, i, j, k0: int = 0, k1: int | None = None):
+def _coface_values(D, kind: FiltrationKind, cap: float, t, i, j, k0: int = 0, k1: int | None = None):
     """Values of the triangles {i, j, k} of cloud t of the stack D (T, n, n) for k in [k0, k1), inf where k is i or j
-    or above the cap (per edge, or one for all); and per entry whether it witnesses that edge (i, j) is Long."""
+    or above the cap; and per entry whether it witnesses that edge (i, j) is Long."""
     e, x, y = D[t, i, j][:, None], D[t, i, k0:k1], D[t, j, k0:k1]
     values, witness = _triangle_values(kind, e, x, y)
     np.putmask(values, (values > cap) | (np.minimum(x, y) == 0.0), np.inf)  # no two points coincide: D_ik = 0 at k = i
     return values, witness
 
 
-def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], caps) -> list[_Cofaces]:
+def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], cap: float) -> list[_Cofaces]:
     """Bauer's implicit coboundary (Ripser), read lazily off D: no triangle arrays.
 
     One pass serves a group of T complexes on clouds of n points: D (T, n, n), their edges (T, m, 2) in filtration
-    order and their caps; the group's edge e is member e // m's edge e % m, and a lone cloud indexes D with the
+    order and their one cap; the group's edge e is member e // m's edge e % m, and a lone cloud indexes D with the
     scalar 0 rather than an array of zeros. Edge (i, j)'s oldest coface is the first k of least value, as the
     triples {i, j, k} sort like k. A Long witness has the edge's own value, the least a coface can have, so k is read
     in rounds of doubling width and an edge leaves at its first witness. A block keeps its first least k; a later
     block wins only on a strictly smaller value. `rows` recomputes rows in blocks, for edges numbered as above; its
-    closure holds D, the kind, the caps and the edges, not the complexes, so no reference cycle keeps it alive.
+    closure holds D, the kind, the cap and the edges, not the complexes, so no reference cycle keeps it alive.
     """
     n, m = D.shape[1], vertices.shape[1]
     i, j = vertices.reshape(-1, 2).T
-    # oldest starts just above the cap, so only a coface within the cap is ever oldest
-    oldest, k, long = np.repeat(np.nextafter(caps, np.inf), m), np.zeros_like(i), np.zeros(len(i), dtype=bool)
+    oldest, k, long = np.full(len(i), np.inf), np.zeros_like(i), np.zeros(len(i), dtype=bool)
     active, k0, width = np.arange(len(i)), 0, max(8, _BLOCK // max(1, len(i)))
     while active.size and k0 < n:
         k1 = min(k0 + width, n)
         step = _BLOCK // (k1 - k0)  # at least 1: the width never passes _BLOCK
         for s in range(0, len(active), step):
             batch = active[s : s + step]
-            block, witness = _coface_values(D, kind, np.inf, batch // m if len(D) > 1 else 0, i[batch], j[batch], k0, k1)
+            block, witness = _coface_values(D, kind, cap, batch // m if len(D) > 1 else 0, i[batch], j[batch], k0, k1)
             first = block.argmin(axis=1)
             least = block[np.arange(len(batch)), first]
             better = least < oldest[batch]
@@ -422,14 +426,13 @@ def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], c
         for s in range(0, len(edges), step):
             e = np.array(edges[s : s + step], dtype=np.intp)
             t = e // m if len(D) > 1 else 0
-            block = _coface_values(D, kind, caps[t, None], t, i[e], j[e])[0]
+            block = _coface_values(D, kind, cap, t, i[e], j[e])[0]
             order = block.argsort(axis=1, kind="stable")  # (value, k) order is (value, id) order
             values, ids = block[np.arange(len(e))[:, None], order], _triple_keys(i[e, None], j[e, None], order, n)
             ends = np.count_nonzero(values < np.inf, axis=1).tolist()
             out.extend((values[r, :end].tolist(), ids[r, :end].tolist()) for r, end in enumerate(ends))
         return out
 
-    oldest[oldest > np.repeat(caps, m)] = np.inf
     # member t's edge (a, b) has key (t n + a) n + b < T n n <= keys²; sides: the keys of edges (i, k) and (j, k)
     base, keys = np.arange(len(i)) // m * n, math.isqrt(len(D) * n * n - 1) + 1
     sides = (np.minimum([i, j], k) + base) * n + np.maximum([i, j], k)
@@ -535,15 +538,14 @@ def build_vr(
     """Vietoris-Rips filtration up to dimension 2.
 
     Edge value is half the endpoint distance; triangle value is the max
-    of its edge values. With no explicit cap, the cap is half the cloud
-    diameter, which keeps every edge and triangle.
+    of its edge values. With no cap every edge and triangle is kept.
 
     Args:
         cloud: input points.
         max_scale: optional cap; simplices with value above it are omitted.
 
     Returns:
-        The filtered complex, max_scale field set to the cap used.
+        The filtered complex, its max_scale the cap given, or inf without one.
 
     Raises:
         ValueError: coincident points, or a NaN or negative cap.
@@ -583,10 +585,9 @@ def build_cech(
 
     Edge value is half the endpoint distance; triangle value is the
     radius of the triple's minimum enclosing ball, which is at least the
-    largest edge value (so faces precede cofaces). The default cap is
-    diam/sqrt(3): the circumradius of any triple is bounded by that (its
-    largest angle is at least 60 degrees), so the default keeps every
-    triangle and the complex tops out as a full 2-skeleton.
+    largest edge value (so faces precede cofaces). Without a cap the
+    complex is the full 2-skeleton and its max_scale is inf; with one,
+    simplices above it are omitted, as in `build_vr`.
 
     Raises:
         ValueError: coincident points, or a NaN or negative cap.
@@ -623,8 +624,7 @@ def _collinear_path_complex(points: npt.NDArray[np.float64]) -> FilteredComplex:
     order = np.array(sorted(range(len(points)), key=lambda k: float(np.dot(points[k] - points[i0], axis))))
     edges = np.sort(np.stack([order[:-1], order[1:]], axis=1), axis=1)
     values = D[edges[:, 0], edges[:, 1]] / 2.0
-    cap = float(values.max(initial=0.0))
-    return FilteredComplex.from_arrays(len(points), edges, values, [], [], FiltrationKind.DELAUNAY, cap)
+    return FilteredComplex.from_arrays(len(points), edges, values, [], [], FiltrationKind.DELAUNAY, math.inf)
 
 
 def _circumcircles(
@@ -677,7 +677,8 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     minimum of its incident triangles' values. Cocircular groups of 4+
     points are re-triangulated deterministically (lexicographically
     smallest triangulation of the convex polygon). All-collinear input
-    degrades to the path complex with edges at half-length.
+    degrades to the path complex with edges at half-length. Nothing is
+    capped: max_scale is inf.
 
     After Qhull, every test reads the triangles' own edge adjacency. Flat
     simplices (|u x v| <= 8 eps max|points| max(|u|, |v|): Qhull's slivers on
@@ -749,8 +750,7 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     blocked = _norms(points[tris[:, ::-1].reshape(-1)] - mid[inverse]) < half[inverse]
     blocked = (np.bincount(inverse[blocked], minlength=len(edges)) > 0) | np.isin(edges[:, 0] * n + edges[:, 1], diameters)
     edge_values = np.where(blocked, incident_min, half)
-    cap = max(0.0, float(edge_values.max()), float(tri_values.max()))
-    return FilteredComplex.from_arrays(n, edges, edge_values, tris, tri_values, FiltrationKind.DELAUNAY, cap)
+    return FilteredComplex.from_arrays(n, edges, edge_values, tris, tri_values, FiltrationKind.DELAUNAY, math.inf)
 
 
 def _all_collinear(points: npt.NDArray[np.float64], tol: float = 1e-12) -> bool:

@@ -48,8 +48,9 @@ class PersistenceDiagram:
     """Multiset of (birth, death) pairs in one homology dimension.
 
     Zero-persistence pairs are never stored. `truncation_scale` echoes the
-    cap of the complex the diagram came from (None when unknown, e.g.
-    after deserialization); death = inf marks classes alive at that cap.
+    cap of the complex the diagram came from (inf when it had none, None
+    when unknown, e.g. after deserialization); death = inf marks classes
+    alive at that cap.
     """
 
     dim: int

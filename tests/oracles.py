@@ -28,6 +28,10 @@ search per edge in place of the package's single union-find pass.
 the chord-by-chord and point-by-point loops the package used to run, with
 1-D `np.linalg.norm` and `math.atan2`, so its row kernels must return the
 very same floats and raise the same errors.
+`NEAR_EQUILATERAL` and `equilateral_triangles` are clouds whose Cech
+triangle value rounds a few ulps above diameter / sqrt(3), its bound in
+exact arithmetic: an uncapped build must keep the triangle, and the
+degree-1 class must die at its value.
 """
 
 from __future__ import annotations
@@ -578,7 +582,6 @@ def loop_delaunay(cloud):
         dist[j] = np.inf
         gabriel = bool(dist.min() >= rad)
         edge_values[(i, j)] = rad if gabriel else min(tri_value[t] for t in tris)
-    cap = max([0.0, *edge_values.values(), *tri_value.values()])
     return FilteredComplex.from_arrays(
         n,
         list(edge_values),
@@ -586,7 +589,7 @@ def loop_delaunay(cloud):
         list(tri_value),
         list(tri_value.values()),
         FiltrationKind.DELAUNAY,
-        cap,
+        math.inf,  # an alpha complex is never capped
     )
 
 
@@ -670,3 +673,25 @@ def loop_distance_multiset(pts) -> tuple[float, ...]:
     """Sorted pairwise distances, one 1-D np.linalg.norm per pair."""
     n = len(pts)
     return tuple(sorted(float(np.linalg.norm(pts[i] - pts[j])) for i in range(n) for j in range(i + 1, n)))
+
+
+# ---------------------------------------------------------------- near-equilateral clouds
+
+# Cech triangle value 8.574042765875697: 3 ulps above diameter / sqrt(3), which bounds it only in exact arithmetic
+NEAR_EQUILATERAL = np.array(
+    [
+        [81.34938818931622, 19.36149545040805],
+        [67.21829893045702, 23.928216857648735],
+        [70.32894680920997, 9.406973872710918],
+    ]
+)
+
+
+def equilateral_triangles(count: int, seed: int = 0) -> np.ndarray:
+    """`count` equilateral triangles (count, 3, 2): circumradius below 10, turned at random, centred in [0, 100)^2.
+    In floats about one in ten has a Cech value above diameter / sqrt(3)."""
+    rng = np.random.default_rng(seed)
+    radius, turn = rng.uniform(0.0, 10.0, count), rng.uniform(0.0, 2.0 * math.pi, count)
+    centre = rng.uniform(0.0, 100.0, (count, 2))
+    angles = turn[:, None] + 2.0 * math.pi / 3.0 * np.arange(3)
+    return centre[:, None, :] + radius[:, None, None] * np.stack([np.cos(angles), np.sin(angles)], axis=-1)

@@ -14,6 +14,8 @@ from pointpd.cloudfile import read_cloud
 from pointpd.edges import classify_all
 from pointpd.filtration import _norms, build_complex
 
+from oracles import NEAR_EQUILATERAL
+
 SQUARE_TEXT = "0 0\n1 0\n0 1\n1 1\n"
 TRIANGLE_TEXT = "0 0\n-3 0\n0 -4\n"
 SEGMENT_TEXT = "0 0\n1 0\n"
@@ -66,6 +68,14 @@ class TestPd:
             "0,0.0,0.5",
             "0,0.0,inf",
         ]
+
+    def test_uncapped_cech_keeps_a_near_equilateral_triangle(self, capsys, tmp_path):
+        # the triangle's value rounds 3 ulps above diam/sqrt(3), which bounds it only in exact arithmetic
+        path = tmp_path / "near_equilateral.txt"
+        path.write_text("".join(f"{x!r} {y!r}\n" for x, y in NEAR_EQUILATERAL.tolist()))
+        code, out, _ = run(capsys, ["pd", str(path), "--kind", "cech"])
+        assert code == 0
+        assert out == "dim,birth,death\n1,7.425338848382543,8.574042765875697\n"
 
     def test_trivial_diagram_is_header_only(self, capsys, triangle):
         code, out, _ = run(capsys, ["pd", triangle, "--kind", "cech"])

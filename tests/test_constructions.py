@@ -6,6 +6,7 @@ import pytest
 from pointpd.constructions import (
     AttachReport,
     HypothesisError,
+    TailCheck,
     TailSpec,
     attach_tail,
     distance_multiset,
@@ -109,7 +110,8 @@ class TestValidateTail:
         assert validate_tail(tail, "delaunay").ok
 
     def test_single_point_is_vacuously_a_tail(self):
-        assert validate_tail(PointCloud([[2.0, 1.0]]), "vr").ok
+        for kind in ("vr", "cech", "delaunay"):
+            assert validate_tail(PointCloud([[2.0, 1.0]]), kind) == TailCheck(True, {}, ())
 
     def test_scrambled_order_fails(self):
         tail = generate_tail(spec(seed=2, n=4, cone=0.0))

@@ -23,6 +23,8 @@ from pointpd.filtration import build_complex
 from pointpd.geometry import PointCloud
 from pointpd.persistence import compute_pd, gap_stats
 
+from oracles import NEAR_EQUILATERAL, equilateral_triangles
+
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 SQUARE_PERS = math.sqrt(2.0) / 2.0 - 0.5
 
@@ -134,7 +136,7 @@ class TestPersistenceHistogram:
         assert sum(result.percentages) == pytest.approx(100.0)
 
     def test_persistences_respect_the_diameter_bound(self):
-        # in the unit square the truncation cap is diam/2 <= sqrt(2)/2
+        # in the unit square no VR value exceeds diam/2 <= sqrt(2)/2
         cfg = ExperimentConfig(9, 2, 8, 5)
         result = persistence_histogram(cfg)
         for p in result.persistences():
@@ -228,6 +230,16 @@ class TestGroupedCells:
                 for birth, death in compute_pd(build_complex(source(0, 2, trial), kind), 1).finite_pairs]
         assert seen[: len(sizes)] == list(range(len(sizes)))
         assert list(result.records) == want and len({record.trial for record in want}) >= 4
+
+    def test_cech_cell_keeps_near_equilateral_triangles(self):
+        # each triangle's value rounds a few ulps above its exact bound diam/sqrt(3): every trial's class dies at it
+        clouds = [NEAR_EQUILATERAL, *equilateral_triangles(50)]
+        result = persistence_histogram(
+            ExperimentConfig(3, 2, len(clouds), 0, kind="cech"), cloud_source=lambda n, dim, trial: clouds[trial]
+        )
+        assert [record.trial for record in result.records] == list(range(len(clouds)))
+        for record, points in zip(result.records, clouds):
+            assert record.death == build_complex(points, "cech").triangle_values[0]
 
     @pytest.mark.parametrize("kind", ["vr", "cech", "delaunay"])
     def test_cells_equal_one_build_per_trial(self, kind):

@@ -32,7 +32,15 @@ from pointpd.edges import classify_all, classify_edge
 from pointpd.geometry import PointCloud, Ray
 from pointpd.persistence import bottleneck_distance, compute_pd, diagram_equal
 
-from oracles import lex_greedy_triangulation, lex_min_triangulation, loop_complex, loop_delaunay, oracle_meb3
+from oracles import (
+    NEAR_EQUILATERAL,
+    equilateral_triangles,
+    lex_greedy_triangulation,
+    lex_min_triangulation,
+    loop_complex,
+    loop_delaunay,
+    oracle_meb3,
+)
 
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 KINDS = ["vr", "cech", "delaunay"]
@@ -69,7 +77,8 @@ def value_at(cx: FilteredComplex, vertices: tuple[int, ...]) -> float:
     return float(values[row])
 
 
-# from_arrays inputs (n, edge vertices, edge values, triangle vertices, triangle values) and the error each raises
+# from_arrays inputs (n, edge vertices, edge values, triangle vertices, triangle values[, max_scale, else 2.0])
+# and the error each raises
 TRIANGLE_EDGES = [[0, 1], [0, 2], [1, 2]]
 REJECTED_ARRAYS = {
     "no-vertex": ((0, [], [], [], []), "complex needs at least one vertex"),
@@ -89,6 +98,13 @@ REJECTED_ARRAYS = {
         (3, TRIANGLE_EDGES, [2.0, 1.0, 1.0], [[0, 1, 2]], [1.0]),
         "face (0, 1) enters at 2.0 after coface (0, 1, 2) at 1.0",
     ),
+    "nan-cap": ((2, [[0, 1]], [0.5], [], [], math.nan), "max_scale must be a nonnegative number, got nan"),
+    "negative-cap": ((2, [[0, 1]], [0.5], [], [], -1.0), "max_scale must be a nonnegative number, got -1.0"),
+    "edge-above-cap": ((2, [[0, 1]], [2.5], [], []), "simplex (0, 1) at 2.5 is above max_scale 2.0"),
+    "triangle-above-cap": (
+        (3, TRIANGLE_EDGES, [1.0] * 3, [[0, 1, 2]], [1.5], 1.25),
+        "simplex (0, 1, 2) at 1.5 is above max_scale 1.25",
+    ),
 }
 
 
@@ -104,8 +120,9 @@ class TestFilteredComplex:
     @pytest.mark.parametrize("case", REJECTED_ARRAYS)
     def test_from_arrays_rejects(self, case):
         arrays, message = REJECTED_ARRAYS[case]
+        cap = arrays[5] if len(arrays) > 5 else 2.0
         with pytest.raises(ValueError, match=re.escape(message)):
-            FilteredComplex.from_arrays(*arrays, "vr", 2.0)
+            FilteredComplex.from_arrays(*arrays[:5], "vr", cap)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_tuple_constructor_round_trips_arrays(self, kind):
@@ -222,7 +239,7 @@ class TestVR:
         assert len(cx.triangles) == 4
         for tri in cx.triangles:
             assert tri.value == pytest.approx(root_half)
-        assert cx.max_scale == pytest.approx(root_half)
+        assert cx.max_scale == math.inf
 
     def test_triangle_value_is_max_edge(self):
         cx = build_vr(random_cloud(0, 7, 3))
@@ -280,6 +297,13 @@ class TestCech:
         cloud = random_cloud(5, 8, 3)
         cx = build_cech(cloud)
         assert len(cx.triangles) == 8 * 7 * 6 // 6
+        # in floats these triangles' values round up to a few ulps above their exact bound diam/sqrt(3)
+        for points in [NEAR_EQUILATERAL, *equilateral_triangles(50)]:
+            cx = build_cech(points)
+            assert cx.max_scale == math.inf and len(cx.triangle_values) == 1
+            (pair,) = compute_pd(cx, 1).pairs
+            assert pair[1] == cx.triangle_values[0]
+        assert value_at(build_cech(NEAR_EQUILATERAL), (0, 1, 2)) == 8.574042765875697
 
     def test_rule_ignores_side_order(self):
         rng = np.random.default_rng(0)
@@ -323,6 +347,7 @@ class TestDelaunay:
         assert value_at(cx, (1, 2)) == pytest.approx(root_half)
         for t in cx.triangles:
             assert t.value == pytest.approx(root_half)
+        assert cx.max_scale == math.inf
 
     def test_gabriel_edges_enter_at_half_length(self):
         cloud = PointCloud([[0.0, 0.0], [4.0, 0.0], [2.0, 0.5]])
@@ -357,6 +382,7 @@ class TestDelaunay:
         assert len(cx.triangles) == 0
         got = {e.vertices: e.value for e in cx.edges}
         assert got == {(0, 1): 0.5, (1, 3): 0.5, (2, 3): 0.5}
+        assert cx.max_scale == math.inf
 
     def test_two_points(self):
         cx = build_delaunay_2d(PointCloud([[0.0, 0.0], [2.0, 0.0]]))
