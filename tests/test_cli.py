@@ -246,6 +246,10 @@ class TestMakeTail:
         )
         assert code == 2
 
+    def test_huge_direction_is_normalized(self, capsys):
+        code, _, _ = run(capsys, ["make-tail", "--n", "5", "--direction=1e308,1e308"])
+        assert code == 0
+
     @pytest.mark.parametrize(
         "kind",
         [

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pointpd import filtration
 from pointpd.edges import (
     ConsistencyError,
     EdgeClass,
@@ -169,15 +170,13 @@ class TestClassifyEdge:
 class TestSharedUnionFind:
     @pytest.mark.parametrize("kind", KINDS)
     def test_one_union_find_per_complex(self, kind, monkeypatch):
-        from pointpd.unionfind import UnionFind
+        built, union = [], filtration._union_components
 
-        built, init = [], UnionFind.__init__
+        def counting_union(cx):
+            built.append(cx.n_vertices)
+            return union(cx)
 
-        def counting_init(self, n):
-            built.append(n)
-            init(self, n)
-
-        monkeypatch.setattr(UnionFind, "__init__", counting_init)
+        monkeypatch.setattr(filtration, "_union_components", counting_union)
         cx = build_complex(grid(), kind)
         compute_pd(cx, 0)
         compute_pd(cx, 1)

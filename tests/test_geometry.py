@@ -81,6 +81,10 @@ class TestRay:
         assert np.allclose(ray.direction, [0.6, 0.8])
         assert ray.dim == 2
 
+    def test_normalizes_a_direction_whose_norm_overflows(self):
+        ray = Ray(np.zeros(2), np.array([1e308, 1e308]))
+        assert np.allclose(ray.direction, [math.sqrt(0.5)] * 2, rtol=0.0, atol=1e-15)
+
     def test_rejects_zero_direction(self):
         with pytest.raises(ValueError):
             Ray(np.zeros(2), np.zeros(2))

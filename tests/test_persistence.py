@@ -52,6 +52,8 @@ class TestPersistenceDiagram:
             PersistenceDiagram(1, ((1.0, 1.0),))
         with pytest.raises(ValueError):
             PersistenceDiagram(1, ((2.0, 1.0),))
+        with pytest.raises(ValueError, match="birth must be finite"):
+            PersistenceDiagram(1, ((-math.inf, 0.0),))
 
     def test_finite_infinite_split(self):
         d = PersistenceDiagram(1, ((0.5, 1.0), (0.2, math.inf)))
@@ -855,6 +857,10 @@ class TestSerialization:
             diagrams_from_csv("dim,birth,death\n1,0.5\n")
         with pytest.raises(ValueError):
             diagrams_from_csv("dim,birth,death\n1,x,0.7\n")
+
+    def test_rejects_non_finite_birth(self):
+        with pytest.raises(ValueError, match="birth must be finite"):
+            diagrams_from_csv("dim,birth,death\n1,-inf,0\n1,0.5,1\n")
 
     def test_full_float_precision(self):
         d = PersistenceDiagram(1, ((0.5, ROOT_HALF),))
