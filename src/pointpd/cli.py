@@ -59,7 +59,7 @@ def _vector(text: str) -> np.ndarray:
 
 def _direction(text: str) -> np.ndarray:
     try:
-        return _unit(_vector(text), 0.0)
+        return _unit(_vector(text))
     except ValueError:
         raise argparse.ArgumentTypeError("direction must be nonzero")
 

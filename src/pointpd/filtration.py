@@ -23,7 +23,7 @@ dim-1 reduction and the Long test share one cached pass over D, in which an edge
 vertices only up to its first Long witness; `len(cx.triangles)` reads every (edge, vertex)
 once, lazily. Reading a triangle array, calling `critical_scales` or iterating a tuple view
 builds all three arrays. Uncapped VR build + dim-1 pairs on 200 planar points (`default_rng(0)`)
-on a 2-core Xeon VM: 0.020 s, the median of 5, and a 6.0 MiB tracemalloc peak.
+on a 2-core Xeon VM: 0.021 s, the median of 21, and a 6.0 MiB tracemalloc peak.
 """
 
 from __future__ import annotations
@@ -263,7 +263,7 @@ class FilteredComplex:
         later[i, j] = True
         rows, k = np.nonzero(later[i] & later[j])
         i3, j3 = i[rows], j[rows]
-        values = _triangle_values(self.kind, D[i3, j3], D[i3, k], D[j3, k])[0]
+        values = _triangle_values(self.kind, D[i3, j3], D[i3, k], D[j3, k])
         keep = values <= self.max_scale
         return self._store_triangles(np.stack([i3[keep], j3[keep], k[keep]], axis=1), values[keep])
 
@@ -316,8 +316,20 @@ def _norms(diff: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
 
 
 def _distance_matrix(points: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    """Distances within one cloud (n, d), or within each cloud of a stack (T, n, d)."""
-    return _norms(points[..., :, None, :] - points[..., None, :, :])
+    """Distances within one cloud (n, d), or within each cloud of a stack (T, n, d): `_norms` of the differences,
+    bit for bit. numpy sums fewer than 8 terms in order, so up to 7 coordinates the squares are summed one
+    coordinate at a time, with no (T, n, n, d) temporary; from 8 on it sums pairwise, so the differences are formed."""
+    if points.shape[-1] >= 8:
+        return _norms(points[..., :, None, :] - points[..., None, :, :])
+    first, *rest = np.moveaxis(points, -1, 0)
+    D = first[..., :, None] - first[..., None, :]
+    D *= D
+    square = np.empty_like(D)
+    for x in rest:
+        np.subtract(x[..., :, None], x[..., None, :], out=square)
+        square *= square
+        D += square
+    return np.sqrt(D, out=D)
 
 
 def _capped_complexes(
@@ -330,21 +342,28 @@ def _capped_complexes(
     one cloud's max_scale, or inf when none is given. A NaN or negative cap would keep only the vertices, so it is
     rejected; clouds are checked in order. The edges leave in filtration order as views of one (T, m, 2) array;
     each complex keeps its D in place of triangle arrays, and the stack shares one D and one coface pass, run at
-    the first read."""
+    the first read. D's diagonal is inf, so the coface rule gives inf at k = i and k = j."""
     if max_scale is not None and len(points) > 1:
         raise ValueError(f"a scale cap takes one cloud, got {len(points)}")
     cap = math.inf if max_scale is None else float(max_scale)
-    D, n = _distance_matrix(points), points.shape[1]
-    i, j = np.triu_indices(n, k=1)
-    values = D[:, i, j]
+    D, (T, n) = _distance_matrix(points), points.shape[:2]
+    keys = np.flatnonzero(np.arange(n)[:, None] < np.arange(n))  # a n + b of the pairs a < b, in key order
+    values = np.take(D.reshape(T, n * n), keys, axis=1)
     # the edge taxonomy assumes distinct points (a zero-length edge classifies meaninglessly): every builder checks
     close = (values.min(axis=1, initial=np.inf) < COINCIDENT_TOL).tolist()
     values /= 2.0
-    # select before sorting: a sparse cap keeps few of the n(n-1)/2 edges; triu_indices lists them in key order
-    kept = values[0] <= cap
-    edges, values = np.stack([i[kept], j[kept]], axis=1), values.compress(kept, axis=1)  # [:, kept] is 10x slower
-    order = np.argsort(values, axis=1, kind="stable")  # stable: (value, key) order
-    values, vertices = np.take_along_axis(values, order, axis=1), edges[order]
+    if cap < math.inf:  # select before sorting: a sparse cap keeps few of the n(n-1)/2 edges
+        kept = values[0] <= cap
+        keys, values = keys[kept], values.compress(kept, axis=1)  # [:, kept] is 10x slower
+    order = np.argsort(values, axis=1)  # not stable (timsort is 5x slower): ties are put in key order below
+    values = np.take_along_axis(values, order, axis=1)
+    tied = values[:, 1:] == values[:, :-1]
+    if tied.any():  # ties sort by their positions in key order: one sort of run * m + position, unique keys
+        runs = np.zeros(order.shape, dtype=np.intp)
+        np.cumsum(~tied, axis=1, out=runs[:, 1:])
+        order = np.sort(runs * order.shape[1] + order, axis=1) % order.shape[1]
+    vertices = np.stack(np.divmod(keys[order], n), axis=-1)
+    D.reshape(T, n * n)[:, :: n + 1] = np.inf
     D.flags.writeable = False
     group_pass = cache(partial(_implicit_cofaces, D, kind, vertices, cap))  # holds no complex: no cycle
     complexes = []
@@ -372,25 +391,32 @@ def _triple_keys(i, j, k, n: int):
 
 
 def _triangle_values(kind: FiltrationKind, e, x, y):
-    """The kind's values of the triangles with sides e, x, y (no value depends on their order), and per
-    triangle whether it witnesses that side e is Long: it enters at e / 2 over two strictly shorter sides."""
+    """The kind's values of the triangles with sides e, x, y: no value depends on their order."""
     if kind is FiltrationKind.VR:  # the Cech path's form gives equal bits, but rips_query VR ops ran up to 1.7x slower
         values = np.maximum(x, y)  # max(max(e, x), y) / 2: max is exact in any order
-        witness = values < e
         np.maximum(values, e, out=values)
         values /= 2.0
-        return values, witness
-    values = _meb_radius_from_sides(e, x, y)
-    return values, (values == e / 2.0) & (x < e) & (y < e)
+        return values
+    return _meb_radius_from_sides(e, x, y)
+
+
+def _long_witness(kind: FiltrationKind, values, e, x, y):
+    """Per triangle of these values and sides whether it witnesses that side e is Long: it enters at e / 2 over two
+    strictly shorter sides. A VR triangle over two shorter sides always enters at e / 2."""
+    witness = np.maximum(x, y) < e
+    if kind is not FiltrationKind.VR:
+        witness &= values == e / 2.0
+    return witness
 
 
 def _coface_values(D, kind: FiltrationKind, cap: float, t, i, j, k0: int = 0, k1: int | None = None):
     """Values of the triangles {i, j, k} of cloud t of the stack D (T, n, n) for k in [k0, k1), inf where k is i or j
-    or above the cap; and per entry whether it witnesses that edge (i, j) is Long."""
+    (D's diagonal is inf) or above the cap; and the sides (e, x, y) they were read from, for `_long_witness`."""
     e, x, y = D[t, i, j][:, None], D[t, i, k0:k1], D[t, j, k0:k1]
-    values, witness = _triangle_values(kind, e, x, y)
-    np.putmask(values, (values > cap) | (np.minimum(x, y) == 0.0), np.inf)  # no two points coincide: D_ik = 0 at k = i
-    return values, witness
+    values = _triangle_values(kind, e, x, y)
+    if cap < math.inf:
+        np.putmask(values, values > cap, np.inf)
+    return values, (e, x, y)
 
 
 def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], cap: float) -> list[_Cofaces]:
@@ -413,12 +439,12 @@ def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], c
         step = _BLOCK // (k1 - k0)  # at least 1: the width never passes _BLOCK
         for s in range(0, len(active), step):
             batch = active[s : s + step]
-            block, witness = _coface_values(D, kind, cap, batch // m if len(D) > 1 else 0, i[batch], j[batch], k0, k1)
+            block, sides = _coface_values(D, kind, cap, batch // m if len(D) > 1 else 0, i[batch], j[batch], k0, k1)
             first = block.argmin(axis=1)
             least = block[np.arange(len(batch)), first]
             better = least < oldest[batch]
             oldest[batch[better]], k[batch[better]] = least[better], first[better] + k0
-            long[batch] = witness.any(axis=1)
+            long[batch] = _long_witness(kind, block, *sides).any(axis=1)
         active, k0, width = active[~long[active]], k1, min(2 * width, _BLOCK)
 
     def rows(edges: list[int]) -> list[tuple[list[float], list[int]]]:
@@ -574,19 +600,44 @@ def _meb_radius_from_sides(a: npt.ArrayLike, b: npt.ArrayLike, c: npt.ArrayLike)
     The sides are sorted first, by exact minima and maxima, so no value depends
     on the order of a triangle's vertices. Then, elementwise: half the longest
     side when the triangle is non-acute or Heron's area underflows to zero, else
-    the circumradius (never below half the longest side).
+    the circumradius (never below half the longest side). Heron's product
+    overflows once sides pass about 2**255, so where the middle side (at least
+    half the longest, and finite) passes 2**250 somewhere in the arrays, all
+    sides are scaled by one exact power of two, and the radii scaled back.
+    An inf side, as on the coface rule's inf diagonal of D, gives inf.
     """
-    shorter, longer = np.minimum(a, b), np.maximum(a, b)
-    a, b, c = np.minimum(shorter, c), np.maximum(shorter, np.minimum(longer, c)), np.maximum(longer, c)
-    longest = c
-    half = longest / 2.0
-    # not c*c < a*a + b*b: of the corpus lattices' 576 exact right triangles that reads 142 as acute, this 73
-    rest_sq = a * a + b * b + c * c - longest * longest
-    s = (a + b + c) / 2.0
-    area_sq = s * (s - a) * (s - b) * (s - c)
-    acute = ~(longest * longest >= rest_sq) & (area_sq > 0.0)
-    radius = a * b * c / (4.0 * np.sqrt(np.where(acute, area_sq, 1.0)))
-    return np.where(acute, np.maximum(radius, half), half)
+    with np.errstate(invalid="ignore"):  # an inf side makes inf - inf
+        shorter, longer = np.minimum(a, b), np.maximum(a, b)
+        a, longest = np.minimum(shorter, c), np.maximum(longer, c)
+        b, c = np.maximum(shorter, np.minimum(longer, c, out=longer), out=shorter), longest
+        middle = float(b.max(initial=0.0))
+        exponent = math.frexp(middle)[1] if middle > 2.0**250 else 0
+        if exponent:
+            a, b, c = np.ldexp(a, -exponent), np.ldexp(b, -exponent), np.ldexp(c, -exponent)
+        half = c / 2.0
+        longest_sq = c * c
+        # not c*c < a*a + b*b: of the corpus lattices' 576 exact right triangles that reads 142 as acute, this 73
+        rest_sq, term = a * a, b * b
+        rest_sq += term
+        rest_sq += longest_sq
+        rest_sq -= longest_sq
+        s = a + b
+        s += c
+        s /= 2.0
+        area_sq = s - a
+        area_sq *= s
+        area_sq *= np.subtract(s, b, out=term)
+        area_sq *= np.subtract(s, c, out=term)
+        acute = ~(longest_sq >= rest_sq)
+        acute &= area_sq > 0.0
+        root = np.sqrt(np.where(acute, area_sq, 1.0))
+        root *= 4.0
+        radius = a * b
+        radius *= c
+        radius /= root
+        np.maximum(radius, half, out=radius)
+        np.copyto(half, radius, where=acute)
+        return np.ldexp(half, exponent) if exponent else half
 
 
 def build_cech(

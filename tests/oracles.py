@@ -28,6 +28,10 @@ search per edge in place of the package's single union-find pass.
 the chord-by-chord and point-by-point loops the package used to run, with
 1-D `np.linalg.norm` and `math.atan2`, so its row kernels must return the
 very same floats and raise the same errors.
+`masked_cofaces` is the VR/Cech coface pass edge by edge over the distance
+matrix with its zero diagonal, k = i and k = j left out by the zero-side
+mask the pass used to apply, so the pass over D with an inf diagonal must
+give the very same fields and rows.
 `NEAR_EQUILATERAL` and `equilateral_triangles` are clouds whose Cech
 triangle value rounds a few ulps above diameter / sqrt(3), its bound in
 exact arithmetic: an uncapped build must keep the triangle, and the
@@ -472,6 +476,41 @@ def loop_complex(D, kind: str, cap: float):
         if value <= cap:
             triangles.append(((i, j, k), value))
     return sorted(edges, key=lambda s: (s[1], s[0])), sorted(triangles, key=lambda s: (s[1], s[0]))
+
+
+def masked_cofaces(points, kind: str, cap: float, edges):
+    """Per edge (i, j) of `edges`, a complex's edges in filtration order: its cofaces {i, j, k} in (value, key) order,
+    at most the cap, where k ranges over the vertices with D_ik and D_jk nonzero, and whether one of them witnesses
+    that the edge is Long (it enters at D_ij / 2 over two strictly shorter sides). D is `_norms` of the coordinate
+    differences, its diagonal zero. Returns the `_Cofaces` fields (oldest values, oldest ids, long, apparent) as
+    lists, and per edge its (values, ids) row; an id is the base-n key of the sorted triple."""
+    from pointpd.filtration import _norms
+
+    n = len(points)
+    D = _norms(points[:, None, :] - points[None, :, :]).tolist()
+    position = {(int(i), int(j)): r for r, (i, j) in enumerate(edges)}
+    oldest_values, oldest_ids, long, apparent, rows = [], [], [], [], []
+    for r, (i, j) in enumerate(position):
+        e, cofaces, witnessed = D[i][j], [], False
+        for k in range(n):
+            x, y = D[i][k], D[j][k]
+            if min(x, y) == 0.0:  # k is i or j
+                continue
+            value = max(e, x, y) / 2.0 if kind == "vr" else _meb_radius_scalar(e, x, y)
+            witnessed |= value == e / 2.0 and x < e and y < e
+            if value <= cap:
+                a, b, c = sorted((i, j, k))
+                cofaces.append((value, (a * n + b) * n + c, (a, b, c)))
+        cofaces.sort()
+        rows.append(([value for value, _, _ in cofaces], [key for _, key, _ in cofaces]))
+        long.append(witnessed)
+        if cofaces:
+            value, key, (a, b, c) = cofaces[0]
+            youngest = max(position[(a, b)], position[(a, c)], position[(b, c)])
+            oldest_values.append(value), oldest_ids.append(key), apparent.append(youngest == r)
+        else:
+            oldest_values.append(INF), oldest_ids.append(-1), apparent.append(False)
+    return oldest_values, oldest_ids, long, apparent, rows
 
 
 def _circumcircle_2d(a, b, c):

@@ -250,6 +250,11 @@ class TestMakeTail:
         code, _, _ = run(capsys, ["make-tail", "--n", "5", "--direction=1e308,1e308"])
         assert code == 0
 
+    def test_tiny_direction_is_normalized(self, capsys):
+        # its squares underflow, so its norm reads 0 unless it is scaled first
+        code, out, _ = run(capsys, ["make-tail", "--n", "5", "--direction=1e-200,1e-200"])
+        assert code == 0 and json.loads(out)["tail_ok"]
+
     @pytest.mark.parametrize(
         "kind",
         [

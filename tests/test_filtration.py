@@ -17,10 +17,13 @@ from pointpd.filtration import (
     FilteredComplex,
     FilteredSimplex,
     FiltrationKind,
+    _capped_complexes,
+    _complex_groups,
     _distance_matrix,
     _edge_rows,
     _lex_smallest_triangulation,
     _meb_radius_from_sides,
+    _norms,
     build_cech,
     build_complex,
     build_delaunay_2d,
@@ -39,6 +42,7 @@ from oracles import (
     lex_min_triangulation,
     loop_complex,
     loop_delaunay,
+    masked_cofaces,
     oracle_meb3,
 )
 
@@ -230,6 +234,74 @@ class TestLoopReference:
         assert np.array_equal(faces, cx.triangle_vertices[:, _FACE_COLUMNS])
 
 
+def _lattice(side: int, dim: int) -> np.ndarray:
+    return np.array(list(itertools.product(range(side), repeat=dim)), dtype=np.float64)
+
+
+class TestImplicitBuild:
+    """The VR/Cech builder's D, edge order and coface pass, against the expressions they stand in for."""
+
+    @pytest.mark.parametrize("dim", range(1, 21))
+    def test_distance_matrix_equals_norms_of_differences(self, dim):
+        # summing coordinate by coordinate matches numpy's sum below 8 terms; from 8 on the differences are formed
+        rng = np.random.default_rng(dim)
+        for points in (rng.random((30, dim)), rng.random((4, 17, dim)) * 1e3 - 400.0):
+            want = _norms(points[..., :, None, :] - points[..., None, :, :])
+            assert np.array_equal(_distance_matrix(points), want)
+
+    @pytest.mark.parametrize(
+        "case,cap",
+        [("uniform", None), ("uniform", 0.3), ("grid", None), ("grid", 1.5), ("lattice_3d", None), ("stack", None),
+         ("lattice_stack", None)],
+    )
+    def test_edge_order_is_the_stable_sort(self, case, cap):
+        rng = np.random.default_rng(3)
+        points = {
+            "uniform": rng.random((1, 50, 2)),
+            "grid": grid()[None],
+            "lattice_3d": _lattice(4, 3)[None],
+            "stack": rng.random((6, 40, 4)),
+            "lattice_stack": np.stack([_lattice(3, 3)[rng.permutation(27)] for _ in range(5)]),
+        }[case]
+        n = points.shape[1]
+        i, j = np.triu_indices(n, k=1)
+        values = _norms(points[..., :, None, :] - points[..., None, :, :])[:, i, j] / 2.0
+        ties = sum(len(row) - len(np.unique(row)) for row in values)
+        assert ties > 100 if "lattice" in case or "grid" in case else ties == 0
+        for t, cx in enumerate(_capped_complexes(points, FiltrationKind.VR, cap)):
+            order = np.argsort(values[t], kind="stable")
+            order = order[values[t, order] <= (math.inf if cap is None else cap)]
+            assert np.array_equal(cx.edge_vertices, np.stack([i, j], axis=1)[order])
+            assert np.array_equal(cx.edge_values, values[t, order])
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    @pytest.mark.parametrize(
+        "case,cap",
+        [("uniform_2d", None), ("uniform_3d", 0.35), ("grid", None), ("grid", 1.5), ("lattice_3d", None),
+         ("stack", None)],
+    )
+    def test_coface_pass_equals_the_masked_reference(self, kind, case, cap):
+        rng = np.random.default_rng(4)
+        clouds = {
+            "uniform_2d": [rng.random((30, 2))],
+            "uniform_3d": [rng.random((28, 3))],
+            "grid": [grid(0.3)],
+            "lattice_3d": [_lattice(3, 3)],
+            "stack": list(rng.random((5, 16, 3))),
+        }[case]
+        if len(clouds) > 1:
+            (complexes,) = _complex_groups(clouds, FiltrationKind(kind))
+        else:
+            complexes = [build_complex(clouds[0], kind, max_scale=cap)]
+        for points, cx in zip(clouds, complexes):
+            cofaces, m = cx._cofaces, len(cx.edge_values)
+            *fields, rows = masked_cofaces(points, kind, cx.max_scale, cx.edge_vertices.tolist())
+            got = [cofaces.oldest_values, cofaces.oldest_ids, cofaces.long, cofaces.apparent]
+            assert [field.tolist() for field in got] == fields
+            assert cofaces.rows(list(range(cofaces.offset, cofaces.offset + m))) == rows
+            assert sum(map(len, (values for values, _ in rows))) == 3 * len(cx.triangles) > 0
+
+
 class TestVR:
     def test_square_contents(self):
         cx = build_vr(SQUARE)
@@ -320,6 +392,15 @@ class TestCech:
             want = _meb_radius_from_sides(*sides)
             for order in itertools.permutations(range(3)):
                 assert np.array_equal(_meb_radius_from_sides(*sides[list(order)]), want)
+
+    @pytest.mark.parametrize("side", [1e77, 1e100, 1e120, 1e150])
+    def test_equilateral_triangle_past_heron_overflow(self, side):
+        # Heron's product overflows past about 2**255 (5.8e76): the rule scales the block's sides by a power of two
+        cx = build_cech(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]) * side)
+        (value,) = cx.triangle_values
+        assert abs(value - side / math.sqrt(3.0)) <= 4 * math.ulp(side / math.sqrt(3.0))
+        ((birth, death),) = compute_pd(cx, 1).pairs
+        assert birth == cx.edge_values[-1] and death == value
 
     def test_non_acute_triangle_enters_with_longest_edge(self):
         cloud = PointCloud([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])

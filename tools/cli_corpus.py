@@ -20,7 +20,9 @@ checkout's `src`), so comparing two trees is one `diff` of two outputs.
 twice and asserts identical lines. Uncapped VR/Čech commands run on every
 cloud of up to 200 points: those complexes keep all C(n, 3) triangles, but
 only implicitly, so n = 200 costs a fraction of a second. The clouds of 300
-and 600 points get capped commands only.
+and 600 points get capped commands only. Two uniform clouds in 8 and 12
+dimensions and a 9-dimensional `experiment hist` cell cover the distance
+matrix's branch for 8 or more coordinates.
 """
 
 from __future__ import annotations
@@ -85,7 +87,8 @@ def clouds(quick: bool = False) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(48)
     out["blobs.txt"] = np.concatenate([rng.normal(0.0, 0.05, (12, 2)), rng.normal(1.0, 0.05, (12, 2))])
     out["blobs3.txt"] = np.concatenate([rng.normal(0.0, 0.1, (10, 3)), rng.normal(0.8, 0.1, (10, 3))])
-    for n, dim in ((60, 2), (97, 2), (110, 2), (64, 3), (85, 3), (200, 2), (200, 3)):
+    # 8 and 12 dimensions: the distance matrix's pairwise-summed branch (d >= 8)
+    for n, dim in ((60, 2), (97, 2), (110, 2), (64, 3), (85, 3), (200, 2), (200, 3), (40, 8), (40, 12)):
         out[f"uniform{n}_{dim}d.txt"] = np.random.default_rng(n + dim).random((n, dim))
     for n in (150, 300, 600):
         # unit density, so the capped complexes stay small
@@ -194,6 +197,7 @@ def commands(cloud_points: dict[str, np.ndarray]) -> list[tuple[list[str], list[
         ("sweep_delaunay", "sweep", ["--n", "8:20:6", "--N", "2", "--trials", "6", "--kind", "delaunay"]),
         ("hist_groups", "hist", ["--n", "60", "--N", "2", "--trials", "40", "--kind", "vr"]),
         ("sweep_grid", "sweep", ["--n", "10:40:15", "--N", "2:4", "--trials", "7", "--kind", "cech"]),
+        ("hist_dim9", "hist", ["--n", "30", "--N", "9", "--trials", "6", "--kind", "vr"]),
     ]:
         files = ("config.json", "histogram.csv", "raw.csv") if experiment == "hist" else ("config.json", "sweep.csv")
         argv = ["experiment", experiment, *extra, "--seed", "5", "--out", name]
