@@ -183,7 +183,7 @@ def cmd_classify(args) -> int:
     classes = _edge_classes(complex_).tolist()
     lines = ["p,q,length,class"]
     ends = complex_.edge_vertices  # sorted by (value, vertices)
-    # the builders' own recipe, so a VR/Cech length is exactly twice the edge value
+    # the builders' own recipe, so up to 7 coordinates a VR/Cech length is exactly twice the edge value
     lengths = _norms(cloud.points[ends[:, 0]] - cloud.points[ends[:, 1]]).tolist()
     for (p, q), length, cls in zip(ends.tolist(), lengths, classes):
         lines.append(f"{p},{q},{length!r},{cls.value}")

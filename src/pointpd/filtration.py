@@ -23,7 +23,7 @@ dim-1 reduction and the Long test share one cached pass over D, in which an edge
 vertices only up to its first Long witness; `len(cx.triangles)` reads every (edge, vertex)
 once, lazily. Reading a triangle array, calling `critical_scales` or iterating a tuple view
 builds all three arrays. Uncapped VR build + dim-1 pairs on 200 planar points (`default_rng(0)`)
-on a 2-core Xeon VM: 0.021 s, the median of 21, and a 6.0 MiB tracemalloc peak.
+on a 2-core Xeon VM: 0.018 s, the median of 21, and a 6.0 MiB tracemalloc peak.
 """
 
 from __future__ import annotations
@@ -316,11 +316,9 @@ def _norms(diff: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
 
 
 def _distance_matrix(points: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    """Distances within one cloud (n, d), or within each cloud of a stack (T, n, d): `_norms` of the differences,
-    bit for bit. numpy sums fewer than 8 terms in order, so up to 7 coordinates the squares are summed one
-    coordinate at a time, with no (T, n, n, d) temporary; from 8 on it sums pairwise, so the differences are formed."""
-    if points.shape[-1] >= 8:
-        return _norms(points[..., :, None, :] - points[..., None, :, :])
+    """Distances within one cloud (n, d), or within each cloud of a stack (T, n, d). The squares are summed one
+    coordinate at a time, with no (T, n, n, d) temporary: up to 7 coordinates that is `_norms` of the differences
+    bit for bit (numpy sums fewer than 8 terms in order, more pairwise, so from 8 on the last bit may differ)."""
     first, *rest = np.moveaxis(points, -1, 0)
     D = first[..., :, None] - first[..., None, :]
     D *= D
@@ -601,43 +599,29 @@ def _meb_radius_from_sides(a: npt.ArrayLike, b: npt.ArrayLike, c: npt.ArrayLike)
     on the order of a triangle's vertices. Then, elementwise: half the longest
     side when the triangle is non-acute or Heron's area underflows to zero, else
     the circumradius (never below half the longest side). Heron's product
-    overflows once sides pass about 2**255, so where the middle side (at least
-    half the longest, and finite) passes 2**250 somewhere in the arrays, all
-    sides are scaled by one exact power of two, and the radii scaled back.
-    An inf side, as on the coface rule's inf diagonal of D, gives inf.
+    overflows once sides pass about 2**255, so a triangle whose middle side (at
+    least half the longest, and finite) passes 2**250 has its sides scaled by an
+    exact power of two of its own, and its radius scaled back; every other
+    triangle is computed unscaled. An inf side, as on the coface rule's inf
+    diagonal of D, gives inf.
     """
     with np.errstate(invalid="ignore"):  # an inf side makes inf - inf
         shorter, longer = np.minimum(a, b), np.maximum(a, b)
-        a, longest = np.minimum(shorter, c), np.maximum(longer, c)
-        b, c = np.maximum(shorter, np.minimum(longer, c, out=longer), out=shorter), longest
-        middle = float(b.max(initial=0.0))
-        exponent = math.frexp(middle)[1] if middle > 2.0**250 else 0
-        if exponent:
+        a, b, c = np.minimum(shorter, c), np.maximum(shorter, np.minimum(longer, c)), np.maximum(longer, c)
+        huge = b > 2.0**250
+        exponent = np.where(huge, np.frexp(b)[1], 0) if huge.any() else None
+        if exponent is not None:
             a, b, c = np.ldexp(a, -exponent), np.ldexp(b, -exponent), np.ldexp(c, -exponent)
-        half = c / 2.0
-        longest_sq = c * c
+        longest = c
+        half = longest / 2.0
         # not c*c < a*a + b*b: of the corpus lattices' 576 exact right triangles that reads 142 as acute, this 73
-        rest_sq, term = a * a, b * b
-        rest_sq += term
-        rest_sq += longest_sq
-        rest_sq -= longest_sq
-        s = a + b
-        s += c
-        s /= 2.0
-        area_sq = s - a
-        area_sq *= s
-        area_sq *= np.subtract(s, b, out=term)
-        area_sq *= np.subtract(s, c, out=term)
-        acute = ~(longest_sq >= rest_sq)
-        acute &= area_sq > 0.0
-        root = np.sqrt(np.where(acute, area_sq, 1.0))
-        root *= 4.0
-        radius = a * b
-        radius *= c
-        radius /= root
-        np.maximum(radius, half, out=radius)
-        np.copyto(half, radius, where=acute)
-        return np.ldexp(half, exponent) if exponent else half
+        rest_sq = a * a + b * b + c * c - longest * longest
+        s = (a + b + c) / 2.0
+        area_sq = s * (s - a) * (s - b) * (s - c)
+        acute = ~(longest * longest >= rest_sq) & (area_sq > 0.0)
+        radius = a * b * c / (4.0 * np.sqrt(np.where(acute, area_sq, 1.0)))
+        radius = np.where(acute, np.maximum(radius, half), half)
+        return radius if exponent is None else np.ldexp(radius, exponent)
 
 
 def build_cech(

@@ -130,18 +130,6 @@ def _row_norms(x: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
     return np.sqrt(np.vecdot(x, x))
 
 
-def _angle_sides(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64]):
-    """(|u^ - v^|, |u^ + v^|) of every row u against v: each oriented angle is 2 atan2 of the pair.
-    Raises ValueError if v or some row is (numerically) zero."""
-    nu = _row_norms(rows)
-    nv = float(np.linalg.norm(v))
-    if nv < COINCIDENT_TOL or (nu < COINCIDENT_TOL).any():
-        raise ValueError("cannot measure the angle of a zero vector")
-    uh = rows / nu[:, None]
-    vh = v / nv
-    return _row_norms(uh - vh), _row_norms(uh + vh)
-
-
 def oriented_angles(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
     """oriented_angle of every row of an (m, N) array against the vector v.
 
@@ -149,23 +137,14 @@ def oriented_angles(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64]) -
     per row, and math.atan2, since SIMD np.arctan2 differs in the last bit.
     Raises ValueError if v or some row is (numerically) zero.
     """
-    a, b = _angle_sides(rows, v)
-    return 2.0 * np.array(list(map(math.atan2, a.tolist(), b.tolist())), dtype=np.float64)
-
-
-def _extreme_angle(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64], pick, fold: bool = False) -> float:
-    """pick (np.max or np.min) of `oriented_angles(rows, v)`, each angle phi folded to min(phi, pi - phi) when fold.
-
-    np.arctan2 finds the extreme; math.atan2 runs only on the rows within 1e-9 rad of it (np.arctan2 is off by
-    an ulp or so), so the result is the float that picking among `oriented_angles` gives, from few atan2 calls.
-    """
-    a, b = _angle_sides(rows, v)
-    guess = 2.0 * np.arctan2(a, b)
-    if fold:
-        guess = np.minimum(guess, math.pi - guess)
-    near = np.flatnonzero(np.abs(guess - pick(guess)) <= 1e-9)
-    phi = 2.0 * np.array(list(map(math.atan2, a[near].tolist(), b[near].tolist())), dtype=np.float64)
-    return float(pick(np.minimum(phi, math.pi - phi) if fold else phi))
+    nu = _row_norms(rows)
+    nv = float(np.linalg.norm(v))
+    if nv < COINCIDENT_TOL or (nu < COINCIDENT_TOL).any():
+        raise ValueError("cannot measure the angle of a zero vector")
+    uh = rows / nu[:, None]
+    vh = v / nv
+    pairs = zip(_row_norms(uh - vh).tolist(), _row_norms(uh + vh).tolist())
+    return 2.0 * np.array([math.atan2(a, b) for a, b in pairs], dtype=np.float64)
 
 
 def oriented_angle(u: npt.NDArray[np.float64], v: npt.NDArray[np.float64]) -> float:
@@ -227,7 +206,8 @@ def angular_deviation(points: npt.NDArray[np.float64] | PointCloud, ray: Ray) ->
     short = np.flatnonzero(_row_norms(chords) < COINCIDENT_TOL)
     if short.size:
         raise ValueError(f"coincident points at indices {i[short[0]]} and {j[short[0]]}")
-    return _extreme_angle(chords, ray.direction, np.max, fold=True)
+    phi = oriented_angles(chords, ray.direction)
+    return float(np.minimum(phi, math.pi - phi).max())
 
 
 def angular_thickness(points: npt.NDArray[np.float64] | PointCloud, ray: Ray) -> float:
@@ -252,7 +232,7 @@ def angular_thickness(points: npt.NDArray[np.float64] | PointCloud, ray: Ray) ->
     short = np.flatnonzero(_row_norms(offs) < COINCIDENT_TOL)
     if short.size:
         raise ValueError(f"point {short[0] + 1} coincides with the ray vertex")
-    return _extreme_angle(offs, ray.direction, np.max) if len(offs) else 0.0
+    return float(oriented_angles(offs, ray.direction).max(initial=0.0))
 
 
 def min_ray_angle(cloud: PointCloud, v: int, ray: Ray) -> float:
@@ -285,7 +265,7 @@ def min_ray_angle(cloud: PointCloud, v: int, ray: Ray) -> float:
     short = np.flatnonzero(_row_norms(offs) < COINCIDENT_TOL)
     if short.size:
         raise ValueError(f"point {others[short[0]]} duplicates the ray base point {v}")
-    return _extreme_angle(offs, ray.direction, np.min)
+    return float(oriented_angles(offs, ray.direction).min())
 
 
 def enclosing_radius_3(

@@ -243,11 +243,15 @@ class TestImplicitBuild:
 
     @pytest.mark.parametrize("dim", range(1, 21))
     def test_distance_matrix_equals_norms_of_differences(self, dim):
-        # summing coordinate by coordinate matches numpy's sum below 8 terms; from 8 on the differences are formed
+        # summing coordinate by coordinate matches numpy's in-order sum below 8 terms bit for bit; from 8 on numpy
+        # sums pairwise, and each order's rounding of d positive squares moves the root by under d/2 ulps
         rng = np.random.default_rng(dim)
         for points in (rng.random((30, dim)), rng.random((4, 17, dim)) * 1e3 - 400.0):
             want = _norms(points[..., :, None, :] - points[..., None, :, :])
-            assert np.array_equal(_distance_matrix(points), want)
+            if dim < 8:
+                assert np.array_equal(_distance_matrix(points), want)
+            else:
+                np.testing.assert_allclose(_distance_matrix(points), want, rtol=dim * np.finfo(np.float64).eps, atol=0.0)
 
     @pytest.mark.parametrize(
         "case,cap",
@@ -395,12 +399,23 @@ class TestCech:
 
     @pytest.mark.parametrize("side", [1e77, 1e100, 1e120, 1e150])
     def test_equilateral_triangle_past_heron_overflow(self, side):
-        # Heron's product overflows past about 2**255 (5.8e76): the rule scales the block's sides by a power of two
+        # Heron's product overflows past about 2**255 (5.8e76): the rule scales each such triangle's sides by a power of two
         cx = build_cech(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]) * side)
         (value,) = cx.triangle_values
         assert abs(value - side / math.sqrt(3.0)) <= 4 * math.ulp(side / math.sqrt(3.0))
         ((birth, death),) = compute_pd(cx, 1).pairs
         assert birth == cx.edge_values[-1] and death == value
+
+    def test_huge_sides_elsewhere_leave_a_small_triangle_unscaled(self):
+        # the far point's triangles are scaled past 2**250, each by its own power of two; the tiny equilateral
+        # triangle shares their blocks and keeps the bits it has alone, so its bar (5e-7, 5.77e-7) stays
+        tiny = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]]) * 1e-6
+        alone = build_cech(tiny)
+        cx = build_cech(np.vstack([tiny, [[1e80, 0.0]]]))
+        (value,) = alone.triangle_values
+        assert value == pytest.approx(1e-6 / math.sqrt(3.0), rel=1e-15)
+        assert value in cx.triangle_values.tolist()
+        assert compute_pd(cx, 1).pairs == compute_pd(alone, 1).pairs == ((alone.edge_values[-1], value),)
 
     def test_non_acute_triangle_enters_with_longest_edge(self):
         cloud = PointCloud([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])

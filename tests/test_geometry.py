@@ -288,17 +288,6 @@ class TestRowKernelsMatchLoops:
                 at_v = Ray(pts[v], rng.normal(size=dim))
                 assert min_ray_angle(PointCloud(pts), v, at_v) == loop_min_ray_angle(pts, v, at_v)
 
-    @pytest.mark.parametrize("direction", [[1.0, 0.0], [1.0, 1.0], [1.0, 1e-10], [3.0, -7.0]])
-    def test_lattice_ties_many_chords_at_the_extreme(self, direction):
-        # hundreds of chords share the extreme angle, exactly or to within an ulp, and all reach math.atan2
-        pts = np.array([[x, y] for x in range(6) for y in range(6)], dtype=np.float64)
-        ray = Ray(pts[0], np.array(direction))
-        assert angular_deviation(pts, ray) == loop_angular_deviation(pts, ray)
-        assert angular_thickness(pts, ray) == loop_angular_thickness(pts, ray)
-        for v in (0, 14):
-            at_v = Ray(pts[v], np.array(direction))
-            assert min_ray_angle(PointCloud(pts), v, at_v) == loop_min_ray_angle(pts, v, at_v)
-
     def test_coincident_errors_name_the_first_pair(self):
         # (1, 2) coincide and so do (0, 3); the loop meets (0, 3) first
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], [2.0, 0.0]])

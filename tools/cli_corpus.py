@@ -21,8 +21,9 @@ twice and asserts identical lines. Uncapped VR/Čech commands run on every
 cloud of up to 200 points: those complexes keep all C(n, 3) triangles, but
 only implicitly, so n = 200 costs a fraction of a second. The clouds of 300
 and 600 points get capped commands only. Two uniform clouds in 8 and 12
-dimensions and a 9-dimensional `experiment hist` cell cover the distance
-matrix's branch for 8 or more coordinates.
+dimensions and a 9-dimensional `experiment hist` cell cover clouds of 8 or
+more coordinates, whose distances the builders sum one coordinate at a time
+where numpy's own sum would go pairwise.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ def clouds(quick: bool = False) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(48)
     out["blobs.txt"] = np.concatenate([rng.normal(0.0, 0.05, (12, 2)), rng.normal(1.0, 0.05, (12, 2))])
     out["blobs3.txt"] = np.concatenate([rng.normal(0.0, 0.1, (10, 3)), rng.normal(0.8, 0.1, (10, 3))])
-    # 8 and 12 dimensions: the distance matrix's pairwise-summed branch (d >= 8)
+    # 8 and 12 dimensions: more coordinates than numpy sums in order
     for n, dim in ((60, 2), (97, 2), (110, 2), (64, 3), (85, 3), (200, 2), (200, 3), (40, 8), (40, 12)):
         out[f"uniform{n}_{dim}d.txt"] = np.random.default_rng(n + dim).random((n, dim))
     for n in (150, 300, 600):
