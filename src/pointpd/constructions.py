@@ -16,12 +16,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .edges import EdgeClass, _edge_classes, classify_all
-from .filtration import FilteredComplex, FiltrationKind, _norms, build_complex
+from .filtration import FilteredComplex, FiltrationKind, build_complex
 from .geometry import (
     ANGLE_TOL,
     COINCIDENT_TOL,
     PointCloud,
     Ray,
+    _distance_matrix,
     _row_norms,
     angular_deviation,
     angular_thickness,
@@ -266,8 +267,7 @@ def verify_long_wedge(
     owner = np.repeat(np.arange(len(components)), [c.n_points for c in components])
     order = np.arange(len(points))
     if len(components) > 1:
-        # near[i, j]: points i and j coincide
-        near = _norms(points[:, None, :] - points[None, :, :]) <= COINCIDENT_TOL
+        near = _distance_matrix(points) <= COINCIDENT_TOL
         in_all = [near[owner == 0][:, owner == c].any(axis=1) for c in range(1, len(components))]
         shared = np.flatnonzero(np.logical_and.reduce(in_all))
         if len(shared) != 1:

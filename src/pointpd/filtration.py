@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 import numpy.typing as npt
 
-from .geometry import COINCIDENT_TOL, PointCloud, _as_cloud
+from .geometry import COINCIDENT_TOL, PointCloud, _as_cloud, _distance_matrix, _norms
 
 # Relative tolerance for deciding that a point sits on a triangle's
 # circumcircle (cocircular degeneracy detection).
@@ -308,26 +308,6 @@ class FilteredComplex:
         built = self.__dict__.get("_triangles")
         count = len(built[1]) if built is not None else self._triangle_count
         return _SimplexView(count, lambda: (self.triangle_vertices, self.triangle_values))
-
-
-def _norms(diff: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    """Euclidean lengths along the last axis; every builder measures distances this way."""
-    return np.sqrt((diff * diff).sum(axis=-1))
-
-
-def _distance_matrix(points: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    """Distances within one cloud (n, d), or within each cloud of a stack (T, n, d). The squares are summed one
-    coordinate at a time, with no (T, n, n, d) temporary: up to 7 coordinates that is `_norms` of the differences
-    bit for bit (numpy sums fewer than 8 terms in order, more pairwise, so from 8 on the last bit may differ)."""
-    first, *rest = np.moveaxis(points, -1, 0)
-    D = first[..., :, None] - first[..., None, :]
-    D *= D
-    square = np.empty_like(D)
-    for x in rest:
-        np.subtract(x[..., :, None], x[..., None, :], out=square)
-        square *= square
-        D += square
-    return np.sqrt(D, out=D)
 
 
 def _capped_complexes(
@@ -739,9 +719,9 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     each group's k members; no n x n array off the collinear path.
 
     Raises:
-        ValueError: ambient dimension != 2, coincident points, Qhull output that is
-            not a triangulation, or a point inside a neighbour's circumcircle by more
-            than the cocircular tolerance plus coordinate rounding.
+        ValueError: ambient dimension != 2, coincident points, a Qhull failure (its first
+            line), Qhull output that is not a triangulation, or a point inside a neighbour's
+            circumcircle by more than the cocircular tolerance plus coordinate rounding.
     """
     # imported here so that the VR and Cech paths never load scipy.spatial
     from scipy.spatial import Delaunay, QhullError
@@ -758,10 +738,10 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
         # lift loses the bits that decide the triangulation; it sees the
         # centred cloud, and every value below comes from the original points.
         tess = Delaunay(points - points.mean(axis=0))
-    except QhullError:
+    except QhullError as exc:
         if _all_collinear(points, tol=1e-8):
             return _collinear_path_complex(points)
-        raise
+        raise ValueError(str(exc).splitlines()[0]) from exc
     if len(getattr(tess, "coplanar", ())):  # a point Qhull set aside as a duplicate of another
         raise ValueError("coincident points are not allowed")
 

@@ -1,8 +1,9 @@
-"""Euclidean primitives: point clouds, rays, angles, enclosing radii.
+"""Euclidean primitives: point clouds, distances, rays, angles, enclosing radii.
 
-Angles between directions are computed with the two-argument arctangent
-form, which stays accurate for nearly parallel and nearly opposite
-vectors where a plain arccos of the dot product loses digits.
+Lengths sum their squares one coordinate at a time (`_norms`, `_distance_matrix`), so each equals
+D bit for bit; only `_row_norms`, for the angle kernels, differs. Angles between directions are
+computed with the two-argument arctangent form, which stays accurate for nearly parallel and
+nearly opposite vectors where a plain arccos of the dot product loses digits.
 """
 
 from __future__ import annotations
@@ -60,10 +61,29 @@ class PointCloud:
 
     def diameter(self) -> float:
         """Largest pairwise distance (0.0 for a single point)."""
-        if self.n_points == 1:
-            return 0.0
-        diff = self.points[:, None, :] - self.points[None, :, :]
-        return float(np.sqrt((diff * diff).sum(axis=2)).max())
+        return float(_distance_matrix(self.points).max())
+
+
+def _norms(diff: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    """Euclidean lengths along the last axis (of 2 or more axes), summed in `_distance_matrix`'s order."""
+    first, *rest = np.moveaxis(diff, -1, 0)
+    total = first * first
+    for x in rest:
+        total += x * x
+    return np.sqrt(total, out=total)
+
+
+def _distance_matrix(points: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
+    """Distances in a cloud (n, d) or each cloud of (T, n, d): bit for bit `_norms` of the differences, never stored."""
+    first, *rest = np.moveaxis(points, -1, 0)
+    D = first[..., :, None] - first[..., None, :]
+    D *= D
+    square = np.empty_like(D)
+    for x in rest:
+        np.subtract(x[..., :, None], x[..., None, :], out=square)
+        square *= square
+        D += square
+    return np.sqrt(D, out=D)
 
 
 def _as_cloud(cloud: PointCloud | npt.ArrayLike) -> PointCloud:
@@ -125,8 +145,8 @@ class Ray:
 
 
 def _row_norms(x: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    """Euclidean norm of every row, equal bit for bit to 1-D np.linalg.norm
-    (sqrt of the same dot; einsum and (x * x).sum(1) differ in the last bit)."""
+    """Euclidean norm of every row, equal bit for bit to 1-D np.linalg.norm (sqrt of the same dot): the one length
+    not summed as `_norms` sums it, since the loop oracles pin the angle kernels and `distance_multiset` to it."""
     return np.sqrt(np.vecdot(x, x))
 
 

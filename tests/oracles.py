@@ -484,7 +484,7 @@ def masked_cofaces(points, kind: str, cap: float, edges):
     that the edge is Long (it enters at D_ij / 2 over two strictly shorter sides). D is `_norms` of the coordinate
     differences, its diagonal zero. Returns the `_Cofaces` fields (oldest values, oldest ids, long, apparent) as
     lists, and per edge its (values, ids) row; an id is the base-n key of the sorted triple."""
-    from pointpd.filtration import _norms
+    from pointpd.geometry import _norms
 
     n = len(points)
     D = _norms(points[:, None, :] - points[None, :, :]).tolist()

@@ -12,7 +12,8 @@ import pointpd
 from pointpd.cli import main
 from pointpd.cloudfile import read_cloud
 from pointpd.edges import classify_all
-from pointpd.filtration import _norms, build_complex
+from pointpd.filtration import build_complex
+from pointpd.geometry import _norms
 
 from oracles import NEAR_EQUILATERAL
 
@@ -86,6 +87,13 @@ class TestPd:
         code, out, _ = run(capsys, ["pd", square, "--max-scale", "0.6"])
         assert code == 0
         assert out.splitlines()[1] == "1,0.5,inf"
+
+    def test_qhull_failure_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("1e200 0\n-1e200 0\n0 1e200\n")
+        code, out, err = run(capsys, ["pd", str(path), "--kind", "delaunay"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: QH") and err.count("\n") == 1
 
     def test_max_scale_rejected_for_delaunay(self, capsys, square):
         code, _, err = run(
@@ -182,6 +190,21 @@ class TestClassify:
         code, out, _ = run(capsys, ["classify", str(path), "--kind", kind])
         assert code == 0
         assert out.splitlines() == want
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    @pytest.mark.parametrize("cap", [None, 0.8])
+    def test_length_is_twice_the_edge_value_in_every_dimension(self, capsys, tmp_path, kind, cap):
+        flags = ["--kind", kind] + ([] if cap is None else ["--max-scale", repr(cap)])
+        for dim in range(1, 21):
+            rows = np.random.default_rng(dim).random((30, dim)).tolist()
+            path = tmp_path / f"uniform{dim}.txt"
+            path.write_text("".join(" ".join(map(repr, row)) + "\n" for row in rows))
+            cx = build_complex(read_cloud(str(path)), kind, max_scale=cap)
+            code, out, _ = run(capsys, ["classify", str(path), *flags])
+            assert code == 0
+            lines = [line.split(",") for line in out.splitlines()[1:]]
+            assert [[int(p), int(q)] for p, q, _, _ in lines] == cx.edge_vertices.tolist()
+            assert [float(length) for _, _, length, _ in lines] == (2.0 * cx.edge_values).tolist(), dim
 
 
 class TestMakeTail:

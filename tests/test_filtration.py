@@ -19,11 +19,9 @@ from pointpd.filtration import (
     FiltrationKind,
     _capped_complexes,
     _complex_groups,
-    _distance_matrix,
     _edge_rows,
     _lex_smallest_triangulation,
     _meb_radius_from_sides,
-    _norms,
     build_cech,
     build_complex,
     build_delaunay_2d,
@@ -32,7 +30,7 @@ from pointpd.filtration import (
 )
 from pointpd.constructions import TailSpec, generate_tail, validate_tail
 from pointpd.edges import classify_all, classify_edge
-from pointpd.geometry import PointCloud, Ray
+from pointpd.geometry import PointCloud, Ray, _distance_matrix, _norms
 from pointpd.persistence import bottleneck_distance, compute_pd, diagram_equal
 
 from oracles import (
@@ -247,11 +245,20 @@ class TestImplicitBuild:
         # sums pairwise, and each order's rounding of d positive squares moves the root by under d/2 ulps
         rng = np.random.default_rng(dim)
         for points in (rng.random((30, dim)), rng.random((4, 17, dim)) * 1e3 - 400.0):
-            want = _norms(points[..., :, None, :] - points[..., None, :, :])
+            diff = points[..., :, None, :] - points[..., None, :, :]
+            want = np.sqrt((diff * diff).sum(axis=-1))
             if dim < 8:
                 assert np.array_equal(_distance_matrix(points), want)
             else:
                 np.testing.assert_allclose(_distance_matrix(points), want, rtol=dim * np.finfo(np.float64).eps, atol=0.0)
+
+    def test_norms_of_differences_equal_distance_matrix(self):
+        # one recipe: every length the package measures is D bit for bit, from 8 coordinates on as well
+        for dim in range(1, 21):
+            rng = np.random.default_rng(dim)
+            for points in (rng.random((30, dim)), rng.random((4, 17, dim)) * 1e3 - 400.0):
+                diff = points[..., :, None, :] - points[..., None, :, :]
+                assert np.array_equal(_norms(diff), _distance_matrix(points)), dim
 
     @pytest.mark.parametrize(
         "case,cap",
@@ -471,6 +478,12 @@ class TestDelaunay:
         # off the collinear path the duplicate is in no Qhull simplex, so no edge reveals it
         with pytest.raises(ValueError, match="^coincident points are not allowed$"):
             build_delaunay_2d(PointCloud([[0, 0], [1, 0], [0, 1], [1, 0], [1, 1.5]]))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    def test_qhull_failure_is_a_value_error(self, scale):
+        # Qhull cannot scale the lifted coordinate of so large a cloud: its first line, not a RuntimeError dump
+        with pytest.raises(ValueError, match=r"^QH\d+ qhull [^\n]*$"):
+            build_delaunay_2d(PointCloud([[scale, 0.0], [-scale, 0.0], [0.0, scale]]))
 
     def test_collinear_becomes_path(self):
         cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [2.0, 0.0]])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pointpd.constructions import TailSpec, generate_tail
+from pointpd.filtration import build_vr
 from pointpd.geometry import (
     PointCloud,
     Ray,
@@ -73,6 +74,13 @@ class TestPointCloud:
             for j in range(i + 1, 8)
         )
         assert cloud.diameter() == pytest.approx(want)
+
+    def test_diameter_is_twice_the_largest_vr_edge(self):
+        # the diameter is D's largest entry bit for bit, from 8 coordinates on as well
+        for dim in range(1, 21):
+            for seed in range(5):
+                pts = np.random.default_rng(seed).random((30, dim))
+                assert PointCloud(pts).diameter() == 2.0 * build_vr(pts).edge_values.max(), (dim, seed)
 
 
 class TestRay:

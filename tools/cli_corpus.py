@@ -22,8 +22,11 @@ cloud of up to 200 points: those complexes keep all C(n, 3) triangles, but
 only implicitly, so n = 200 costs a fraction of a second. The clouds of 300
 and 600 points get capped commands only. Two uniform clouds in 8 and 12
 dimensions and a 9-dimensional `experiment hist` cell cover clouds of 8 or
-more coordinates, whose distances the builders sum one coordinate at a time
-where numpy's own sum would go pairwise.
+more coordinates, where numpy's own sum would go pairwise: the builders and
+`classify` sum every length one coordinate at a time. `huge.txt`, a cloud
+of coordinates near 1e200, gets one `pd --kind delaunay`, which Qhull
+cannot triangulate (exit 2); its VR/Čech distances overflow with a
+RuntimeWarning, so it gets no other command.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ FIXED_CLOUDS = {
     "twice.txt": [[0, 0], [0.5e-12, 0], [0, 1]],
     "meet_b.txt": [[0, 0], [0, 1], [-1, -1]],
     "meet_c.txt": [[0, 0], [-1, -1], [0, -1]],
+    "huge.txt": [[1e200, 0], [-1e200, 0], [0, 1e200]],
 }
 
 
@@ -88,7 +92,7 @@ def clouds(quick: bool = False) -> dict[str, np.ndarray]:
     rng = np.random.default_rng(48)
     out["blobs.txt"] = np.concatenate([rng.normal(0.0, 0.05, (12, 2)), rng.normal(1.0, 0.05, (12, 2))])
     out["blobs3.txt"] = np.concatenate([rng.normal(0.0, 0.1, (10, 3)), rng.normal(0.8, 0.1, (10, 3))])
-    # 8 and 12 dimensions: more coordinates than numpy sums in order
+    # 8 and 12 dimensions: numpy would sum their squares pairwise, every length here sums them in order
     for n, dim in ((60, 2), (97, 2), (110, 2), (64, 3), (85, 3), (200, 2), (200, 3), (40, 8), (40, 12)):
         out[f"uniform{n}_{dim}d.txt"] = np.random.default_rng(n + dim).random((n, dim))
     for n in (150, 300, 600):
@@ -123,6 +127,7 @@ def commands(cloud_points: dict[str, np.ndarray]) -> list[tuple[list[str], list[
             runs += [(["pd", name, "--dim", d] + flags, []) for d in ("0", "1")]
             runs.append((["classify", name] + flags, []))
 
+    runs.append((["pd", "huge.txt", "--dim", "1", "--kind", "delaunay"], []))
     for cap in ("nan", "-1", "inf", "0"):
         runs += [(["pd", "square.txt", "--dim", "0", f"--max-scale={cap}"], []),
                  (["classify", "square.txt", "--kind", "cech", f"--max-scale={cap}"], [])]
