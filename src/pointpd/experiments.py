@@ -18,7 +18,7 @@ import numpy as np
 
 from .filtration import FiltrationKind, _complex_groups
 from .geometry import PointCloud
-from .persistence import PersistenceDiagram, _dim1_diagrams, _fmt, gap_stats
+from .persistence import PersistenceDiagram, _dim1_diagrams, gap_stats
 
 CloudSource = Callable[[int, int, int], PointCloud]
 
@@ -189,7 +189,7 @@ def histogram_csv(result: HistogramResult) -> str:
     """CSV rows bin_lo,bin_hi,percent (header included)."""
     lines = ["bin_lo,bin_hi,percent"]
     for lo, hi, pct in zip(result.bin_edges, result.bin_edges[1:], result.percentages):
-        lines.append(f"{_fmt(lo)},{_fmt(hi)},{_fmt(pct)}")
+        lines.append(f"{lo!r},{hi!r},{pct!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -199,7 +199,7 @@ def raw_csv(result: HistogramResult) -> str:
     for rec in result.records:
         lines.append(
             f"{result.config.n_points},{result.config.dim},{rec.trial},"
-            f"{_fmt(rec.birth)},{_fmt(rec.death)}"
+            f"{rec.birth!r},{rec.death!r}"
         )
     return "\n".join(lines) + "\n"
 
@@ -209,7 +209,7 @@ def sweep_csv(result: SweepResult) -> str:
     lines = ["n,N,median_gap_ratio,used,skipped"]
     for row in result.rows:
         lines.append(
-            f"{row.n},{row.N},{_fmt(row.median_gap_ratio)},"
+            f"{row.n},{row.N},{row.median_gap_ratio!r},"
             f"{row.trials_used},{row.trials_skipped}"
         )
     return "\n".join(lines) + "\n"

@@ -20,10 +20,11 @@ the builders, the reduction and the classifier never read them.
 VR and Cech complexes keep D in place of triangles, and their builder emits the edges in
 filtration order; a group of T clouds shares one (T, m) edge array and one stacked D. The
 dim-1 reduction and the Long test share one cached pass over D, in which an edge reads
-vertices only up to its first Long witness; `len(cx.triangles)` reads every (edge, vertex)
-once, lazily. Reading a triangle array, calling `critical_scales` or iterating a tuple view
-builds all three arrays. Uncapped VR build + dim-1 pairs on 200 planar points (`default_rng(0)`)
-on a 2-core Xeon VM: 0.018 s, the median of 21, and a 6.0 MiB tracemalloc peak.
+vertices only up to its first Long witness. Uncapped, such a complex holds all C(n, 3)
+triples, and `len(cx.triangles)` is that count, read off no distance. Reading a triangle
+array, calling `critical_scales`, iterating a tuple view or counting a capped complex's
+triangles builds all three arrays. Uncapped VR build + dim-1 pairs on 200 planar points
+(`default_rng(0)`) on a 2-core Xeon VM: 0.018 s, the median of 21, and a 6.0 MiB tracemalloc peak.
 """
 
 from __future__ import annotations
@@ -276,14 +277,6 @@ class FilteredComplex:
         return _explicit_cofaces(self) if self._distances is None else self._group[0]()[self._group[1]]
 
     @cached_property
-    def _triangle_count(self) -> int:
-        """A VR/Cech complex's triangles, counted off D in the rows of their three edges."""
-        (i, j), source = self.edge_vertices.T, (self._distances[None], self.kind, self.max_scale, 0)
-        step = max(1, _BLOCK // self.n_vertices)
-        blocks = (_coface_values(*source, i[s : s + step], j[s : s + step])[0] for s in range(0, len(i), step))
-        return sum(np.count_nonzero(values < np.inf) for values in blocks) // 3
-
-    @cached_property
     def _components(self) -> _Components:
         return _union_components(self)
 
@@ -304,9 +297,10 @@ class FilteredComplex:
 
     @property
     def triangles(self) -> Sequence[FilteredSimplex]:
-        """Triangles in filtration order; counting them leaves implicit triangle arrays unbuilt."""
-        built = self.__dict__.get("_triangles")
-        count = len(built[1]) if built is not None else self._triangle_count
+        """Triangles in filtration order. An uncapped VR/Cech complex holds every triple, so its count is C(n, 3) and
+        builds nothing; any other count reads `triangle_values`, which a capped complex builds at its first read."""
+        every = self._distances is not None and self.max_scale == math.inf
+        count = math.comb(self.n_vertices, 3) if every else len(self.triangle_values)
         return _SimplexView(count, lambda: (self.triangle_vertices, self.triangle_values))
 
 

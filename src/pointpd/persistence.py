@@ -488,19 +488,12 @@ def gap_stats(diagram: PersistenceDiagram) -> GapStats:
     return GapStats(gap1, gap2, ratio, tuple(pers))
 
 
-def _fmt(x: float) -> str:
-    """A CSV float: repr, or `inf` / `nan`."""
-    if math.isnan(x):
-        return "nan"
-    return "inf" if math.isinf(x) else repr(x)
-
-
 def diagrams_to_csv(diagrams: list[PersistenceDiagram]) -> str:
     """Serialize diagrams as CSV: header dim,birth,death, rows sorted."""
     lines = ["dim,birth,death"]
     for d in sorted(diagrams, key=lambda d: d.dim):
         for birth, death in d.pairs:
-            lines.append(f"{d.dim},{_fmt(birth)},{_fmt(death)}")
+            lines.append(f"{d.dim},{birth!r},{death!r}")
     return "\n".join(lines) + "\n"
 
 

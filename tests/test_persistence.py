@@ -4,13 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pointpd import filtration, persistence
-from pointpd.edges import EdgeClass, classify_all
+from pointpd.edges import EdgeClass, _edge_classes, classify_all
 from pointpd.filtration import FilteredComplex, build_complex, build_vr
-from pointpd.geometry import PointCloud
+from pointpd.geometry import COINCIDENT_TOL, PointCloud, _distance_matrix
 from pointpd.persistence import (
     PersistenceDiagram,
     bottleneck_distance,
@@ -277,7 +277,8 @@ class TestImplicitCofaces:
     @given(cx=implicit_cases())
     def test_pairs_classes_and_count_match_the_triangle_arrays(self, cx):
         count = len(cx.triangles)
-        assert "_triangles" not in cx.__dict__
+        if cx.max_scale == math.inf:  # a capped complex's count reads its triangle arrays
+            assert "_triangles" not in cx.__dict__
         explicit = materialized(cx)
         assert count == len(explicit.triangle_values)
         assert_matches_triangle_arrays(cx, explicit)
@@ -292,11 +293,22 @@ class TestImplicitCofaces:
         classify_all(cx)
         assert len({k0 for k0, _ in coface_blocks}) >= 3
         # neither the pass, the reduction nor the classifier counts the triangles
-        assert "_triangle_count" not in cx.__dict__ and "_triangles" not in cx.__dict__
+        assert "_triangles" not in cx.__dict__
         count = len(cx.triangles)
         explicit = materialized(cx)
         assert count == (len(explicit.triangle_values) if capped else math.comb(len(points), 3))
         assert_matches_triangle_arrays(cx, explicit)
+
+    @pytest.mark.parametrize("kind,dim", [("vr", 2), ("cech", 3)])
+    def test_uncapped_count_reads_no_distance(self, kind, dim, coface_blocks):
+        # an uncapped complex holds every triple: C(n, 3), whether it stands alone or is a member of a group
+        lone = build_complex(np.random.default_rng(dim).random((200, dim)), kind)
+        stack = np.random.default_rng(dim + 1).random((5, 30, dim))
+        for cx in [lone, *filtration._capped_complexes(stack, filtration.FiltrationKind(kind), None)]:
+            count, text = len(cx.triangles), repr(cx)
+            assert not coface_blocks and "_triangles" not in cx.__dict__
+            assert count == math.comb(cx.n_vertices, 3) and f"triangles={count}," in text
+            assert count == len(cx.triangle_values)
 
     @pytest.mark.parametrize("kind,dim", [("cech", 3), ("vr", 2)])
     def test_pass_reads_at_most_a_quarter_of_the_entries(self, kind, dim, coface_blocks):
@@ -481,6 +493,56 @@ class TestTiedCloudProperties:
         cloud = rng.random((int(rng.integers(5, 41)), int(rng.integers(2, 4))))
         want = compute_pd(build_complex(cloud, kind), 1)
         assert compute_pd(build_complex(cloud[rng.permutation(len(cloud))], kind), 1) == want
+
+
+@st.composite
+def scalable_clouds(draw):
+    """A random or quarter-spaced grid cloud whose closest pair stays above COINCIDENT_TOL when scaled by 2**-20."""
+    if draw(st.booleans()):
+        cloud = draw(grid_clouds()) / 4.0
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        cloud = rng.random((draw(st.integers(3, 20)), draw(st.sampled_from([2, 3]))))
+    assume(2.0**-20 * _distance_matrix(cloud)[np.triu_indices(len(cloud), 1)].min() > COINCIDENT_TOL)
+    return cloud
+
+
+def scaled_pairs(diagram: PersistenceDiagram, scale: float) -> tuple:
+    return tuple((scale * birth, scale * death) for birth, death in diagram.pairs)
+
+
+class TestScalingByPowersOfTwo:
+    """Scaling by 2**k is exact in floats, so values, pairs and distances of a scaled cloud are exactly scaled."""
+
+    @given(cloud=scalable_clouds(), k=st.integers(-20, 40), kind=st.sampled_from(["vr", "cech"]),
+           cap=st.sampled_from([None, 0.2, 0.35, 1.0]))
+    def test_pairs_and_classes_scale_exactly(self, cloud, k, kind, cap):
+        scale = 2.0**k
+        cx = build_complex(cloud, kind, max_scale=cap)
+        scaled = build_complex(scale * cloud, kind, max_scale=None if cap is None else scale * cap)
+        assert np.array_equal(scaled.edge_vertices, cx.edge_vertices)
+        for dim in (0, 1):
+            assert compute_pd(scaled, dim).pairs == scaled_pairs(compute_pd(cx, dim), scale)
+        assert np.array_equal(_edge_classes(scaled), _edge_classes(cx))
+
+    @given(cloud=scalable_clouds(), k=st.integers(-20, 40))
+    def test_bottleneck_scales_exactly(self, cloud, k):
+        def distances(points):  # VR against Cech in dim 1, and against the cloud less a point in dim 0
+            vr, cech, fewer = build_vr(points), build_complex(points, "cech"), build_vr(points[:-1])
+            return [
+                bottleneck_distance(compute_pd(vr, 1), compute_pd(cech, 1)),
+                bottleneck_distance(compute_pd(vr, 0), compute_pd(fewer, 0)),
+            ]
+
+        scale = 2.0**k
+        assert distances(scale * cloud) == [scale * d for d in distances(cloud)]
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 7")
+    def test_delaunay_pairs_scale_exactly(self):
+        # the cocircular tolerance has an absolute floor below radius 1, so at 2**-20 this cloud gains a pair
+        cloud, scale = np.random.default_rng(2).random((40, 2)), 2.0**-20
+        want = scaled_pairs(compute_pd(build_complex(cloud, "delaunay"), 1), scale)
+        assert compute_pd(build_complex(scale * cloud, "delaunay"), 1).pairs == want
 
 
 class TestMst:
