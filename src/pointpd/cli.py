@@ -192,6 +192,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_make_tail(args) -> int:
+    if args.dim < 1:
+        raise ValueError("ambient dimension must be at least 1")
     vertex = args.vertex if args.vertex is not None else np.zeros(args.dim)
     if vertex.shape[0] != args.dim:
         raise ValueError("--vertex must match --dim")

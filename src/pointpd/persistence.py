@@ -19,10 +19,9 @@ so a test uses only pairs nearer than that: birth windows over the
 diagrams' sorted points find them once, with no m x k matrix. The exact
 lower bound is a candidate and is tested first. When it fails, thresholds
 doubling away from it bracket the answer, and only the candidates inside
-the bracket are sorted and bisected. An iterative Hopcroft-Karp matcher,
-with no recursion limit, checks each test in O(E sqrt V), starting from the
-matchings of the last infeasible threshold. diagram_equal with a tolerance
-uses the same test.
+the bracket are sorted and bisected. Each test is one maximum matching by
+scipy's Hopcroft-Karp, in O(E sqrt V), which loads scipy.sparse.csgraph at
+the first test. diagram_equal with a tolerance uses the same test.
 """
 
 from __future__ import annotations
@@ -222,65 +221,17 @@ def mst(cloud: PointCloud | npt.NDArray[np.float64]) -> list[tuple[tuple[int, in
     return list(zip(map(tuple, cx.edge_vertices[merges].tolist()), (2.0 * cx.edge_values[merges]).tolist()))
 
 
-def _saturates(adj: list[list[int]], n_right: int, mate_left: list[int]) -> bool:
-    """True iff some matching covers every left vertex; adj[u] lists u's right neighbours.
+def _saturates(starts: npt.NDArray[np.intp], cols: npt.NDArray[np.intp], n_right: int) -> bool:
+    """True iff some matching covers every row; row u's columns are cols[starts[u]:starts[u + 1]].
 
-    mate_left holds a matching to start from (a right neighbour per left
-    vertex, -1 where none) and is left holding a maximum one when the
-    answer is False. Hopcroft-Karp (SIAM J. Comput. 1973), after a greedy
-    pass that gives each free vertex its first free neighbour. The
-    depth-first search keeps its own stack, so no recursion limit applies
-    at any diagram size.
+    scipy's Hopcroft-Karp (SIAM J. Comput. 1973), imported here because a
+    module-level scipy.sparse import would add to every `import pointpd`.
     """
-    mate_right = [-1] * n_right
-    for u, v in enumerate(mate_left):
-        if v >= 0:
-            mate_right[v] = u
-    for u, nbrs in enumerate(adj):
-        if mate_left[u] < 0:
-            for v in nbrs:
-                if mate_right[v] < 0:
-                    mate_left[u], mate_right[v] = v, u
-                    break
-    free = [u for u, v in enumerate(mate_left) if v < 0]
-    while free:
-        # layers of the alternating paths from the free left vertices
-        layer = [-1] * len(adj)
-        for u in free:
-            layer[u] = 0
-        queue, found = list(free), False
-        for u in queue:
-            for v in adj[u]:
-                w = mate_right[v]
-                if w < 0:
-                    found = True
-                elif layer[w] < 0:
-                    layer[w] = layer[u] + 1
-                    queue.append(w)
-        if not found:
-            return False
-        # augment along layer-increasing paths; nxt[u] is u's next untried neighbour
-        nxt = [0] * len(adj)
-        for root in free:
-            stack = [root]
-            while stack:
-                u = stack[-1]
-                if nxt[u] == len(adj[u]):
-                    layer[u] = -1  # no augmenting path through u in this phase
-                    stack.pop()
-                    continue
-                v = adj[u][nxt[u]]
-                nxt[u] += 1
-                w = mate_right[v]
-                if w < 0:
-                    for x in stack:
-                        y = adj[x][nxt[x] - 1]
-                        mate_left[x], mate_right[y] = y, x
-                    break
-                if layer[w] == layer[u] + 1:
-                    stack.append(w)
-        free = [u for u in free if mate_left[u] < 0]
-    return True
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    graph = csr_array((np.ones(len(cols), dtype=bool), cols, starts), shape=(len(starts) - 1, n_right))
+    return bool((maximum_bipartite_matching(graph, perm_type="column") >= 0).all())
 
 
 def _stack(d1: PersistenceDiagram, d2: PersistenceDiagram) -> tuple[npt.NDArray[np.float64], int, list[float], list[float]]:
@@ -344,20 +295,15 @@ def _near(pts: npt.NDArray[np.float64], m: int, radius: npt.NDArray[np.float64])
     return _Near(rows[:cut], cols[:cut] - m, cost[:cut]), _Near(rows[cut:] - m, cols[cut:], cost[cut:])
 
 
-def _cover_test(near: _Near, forced: npt.NDArray[np.bool_], delta: float, n_right: int,
-                seed: npt.NDArray[np.intp]) -> tuple[bool, npt.NDArray[np.intp], list[int]]:
+def _cover_test(near: _Near, forced: npt.NDArray[np.bool_], delta: float, n_right: int) -> bool:
     """Can every forced row be matched to a distinct column within delta?
 
-    `near` must hold every pair within delta of a forced row. The matching
-    starts from seed (a column per row, -1 where none), which must be a
-    matching within delta. Returns the verdict, the forced rows and the
-    columns the matching found gives them.
+    `near` must hold every pair within delta of a forced row, by row.
     """
     use = forced[near.rows] & (near.cost <= delta)
-    ids = np.flatnonzero(forced)
-    flat, ends = near.cols[use].tolist(), np.cumsum(np.bincount(near.rows[use], minlength=len(forced))[ids]).tolist()
-    mate = seed[ids].tolist()
-    return _saturates([flat[s:e] for s, e in zip([0, *ends], ends)], n_right, mate), ids, mate
+    starts = np.zeros(np.count_nonzero(forced) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(near.rows[use], minlength=len(forced))[forced], out=starts[1:])
+    return _saturates(starts, near.cols[use], n_right)
 
 
 def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float:
@@ -383,9 +329,7 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
     candidate; that bound is tested first and is the answer on nearby
     diagrams. When it fails, thresholds doubling away from it bracket the
     answer, and only the candidates inside the bracket are sorted and
-    bisected. Each test starts from the matchings of the last infeasible
-    threshold, which stay valid above it (Efrat, Itai & Katz, Algorithmica
-    2001).
+    bisected. Each test is one maximum matching by scipy's Hopcroft-Karp.
     """
     if d1.dim != d2.dim:
         raise ValueError("diagrams of different dimensions are not comparable")
@@ -403,18 +347,9 @@ def bottleneck_distance(d1: PersistenceDiagram, d2: PersistenceDiagram) -> float
     np.minimum.at(best, near1.rows, near1.cost)
     np.minimum.at(best, near2.rows + m, near2.cost)
     lower = float(best.max())
-    seeds = [np.full(m, -1, dtype=np.intp), np.full(k, -1, dtype=np.intp)]
 
     def feasible(delta: float) -> bool:
-        found = []
-        for (near, part, n_right), seed in zip(sides, seeds):
-            ok, ids, mate = _cover_test(near, part > delta, delta, n_right, seed)
-            found.append((ids, mate))
-            if not ok:  # matchings within an infeasible threshold stay valid above it
-                for kept, (ids, mate) in zip(seeds, found):
-                    kept[ids] = mate
-                return False
-        return True
+        return all(_cover_test(near, part > delta, delta, n_right) for near, part, n_right in sides)
 
     if feasible(lower):
         return max(floor, lower)
@@ -465,7 +400,7 @@ def diagram_equal(d1: PersistenceDiagram, d2: PersistenceDiagram, tol: float = 0
     # the pairs within tol are those nearer than the next float above it
     radius = np.repeat([math.nextafter(tol, math.inf), 0.0], [m, len(pts) - m])
     near, _ = _near(pts, m, radius)
-    return _cover_test(near, np.ones(m, dtype=bool), tol, m, np.full(m, -1, dtype=np.intp))[0]
+    return _cover_test(near, np.ones(m, dtype=bool), tol, m)
 
 
 def gap_stats(diagram: PersistenceDiagram) -> GapStats:

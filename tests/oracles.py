@@ -10,9 +10,12 @@ the vectorized builders must match it bit for bit. `boundary_pd1` is the
 textbook boundary-matrix reduction the package used to run, so the
 package's cohomology route must give the very same pairs, float for float.
 `kuhn_bottleneck` is the dense bisection-plus-Kuhn matching the package
-used to run, so its windowed, warm-started matcher must return the very same float.
-`scipy_bottleneck` is a third, independent route for diagrams too large
-for the recursive one: the same bisection with scipy's Hopcroft-Karp.
+used to run, so its windowed search must return the very same float; its
+recursive Kuhn matcher shares nothing with the package's.
+`scipy_bottleneck` is the route for diagrams too large for the recursive
+one: the same bisection with scipy's Hopcroft-Karp. The package calls that
+matcher too, so this oracle differs from it in the graph, dense and
+diagonal-augmented, and in the candidates, all of them.
 `lex_greedy_triangulation` is the arc-splitting greedy the package used to
 run, so its ear clipping must return the very same triangles; `loop_delaunay`
 triangulates cocircular groups with it.

@@ -140,7 +140,9 @@ def _cone_square(rng, direction_angle, side=0.25):
     return PointCloud(pts)
 
 
-def test_criterion_4_long_wedge_union():
+# tol 0 asks for the identities exactly: no VR/Cech verdict then needs a matching
+@pytest.mark.parametrize("tol", [1e-9, 0.0])
+def test_criterion_4_long_wedge_union(tol):
     wedges = 0
     failures = 0
     nonempty_components = 0
@@ -165,7 +167,7 @@ def test_criterion_4_long_wedge_union():
         ):
             nonempty_components += 1
         for kind in ("vr", "cech"):
-            report = verify_long_wedge(components, kind, tol=1e-9)
+            report = verify_long_wedge(components, kind, tol=tol)
             if not report.is_long_wedge or not report.pd_union_ok:
                 failures += 1
     assert wedges >= 100
@@ -177,7 +179,8 @@ def test_criterion_4_long_wedge_union():
     )
 
 
-def test_criterion_5_attachment_theorem():
+@pytest.mark.parametrize("tol", [1e-9, 0.0])
+def test_criterion_5_attachment_theorem(tol):
     instances = 0
     skipped = 0
     failures = 0
@@ -203,7 +206,7 @@ def test_criterion_5_attachment_theorem():
         tail = generate_tail(TailSpec(ray, int(rng.integers(3, 11)), 0.5, 1.5, cone, seed))
         kind = "vr" if seed % 2 == 0 else "cech"
         try:
-            report = verify_tail_theorem(base, v, ray, tail, kind, tol=1e-9)
+            report = verify_tail_theorem(base, v, ray, tail, kind, tol=tol)
         except HypothesisError:
             skipped += 1
             continue

@@ -255,6 +255,12 @@ class TestMakeTail:
         assert code == 2
         assert "must match" in err
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    def test_dim_below_one_rejected(self, capsys, dim):
+        code, out, err = run(capsys, ["make-tail", "--n", "3", "--dim", dim])
+        assert (code, out) == (2, "")
+        assert "ambient dimension must be at least 1" in err
+
     def test_direction_dim_mismatch(self, capsys):
         code, out, err = run(
             capsys, ["make-tail", "--n", "4", "--dim", "2", "--direction", "1,0,0"]
@@ -651,18 +657,25 @@ print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "s
 """
 
 
-# bottleneck matching and diagram_equal(tol) run their own matcher on VR diagrams
-SCIPY_FREE_METRICS_SCRIPT = """
+# building VR diagrams and comparing them exactly, or through diagram_equal's fast path for equal multisets
+# (every long-wedge and tail verdict that holds), loads no scipy; bottleneck matching and diagram_equal(tol) on
+# unequal diagrams load scipy.sparse.csgraph for its matcher, but never scipy.spatial
+SCIPY_METRICS_SCRIPT = """
 import json, sys
 import numpy as np
 from pointpd import PersistenceDiagram, bottleneck_distance, build_complex, compute_pd, diagram_equal
+def loaded():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 points = np.random.default_rng(0).random((40, 2))
 moved = points + np.random.default_rng(1).uniform(-1e-3, 1e-3, points.shape)
 d1, d2 = (compute_pd(build_complex(p, "vr"), 1) for p in (points, moved))
-assert len(d1) > 0 and 0.0 < bottleneck_distance(d1, d2) <= 2e-3
 shifted = PersistenceDiagram(1, tuple((b + 1e-4, d + 1e-4) for b, d in d1.pairs))
+assert diagram_equal(d1, d1, 1e-9) and diagram_equal(d1, PersistenceDiagram(1, d1.pairs), 0.0)
+assert not diagram_equal(d1, shifted, 0.0)
+exact = loaded()
+assert len(d1) > 0 and 0.0 < bottleneck_distance(d1, d2) <= 2e-3
 assert diagram_equal(d1, shifted, 2e-4) and not diagram_equal(d1, shifted, 5e-5)
-print(json.dumps(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+print(json.dumps([exact, loaded()]))
 """
 
 
@@ -675,8 +688,11 @@ class TestColdStart:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == []
 
-    def test_bottleneck_and_diagram_equal_never_load_scipy(self):
+    def test_only_matching_loads_scipy_and_never_spatial(self):
         env = {**os.environ, "PYTHONPATH": str(Path(pointpd.__file__).parents[1])}
-        done = subprocess.run([sys.executable, "-c", SCIPY_FREE_METRICS_SCRIPT], capture_output=True, text=True, env=env, timeout=120)
+        done = subprocess.run([sys.executable, "-c", SCIPY_METRICS_SCRIPT], capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == []
+        exact, matched = json.loads(done.stdout.splitlines()[-1])
+        assert exact == []
+        assert "scipy.sparse.csgraph" in matched
+        assert not [name for name in matched if name.startswith("scipy.spatial")]

@@ -29,6 +29,8 @@ S, M, L = EdgeClass.SHORT, EdgeClass.MEDIUM, EdgeClass.LONG
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 T345 = PointCloud([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
 KINDS = ["vr", "cech", "delaunay"]
+# a 12-point integer lattice in 8 dimensions: distances tie often
+LATTICE_8D = PointCloud(np.unique(np.random.default_rng([8, 4]).integers(0, 3, (12, 8)).astype(float), axis=0))
 
 
 def classes(cloud, kind):
@@ -283,6 +285,17 @@ class TestLemmaOracles:
         for (p, q), cls in got.items():
             if long_by_cech(cloud, p, q):
                 assert cls is L, (p, q)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 11")
+    def test_cech_lemma_implies_long_on_a_lattice(self):
+        # the lemma finds a witness for edge (1, 11), yet the classifier says Medium
+        if long_by_cech(LATTICE_8D, 1, 11):
+            assert classes(LATTICE_8D, "cech")[(1, 11)] is L
+
+    def test_vr_lemma_implies_long_on_a_lattice(self):
+        got = classes(LATTICE_8D, "vr")
+        assert got[(1, 11)] is L
+        assert [edge for edge, cls in got.items() if long_by_vr(LATTICE_8D, *edge) and cls is not L] == []
 
     @pytest.mark.parametrize("seed", range(20))
     def test_delaunay_lemma_is_exact_on_generic_clouds(self, seed):

@@ -784,7 +784,7 @@ class TestLargeDiagrams:
 
     def test_jittered_2400_exact_within_20_mib(self):
         # the lower bound fails on this cloud (the dense matrix took 42 cover tests), so the bracket and the
-        # warm-started bisection run; a 2 312 x 2 271 L-inf matrix alone would take 40 MiB
+        # bisection run; a 2 312 x 2 271 L-inf matrix alone would take 40 MiB
         d1, d2 = alpha_diagrams(*jittered_cloud(3, 2400))
         tracemalloc.start()
         try:

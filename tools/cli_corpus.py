@@ -26,7 +26,10 @@ more coordinates, where numpy's own sum would go pairwise: the builders and
 `classify` sum every length one coordinate at a time. `huge.txt`, a cloud
 of coordinates near 1e200, gets one `pd --kind delaunay`, which Qhull
 cannot triangulate (exit 2); its VR/Čech distances overflow with a
-RuntimeWarning, so it gets no other command.
+RuntimeWarning, so it gets no other command. The `verify-wedge` lines on
+the `arm*` clouds are the only ones whose verdict needs a matching: their
+union and combined diagrams differ but have equal pair counts, and each
+runs at one `--tol` on each side of the verdict.
 """
 
 from __future__ import annotations
@@ -63,11 +66,32 @@ FIXED_CLOUDS = {
     "huge.txt": [[1e200, 0], [-1e200, 0], [0, 1e200]],
 }
 
+# (kind, seed, a --tol on each side of the verdict) for verify-wedge on the arms of _wedge_arms(seed): the union's
+# degree-1 diagram has as many pairs as the two arms' together but differs from them, by less than the first tol
+# and more than the second, so only a matching decides pd_union_ok
+WEDGE_ARMS = [
+    ("cech", 20, ("0.01", "0.005")),
+    ("cech", 87, ("0.002", "0.001")),
+    ("cech", 97, ("0.2", "0.1")),
+    ("cech", 110, ("0.3", "0.2")),
+    ("vr", 455, ("0.4", "0.3")),
+]
+
 
 def _grid(nx: int, ny: int, angle: float = 0.0) -> np.ndarray:
     points = np.array([[x, y] for x in range(nx) for y in range(ny)], dtype=np.float64)
     c, s = math.cos(angle), math.sin(angle)
     return points @ np.array([[c, -s], [s, c]]).T
+
+
+def _wedge_arms(seed: int) -> dict[str, np.ndarray]:
+    """Two 4-point arms that share the origin, the second turned by a random angle, by file name."""
+    rng = np.random.default_rng(seed)
+    first = np.array([[0.0, 0.0], *(rng.random((3, 2)) + [0.2, 0.0])])
+    angle = rng.uniform(0.3, 2.5)
+    c, s = math.cos(angle), math.sin(angle)
+    second = np.array([[0.0, 0.0], *((rng.random((3, 2)) + [0.2, 0.0]) @ np.array([[c, -s], [s, c]]).T)])
+    return {f"arm{seed}_a.txt": first, f"arm{seed}_b.txt": second}
 
 
 def _lattice(seed: int) -> np.ndarray:
@@ -169,6 +193,8 @@ def commands(cloud_points: dict[str, np.ndarray]) -> list[tuple[list[str], list[
         (["tail0.txt", "tail3.txt"], ["--kind", "cech"]),
     ]:
         runs.append((["verify-wedge", *files] + extra, []))
+    for kind, seed, tols in WEDGE_ARMS:
+        runs += [(["verify-wedge", *_wedge_arms(seed), "--kind", kind, "--tol", tol], []) for tol in tols]
 
     for k, (tails, extra) in enumerate([
         (["vertex=0;n=3;cone=0.05;seed=1;direction=-1,0"], ["--variants", "2"]),
@@ -232,7 +258,8 @@ def run_corpus(quick: bool = False) -> list[str]:
     with tempfile.TemporaryDirectory() as tmp:
         try:
             os.chdir(tmp)
-            for name, points in {**FIXED_CLOUDS, **cloud_points}.items():
+            arms = {name: points for _, seed, _ in WEDGE_ARMS for name, points in _wedge_arms(seed).items()}
+            for name, points in {**FIXED_CLOUDS, **arms, **cloud_points}.items():
                 Path(name).write_text(_cloud_text(np.asarray(points, dtype=np.float64)))
             for argv, outputs in runs:
                 out = io.StringIO()
