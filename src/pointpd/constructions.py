@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -235,13 +236,6 @@ def _require_hypothesis(report: AttachReport, where: str = "") -> None:
         raise error
 
 
-def _combined_diagram(diagrams: list[PersistenceDiagram]) -> PersistenceDiagram:
-    pairs: list[tuple[float, float]] = []
-    for d in diagrams:
-        pairs.extend(d.pairs)
-    return PersistenceDiagram(1, tuple(pairs), None)
-
-
 def verify_long_wedge(
     components: list[PointCloud],
     kind: FiltrationKind | str,
@@ -296,7 +290,7 @@ def verify_long_wedge(
     offending = tuple(sorted(zip(map(tuple, ends[bad].tolist()), classes[bad].tolist())))
     union_pd = compute_pd(union_complex, 1)
     component_pds = tuple(compute_pd(build_complex(c, kind), 1) for c in components)
-    combined = _combined_diagram(list(component_pds))
+    combined = PersistenceDiagram(1, tuple(chain.from_iterable(d.pairs for d in component_pds)))
     return WedgeReport(
         is_long_wedge=not offending,
         offending_edges=offending,
@@ -335,9 +329,7 @@ def verify_tail_theorem(
         theta=report.theta,
         union=union,
         tail_trivial=len(tail_pd) == 0,
-        union_equals_base_plus_tail=diagram_equal(
-            union_pd, _combined_diagram([base_pd, tail_pd]), tol
-        ),
+        union_equals_base_plus_tail=diagram_equal(union_pd, PersistenceDiagram(1, base_pd.pairs + tail_pd.pairs), tol),
         union_equals_base=diagram_equal(union_pd, base_pd, tol),
         union_diagram=union_pd,
         base_diagram=base_pd,

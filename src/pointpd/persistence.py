@@ -21,7 +21,8 @@ lower bound is a candidate and is tested first. When it fails, thresholds
 doubling away from it bracket the answer, and only the candidates inside
 the bracket are sorted and bisected. Each test is one maximum matching by
 scipy's Hopcroft-Karp, in O(E sqrt V), which loads scipy.sparse.csgraph at
-the first test. diagram_equal with a tolerance uses the same test.
+the first test. diagram_equal is `==` at tol 0, and above it uses the same
+test on unequal diagrams.
 """
 
 from __future__ import annotations
@@ -46,15 +47,13 @@ Pair = tuple[float, float]
 class PersistenceDiagram:
     """Multiset of (birth, death) pairs in one homology dimension.
 
-    Zero-persistence pairs are never stored. `truncation_scale` echoes the
-    cap of the complex the diagram came from (inf when it had none, None
-    when unknown, e.g. after deserialization); death = inf marks classes
-    alive at that cap.
+    Zero-persistence pairs are never stored, and death = inf marks a class
+    alive at the cap of the complex. The pairs are kept sorted, so `==` and
+    `hash` mean the same multiset in the same dimension.
     """
 
     dim: int
     pairs: tuple[Pair, ...]
-    truncation_scale: float | None = None
 
     def __post_init__(self) -> None:
         if self.dim not in (0, 1):
@@ -118,7 +117,7 @@ def compute_pd(complex: FilteredComplex, dim: int) -> PersistenceDiagram:
     deaths = complex.edge_values[merges].tolist()
     pairs = [(0.0, value) for value in deaths if value > 0.0]
     pairs.extend((0.0, math.inf) for _ in range(components))
-    return PersistenceDiagram(0, tuple(pairs), complex.max_scale)
+    return PersistenceDiagram(0, tuple(pairs))
 
 
 def _dim1(complex: FilteredComplex) -> Generator[list[int] | PersistenceDiagram, list[tuple], None]:
@@ -165,7 +164,7 @@ def _dim1(complex: FilteredComplex) -> Generator[list[int] | PersistenceDiagram,
         deaths[at] = heap[0][0] if heap else math.inf
     births = complex.edge_values[born]
     pairs = zip(births[deaths > births].tolist(), deaths[deaths > births].tolist())
-    yield PersistenceDiagram(1, tuple(pairs), complex.max_scale)
+    yield PersistenceDiagram(1, tuple(pairs))
 
 
 def _dim1_diagrams(complexes: Sequence[FilteredComplex]) -> list[PersistenceDiagram]:
@@ -379,22 +378,20 @@ def diagram_equal(d1: PersistenceDiagram, d2: PersistenceDiagram, tol: float = 0
     """True iff the multisets match under a perfect pairing within L-inf tol.
 
     No diagonal matching: cardinalities must agree exactly. tol = 0 is
-    exact multiset equality; a negative or NaN tol raises ValueError.
+    `d1 == d2`; a negative or NaN tol raises ValueError. Equal diagrams
+    match at any tol, so only unequal ones at tol > 0 build arrays and run
+    a matching.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be a nonnegative number, got {tol}")
     if d1.dim != d2.dim:
         raise ValueError("diagrams of different dimensions are not comparable")
-    if len(d1.pairs) != len(d2.pairs):
+    if d1 == d2:
+        return True
+    if tol == 0.0 or len(d1.pairs) != len(d2.pairs):
         return False
     pts, m, inf1, inf2 = _stack(d1, d2)
-    if len(inf1) != len(inf2):
-        return False
-    if any(abs(a - b) > tol for a, b in zip(inf1, inf2)):
-        return False
-    if np.array_equal(pts[:m], pts[m:]):  # equal multisets match at any tol
-        return True
-    if tol == 0.0:
+    if len(inf1) != len(inf2) or any(abs(a - b) > tol for a, b in zip(inf1, inf2)):
         return False
     # the bottleneck feasibility test with every point forced, as no pair may go to the diagonal;
     # the pairs within tol are those nearer than the next float above it
@@ -433,7 +430,7 @@ def diagrams_to_csv(diagrams: list[PersistenceDiagram]) -> str:
 
 
 def diagrams_from_csv(text: str) -> list[PersistenceDiagram]:
-    """Parse the CSV produced by diagrams_to_csv (truncation unknown)."""
+    """Parse the CSV produced by diagrams_to_csv."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "dim,birth,death":
         raise ValueError("missing dim,birth,death header")
@@ -444,7 +441,4 @@ def diagrams_from_csv(text: str) -> list[PersistenceDiagram]:
             raise ValueError(f"malformed diagram row: {ln!r}")
         dim = int(parts[0])
         by_dim.setdefault(dim, []).append((float(parts[1]), float(parts[2])))
-    return [
-        PersistenceDiagram(dim, tuple(pairs), None)
-        for dim, pairs in sorted(by_dim.items())
-    ]
+    return [PersistenceDiagram(dim, tuple(pairs)) for dim, pairs in sorted(by_dim.items())]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from pointpd.constructions import (
     AttachReport,
@@ -19,7 +21,7 @@ from pointpd.constructions import (
 from pointpd.edges import EdgeClass, classify_all
 from pointpd.filtration import build_complex
 from pointpd.geometry import PointCloud, Ray, angular_deviation, angular_thickness
-from pointpd.persistence import compute_pd
+from pointpd.persistence import PersistenceDiagram, compute_pd
 
 from oracles import loop_distance_multiset
 
@@ -295,6 +297,72 @@ class TestVerifyLongWedge:
         c = PointCloud([[0.0, 0.0], [-1.0, -1.0], [0.0, -1.0]])
         with pytest.raises(ValueError, match="components 1 and 2 must intersect in the common point only"):
             verify_long_wedge([a, b, c], "vr")
+
+
+def wedge_arms(seed: int, scale: float) -> list[PointCloud]:
+    """Two 4-point arms that share the origin, the second turned by a random angle, times a scale."""
+    rng = np.random.default_rng(seed)
+    first = np.array([[0.0, 0.0], *(rng.random((3, 2)) + [0.2, 0.0])])
+    angle = rng.uniform(0.3, 2.5)
+    c, s = math.cos(angle), math.sin(angle)
+    second = np.array([[0.0, 0.0], *((rng.random((3, 2)) + [0.2, 0.0]) @ np.array([[c, -s], [s, c]]).T)])
+    return [PointCloud(first * scale), PointCloud(second * scale)]
+
+
+class TestScaleDependentWedgeVerdict:
+    """Cech arms whose union diagram has as many pairs as the arms' together, and differs from them
+    within L-inf 0.01 (seed 20) and 0.002 (seed 87) at scale 1, but by more than half that."""
+
+    @pytest.mark.parametrize("seed", [20, 87])
+    def test_exact_verdict_is_false_at_every_scale(self, seed):
+        assert not verify_long_wedge(wedge_arms(seed, 1.0), "cech").pd_union_ok
+        for scale in (1.0, 2.0**-28):
+            assert not verify_long_wedge(wedge_arms(seed, scale), "cech", tol=0.0).pd_union_ok
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 17")
+    @pytest.mark.parametrize("seed", [20, 87])
+    def test_default_verdict_is_false_at_small_scale(self, seed):
+        # the default tol 1e-9 is absolute: at 2^-28 it spans the whole difference
+        assert not verify_long_wedge(wedge_arms(seed, 2.0**-28), "cech").pd_union_ok
+
+
+@st.composite
+def tails(draw, ray: Ray) -> PointCloud:
+    """A tail from `generate_tail` along the ray: 2-14 points, spacings in [0.3, 1.5], cone up to 0.2."""
+    smin, smax = sorted(draw(st.lists(st.floats(0.3, 1.5), min_size=2, max_size=2)))
+    cone = draw(st.floats(0.0, 0.2))
+    return generate_tail(TailSpec(ray, draw(st.integers(2, 14)), smin, smax, cone, draw(st.integers(0, 2**32))))
+
+
+class TestTheoremProperties:
+    """The long-wedge and tail-attachment identities hold exactly, as `==`, for VR and Cech."""
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    @given(data=st.data())
+    def test_long_wedge_diagram_is_the_union(self, kind, data):
+        arms, start = data.draw(st.integers(2, 3)), data.draw(st.floats(0.0, 2.0 * math.pi))
+        angles = start + 2.0 * math.pi * np.arange(arms) / arms
+        components = [data.draw(tails(Ray([0.0, 0.0], [math.cos(a), math.sin(a)]))) for a in angles]
+        report = verify_long_wedge(components, kind, tol=0.0)
+        assert report.is_long_wedge
+        assert report.pd_union_ok
+        pairs = [pair for diagram in report.component_diagrams for pair in diagram.pairs]
+        assert report.union_diagram == PersistenceDiagram(1, tuple(pairs))
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    @given(data=st.data())
+    def test_attached_tail_leaves_the_diagram(self, kind, data):
+        seed, n = data.draw(st.integers(0, 2**32)), data.draw(st.integers(5, 29))
+        base = PointCloud(np.random.default_rng(seed).random((n, 2)))
+        v = int(np.argmin(base.points[:, 0]))
+        angle = math.pi + data.draw(st.floats(-0.5, 0.5))
+        ray = Ray(base.points[v], [math.cos(angle), math.sin(angle)])
+        tail = data.draw(tails(ray))
+        assume(attach_tail(base, v, ray, tail)[1].hypothesis_ok)
+        report = verify_tail_theorem(base, v, ray, tail, kind, tol=0.0)
+        assert report.tail_diagram.pairs == ()
+        assert report.union_diagram == report.base_diagram
+        assert report.union_equals_base and report.union_equals_base_plus_tail
 
 
 class TestVerifyTailTheorem:

@@ -102,9 +102,12 @@ class TestComputePdExamples:
         cx = build_vr(SQUARE, max_scale=0.6)
         d1 = compute_pd(cx, 1)
         assert d1.pairs == ((0.5, math.inf),)
-        assert d1.truncation_scale == 0.6
         d0 = compute_pd(cx, 0)
         assert len(d0.infinite_pairs) == 1  # still connected by the sides
+
+    def test_a_cap_above_every_death_leaves_the_diagram_equal(self):
+        # the diagonals close the cycle at sqrt(2)/2 < 0.9: the capped diagram is the uncapped one
+        assert compute_pd(build_vr(SQUARE, max_scale=0.9), 1) == compute_pd(build_vr(SQUARE), 1)
 
     def test_zero_persistence_pairs_dropped(self):
         # equilateral: the triangle kills the cycle the instant it is born
@@ -857,6 +860,18 @@ class TestDiagramEqual:
         assert diagram_equal(d1, d2, tol=1e-9)
         assert not diagram_equal(d1, d2)
 
+    @given(st.data())
+    def test_exact_comparison_is_eq(self, data):
+        # equal diagrams hash equal, and by Cohen-Steiner, Edelsbrunner & Harer (DCG 2007) two diagrams of
+        # equal size hold the same multiset exactly when their bottleneck distance is 0
+        grid = data.draw(st.booleans())
+        a = data.draw(diagrams(grid))
+        b = data.draw(st.one_of(diagrams(grid), st.permutations(a.pairs).map(lambda p: PersistenceDiagram(1, p))))
+        assert diagram_equal(a, b, 0.0) == diagram_equal(b, a, 0.0) == (a == b)
+        assert (a == b) == (len(a) == len(b) and kuhn_bottleneck(a, b) == 0.0)
+        if a == b:
+            assert hash(a) == hash(b)
+
 
 class TestGapStats:
     def test_known_ratio(self):
@@ -899,6 +914,13 @@ class TestSerialization:
         assert [d.dim for d in back] == [0, 1]
         assert back[0].pairs == d0.pairs
         assert back[1].pairs == d1.pairs
+
+    @pytest.mark.parametrize("kind", ["vr", "cech", "delaunay"])
+    def test_round_trip_is_eq(self, kind):
+        cx = build_complex(random_cloud(7, 20, 2), kind)
+        pds = [compute_pd(cx, 0), compute_pd(cx, 1)]
+        assert all(len(d) > 0 for d in pds)
+        assert diagrams_from_csv(diagrams_to_csv(pds)) == pds
 
     def test_infinity_round_trips(self):
         d = PersistenceDiagram(0, ((0.0, math.inf), (0.0, 0.25)))

@@ -29,7 +29,9 @@ cannot triangulate (exit 2); its VR/Čech distances overflow with a
 RuntimeWarning, so it gets no other command. The `verify-wedge` lines on
 the `arm*` clouds are the only ones whose verdict needs a matching: their
 union and combined diagrams differ but have equal pair counts, and each
-runs at one `--tol` on each side of the verdict.
+runs at one `--tol` on each side of the verdict. Each also runs at
+`--tol 0`, where the comparison is `==` and needs no matching, as does
+one wedge that holds (`seg_a.txt ray_b.txt`).
 """
 
 from __future__ import annotations
@@ -195,6 +197,9 @@ def commands(cloud_points: dict[str, np.ndarray]) -> list[tuple[list[str], list[
         runs.append((["verify-wedge", *files] + extra, []))
     for kind, seed, tols in WEDGE_ARMS:
         runs += [(["verify-wedge", *_wedge_arms(seed), "--kind", kind, "--tol", tol], []) for tol in tols]
+    # --tol 0 compares the diagrams by ==: five failed identities (exit 3) and one that holds (exit 0)
+    runs += [(["verify-wedge", *_wedge_arms(seed), "--kind", kind, "--tol", "0"], []) for kind, seed, _ in WEDGE_ARMS]
+    runs.append((["verify-wedge", "seg_a.txt", "ray_b.txt", "--tol", "0"], []))
 
     for k, (tails, extra) in enumerate([
         (["vertex=0;n=3;cone=0.05;seed=1;direction=-1,0"], ["--variants", "2"]),
