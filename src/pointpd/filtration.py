@@ -151,23 +151,12 @@ def _sorted_group(
     return vertices[order], values[order]
 
 
-def _edge_rows(
-    edge_keys: npt.NDArray[np.int64],
-    n: int,
-    face_keys: npt.NDArray[np.int64],
-) -> npt.NDArray[np.intp]:
-    """Row of the edge with each face key, or -1 where there is none; every key is below n * n."""
-    m = len(edge_keys)
-    if n * n <= 4 * (m + face_keys.size):
-        # a table over all n*n keys is no larger than the arrays at hand
-        table = np.full(n * n, -1, dtype=np.intp)
-        table[edge_keys] = np.arange(m)
-        return table[face_keys]
-    if m == 0:
-        return np.full(face_keys.shape, -1, dtype=np.intp)
+def _edge_rows(edge_keys: npt.NDArray[np.int64], face_keys: npt.NDArray[np.int64]) -> npt.NDArray[np.intp]:
+    """Row of the edge with each face key, or -1 where there is none: one search in the sorted edge keys."""
     order = np.argsort(edge_keys)
-    pos = np.minimum(np.searchsorted(edge_keys[order], face_keys), m - 1)
-    return np.where(edge_keys[order][pos] == face_keys, order[pos], -1)
+    keys, rows = np.append(edge_keys[order], -1), np.append(order, -1)  # a sentinel past the end: no key is -1
+    pos = np.searchsorted(keys[:-1], face_keys)
+    return np.where(keys[pos] == face_keys, rows[pos], -1)
 
 
 class FilteredComplex:
@@ -231,7 +220,7 @@ class FilteredComplex:
         """Sort and check the triangles against the edges, and keep them."""
         n, ev, ex = self.n_vertices, self.edge_vertices, self.edge_values
         tv, tx = _sorted_group(n, triangle_vertices, triangle_values, 3, self.max_scale)
-        triangle_edges = _edge_rows(ev[:, 0] * n + ev[:, 1], n, tv[:, [0, 0, 1]] * n + tv[:, [1, 2, 2]])
+        triangle_edges = _edge_rows(ev[:, 0] * n + ev[:, 1], tv[:, [0, 0, 1]] * n + tv[:, [1, 2, 2]])
         missing = triangle_edges < 0
         bad = np.flatnonzero(missing.any(axis=1))
         if bad.size:
@@ -399,8 +388,10 @@ def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], c
     scalar 0 rather than an array of zeros. Edge (i, j)'s oldest coface is the first k of least value, as the
     triples {i, j, k} sort like k. A Long witness has the edge's own value, the least a coface can have, so k is read
     in rounds of doubling width and an edge leaves at its first witness. A block keeps its first least k; a later
-    block wins only on a strictly smaller value. `rows` recomputes rows in blocks, for edges numbered as above; its
-    closure holds D, the kind, the cap and the edges, not the complexes, so no reference cycle keeps it alive.
+    block wins only on a strictly smaller value. The edge is apparent, the youngest facet of that coface, when its
+    (D, key) comes after both (D_ik, key of (i, k)) and (D_jk, key of (j, k)): the builder's edge order, read off
+    three entries of D. `rows` recomputes rows in blocks, for edges numbered as above; its closure holds D, the kind,
+    the cap and the edges, not the complexes, so no reference cycle keeps it alive.
     """
     n, m = D.shape[1], vertices.shape[1]
     i, j = vertices.reshape(-1, 2).T
@@ -431,10 +422,10 @@ def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], c
             out.extend((values[r, :end].tolist(), ids[r, :end].tolist()) for r, end in enumerate(ends))
         return out
 
-    # member t's edge (a, b) has key (t n + a) n + b < T n n <= keys²; sides: the keys of edges (i, k) and (j, k)
-    base, keys = np.arange(len(i)) // m * n, math.isqrt(len(D) * n * n - 1) + 1
-    sides = (np.minimum([i, j], k) + base) * n + np.maximum([i, j], k)
-    apparent = (oldest < np.inf) & (_edge_rows((i + base) * n + j, keys, sides).max(axis=0) < np.arange(len(i)))
+    # edges sort by (D, key a n + b): at a tie in D, side (i, k) precedes (i, j) iff k < j, and (j, k) iff k < i
+    t = np.arange(len(i)) // m if len(D) > 1 else 0
+    e, x, y = D[t, i, j], D[t, i, k], D[t, j, k]
+    apparent = (oldest < np.inf) & ((x < e) | ((x == e) & (k < j))) & ((y < e) | ((y == e) & (k < i)))
     ids = np.where(oldest < np.inf, _triple_keys(i, j, k, n), -1)
     fields = zip(*(a.reshape(len(D), m) for a in (oldest, ids, long, apparent)))
     return [_Cofaces(*member, rows, t * m) for t, member in enumerate(fields)]

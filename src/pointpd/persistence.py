@@ -379,8 +379,8 @@ def diagram_equal(d1: PersistenceDiagram, d2: PersistenceDiagram, tol: float = 0
 
     No diagonal matching: cardinalities must agree exactly. tol = 0 is
     `d1 == d2`; a negative or NaN tol raises ValueError. Equal diagrams
-    match at any tol, so only unequal ones at tol > 0 build arrays and run
-    a matching.
+    match at any tol, so only unequal ones at tol > 0 build arrays, and only
+    those whose finite parts differ run a matching.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be a nonnegative number, got {tol}")
@@ -393,6 +393,8 @@ def diagram_equal(d1: PersistenceDiagram, d2: PersistenceDiagram, tol: float = 0
     pts, m, inf1, inf2 = _stack(d1, d2)
     if len(inf1) != len(inf2) or any(abs(a - b) > tol for a, b in zip(inf1, inf2)):
         return False
+    if np.array_equal(pts[:m], pts[m:]):  # the finite parts are equal, sorted alike: only the infinite bars differed
+        return True
     # the bottleneck feasibility test with every point forced, as no pair may go to the diagonal;
     # the pairs within tol are those nearer than the next float above it
     radius = np.repeat([math.nextafter(tol, math.inf), 0.0], [m, len(pts) - m])

@@ -672,6 +672,7 @@ d1, d2 = (compute_pd(build_complex(p, "vr"), 1) for p in (points, moved))
 shifted = PersistenceDiagram(1, tuple((b + 1e-4, d + 1e-4) for b, d in d1.pairs))
 assert diagram_equal(d1, d1, 1e-9) and diagram_equal(d1, PersistenceDiagram(1, d1.pairs), 0.0)
 assert not diagram_equal(d1, shifted, 0.0)
+assert diagram_equal(PersistenceDiagram(1, ((0.5, np.inf),)), PersistenceDiagram(1, ((0.5 + 1e-12, np.inf),)), 1e-9)
 exact = loaded()
 assert len(d1) > 0 and 0.0 < bottleneck_distance(d1, d2) <= 2e-3
 assert diagram_equal(d1, shifted, 2e-4) and not diagram_equal(d1, shifted, 5e-5)

@@ -29,8 +29,14 @@ S, M, L = EdgeClass.SHORT, EdgeClass.MEDIUM, EdgeClass.LONG
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 T345 = PointCloud([[0.0, 0.0], [3.0, 0.0], [0.0, 4.0]])
 KINDS = ["vr", "cech", "delaunay"]
-# a 12-point integer lattice in 8 dimensions: distances tie often
-LATTICE_8D = PointCloud(np.unique(np.random.default_rng([8, 4]).integers(0, 3, (12, 8)).astype(float), axis=0))
+
+
+def lattice(dim: int, seed: int) -> np.ndarray:
+    """The distinct points among 12 drawn from {0, 1, 2}^dim: distances tie often."""
+    return np.unique(np.random.default_rng([dim, seed]).integers(0, 3, (12, dim)).astype(float), axis=0)
+
+
+LATTICE_8D = PointCloud(lattice(8, 4))
 
 
 def classes(cloud, kind):
@@ -267,7 +273,7 @@ class TestLemmaOracles:
             fn(SQUARE, 1, 1)
 
     @pytest.mark.parametrize("seed", range(20))
-    @pytest.mark.parametrize("n,dim", [(6, 2), (8, 2), (6, 3)])
+    @pytest.mark.parametrize("n,dim", [(6, 2), (8, 2), (6, 3), (12, 1), (12, 4), (12, 8), (12, 12), (12, 16)])
     def test_vr_lemma_implies_long(self, seed, n, dim):
         rng = np.random.default_rng(seed * 101 + n + dim)
         cloud = PointCloud(rng.random((n, dim)))
@@ -275,6 +281,14 @@ class TestLemmaOracles:
         for (p, q), cls in got.items():
             if long_by_vr(cloud, p, q):
                 assert cls is L, (p, q)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8, 12, 16])
+    def test_vr_lemma_implies_long_on_lattices(self, dim):
+        # integer lattices of up to 12 points: distances tie often, in every dimension
+        for seed in range(20):
+            cloud = PointCloud(lattice(dim, seed))
+            got = classes(cloud, "vr")
+            assert [edge for edge, cls in got.items() if long_by_vr(cloud, *edge) and cls is not L] == [], seed
 
     @pytest.mark.parametrize("seed", range(20))
     @pytest.mark.parametrize("n,dim", [(6, 2), (8, 3)])
@@ -308,6 +322,20 @@ class TestLemmaOracles:
 
 
 class TestStructuralProperties:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_short_edge_merges(self, kind):
+        # a Short edge is a bridge at its value: the union-find pass merges it, also inside a tie group
+        dims = [2] if kind == "delaunay" else [1, 2, 3, 4, 8, 16]
+        clouds = [grid(), *(np.random.default_rng([dim, seed]).random((12, dim)) for dim in dims for seed in range(5))]
+        clouds += [lattice(dim, seed) for dim in dims if dim > 1 for seed in range(5)]
+        shorts = 0
+        for cloud in clouds:
+            cx = build_complex(cloud, kind)
+            short = np.array([cls is S for cls in classify_all(cx).values()], dtype=bool)
+            assert not (short & ~cx._components.merges).any()
+            shorts += int(short.sum())
+        assert shorts > 0
+
     @pytest.mark.parametrize("seed", range(15))
     @pytest.mark.parametrize("kind", KINDS)
     def test_partition_is_total(self, seed, kind):

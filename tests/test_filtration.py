@@ -96,6 +96,7 @@ REJECTED_ARRAYS = {
         (3, TRIANGLE_EDGES[:2], [1.0] * 2, [[0, 1, 2]], [1.0]),
         "face (1, 2) of (0, 1, 2) missing: complex not face-closed",
     ),
+    "no-edges": ((3, [], [], [[0, 1, 2]], [1.0]), "face (0, 1) of (0, 1, 2) missing: complex not face-closed"),
     "face-after-coface": (
         (3, TRIANGLE_EDGES, [2.0, 1.0, 1.0], [[0, 1, 2]], [1.0]),
         "face (0, 1) enters at 2.0 after coface (0, 1, 2) at 1.0",
@@ -204,14 +205,14 @@ class TestFilteredComplex:
 
     @pytest.mark.parametrize("n", [6, 60])
     def test_edge_rows_table_and_sorted_lookup_agree(self, n):
-        # n = 6 takes the dense key table, n = 60 the sorted search
+        # one sorted search at any n: the keys pack densely at n = 6 and sparsely at n = 60
         rng = np.random.default_rng(n)
         pairs = sorted({tuple(sorted(rng.choice(n, 2, replace=False).tolist())) for _ in range(8)})
         keys = np.array([i * n + j for i, j in pairs], dtype=np.int64)
         queries = np.array([[i * n + j for i in range(3) for j in range(i + 1, 4)]], dtype=np.int64)
         row_of = {int(k): r for r, k in enumerate(keys)}
         want = [[row_of.get(int(q), -1) for q in queries[0]]]
-        assert _edge_rows(keys, n, queries).tolist() == want
+        assert _edge_rows(keys, queries).tolist() == want
 
 
 class TestLoopReference:
