@@ -12,8 +12,10 @@ vertices):
 
 Vertices 0..n-1 are implicit, all at value 0. Merging the groups by
 (value, dimension, vertices) gives the filtration order, in which faces
-always precede cofaces. These arrays are the complex's only representation,
-and `FilteredComplex.from_arrays` its only constructor. The `edges` and
+always precede cofaces. These arrays are the complex's only representation.
+`FilteredComplex.from_arrays` takes them in any order, sorts them and checks
+them; the builders hand over their own arrays, sorted once, and every check
+of `from_arrays` runs on them through the same code. The `edges` and
 `triangles` views read one dimension's arrays as `FilteredSimplex` tuples;
 the builders, the reduction and the classifier never read them.
 
@@ -114,41 +116,85 @@ def _row(vertices: npt.NDArray[np.intp], idx: int) -> tuple[int, ...]:
     return tuple(vertices[idx].tolist())
 
 
-def _sorted_group(
-    n: int, vertices: npt.ArrayLike, values: npt.ArrayLike, width: int, cap: float
-) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64]]:
-    """Check one dimension's simplices against n vertices and the cap, and sort them by (value, vertices).
-
-    Ties in value sort by key: the vertex tuple read as digits in base n,
-    which orders keys like tuples.
-    """
-    vertices = np.asarray(vertices, dtype=np.intp).reshape(-1, width)
-    values = np.asarray(values, dtype=np.float64).reshape(-1)
+def _group_keys(
+    n: int, vertices: npt.NDArray[np.intp], values: npt.NDArray[np.float64], cap: float
+) -> npt.NDArray[np.int64]:
+    """Check one dimension's simplices against n vertices and the cap, and return their keys: the vertex tuples read
+    as digits in base n, which order like the tuples."""
     if len(values) != len(vertices):
-        raise ValueError(f"{len(vertices)} simplices of {width} vertices but {len(values)} values")
-    bad = np.flatnonzero(((vertices < 0) | (vertices >= n)).any(axis=1))
-    if bad.size:
+        raise ValueError(f"{len(vertices)} simplices of {vertices.shape[1]} vertices but {len(values)} values")
+    # each check reads whole arrays, and finds the first bad row only when one fails
+    if vertices.size and (vertices.min() < 0 or vertices.max() >= n):
+        bad = np.flatnonzero(((vertices < 0) | (vertices >= n)).any(axis=1))
         raise ValueError(f"vertex index out of range in {_row(vertices, bad[0])}")
-    bad = np.flatnonzero((np.diff(vertices, axis=1) <= 0).any(axis=1))
-    if bad.size:
+    rising = vertices[:, 1:] > vertices[:, :-1]
+    if not rising.all():
+        bad = np.flatnonzero(~rising.all(axis=1))
         raise ValueError(f"simplex vertices must be strictly increasing: {_row(vertices, bad[0])}")
-    bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
-    if bad.size:
+    low, top = values.min(initial=0.0), values.max(initial=0.0)  # NaN in, NaN out
+    if not (low >= 0.0 and top < math.inf):
+        bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
         raise ValueError(
             f"simplex value must be finite and nonnegative: {_row(vertices, bad[0])} at {values[bad[0]]}"
         )
-    bad = np.flatnonzero(values > cap)
-    if bad.size:
+    if top > cap:
+        bad = np.flatnonzero(values > cap)
         raise ValueError(f"simplex {_row(vertices, bad[0])} at {values[bad[0]]} is above max_scale {cap}")
-    keys = np.zeros(len(values), dtype=np.int64)
-    for col in vertices.T:
-        keys = keys * n + col
-    order = np.argsort(keys, kind="stable")
-    dup = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+    keys = vertices[:, 0].astype(np.int64)
+    for col in vertices.T[1:]:
+        keys *= n
+        keys += col
+    return keys
+
+
+def _value_sort(values: npt.NDArray[np.float64]) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64]]:
+    """Stable argsort along the last axis, and the sorted values. A default argsort (timsort is 3-5x slower), then
+    ties sort by their positions: one sort of run * m + position, unique keys, where a run is a group of tied values."""
+    order = np.argsort(values, axis=-1)
+    values = np.take_along_axis(values, order, axis=-1)
+    tied = values[..., 1:] == values[..., :-1]
+    if tied.any():
+        runs = np.zeros(order.shape, dtype=np.intp)
+        np.cumsum(~tied, axis=-1, out=runs[..., 1:])
+        order = np.sort(runs * order.shape[-1] + order, axis=-1) % order.shape[-1]
+    return order, values
+
+
+def _value_order(
+    vertices: npt.NDArray[np.intp],
+    values: npt.NDArray[np.float64],
+    keys: npt.NDArray[np.int64],
+    order: npt.NDArray[np.intp],
+) -> npt.NDArray[np.intp]:
+    """Refine `order`, which lists the simplices by key, to their (value, key) order, rejecting a duplicate simplex."""
+    by_key = keys[order]
+    dup = np.flatnonzero(by_key[1:] == by_key[:-1])
     if dup.size:
         raise ValueError(f"duplicate simplex {_row(vertices, order[dup[0]])}")
-    order = order[np.argsort(values[order], kind="stable")]
+    return order[_value_sort(values[order])[0]]
+
+
+def _sorted_group(
+    n: int, vertices: npt.ArrayLike, values: npt.ArrayLike, width: int, cap: float
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64]]:
+    """Check one dimension's simplices against n vertices and the cap, and sort them by (value, vertices)."""
+    vertices = np.asarray(vertices, dtype=np.intp).reshape(-1, width)
+    values = np.asarray(values, dtype=np.float64).reshape(-1)
+    keys = _group_keys(n, vertices, values, cap)
+    order = _value_order(vertices, values, keys, np.argsort(keys))
     return vertices[order], values[order]
+
+
+def _checked_cap(n_vertices: int, max_scale: float) -> float:
+    """The cap of a complex on n_vertices vertices, as a float, once both are checked."""
+    if n_vertices < 1:
+        raise ValueError("complex needs at least one vertex")
+    if n_vertices > _MAX_VERTICES:
+        raise ValueError(f"at most {_MAX_VERTICES} vertices are supported")
+    cap = float(max_scale)
+    if not cap >= 0.0:
+        raise ValueError(f"max_scale must be a nonnegative number, got {cap}")
+    return cap
 
 
 def _edge_rows(edge_keys: npt.NDArray[np.int64], face_keys: npt.NDArray[np.int64]) -> npt.NDArray[np.intp]:
@@ -171,9 +217,10 @@ class FilteredComplex:
     `max_scale` is the cap the complex was built under: no simplex has a
     value above it, and inf means nothing was left out.
 
-    `from_arrays` is the one constructor: it takes the per-dimension
-    arrays in any order, and sorts and checks them. Instances are
-    immutable and compare by identity.
+    `from_arrays` is the public constructor: it takes the per-dimension
+    arrays in any order, and sorts and checks them. The builders store
+    arrays they sort once themselves, after the same checks. Instances are
+    immutable, their arrays read-only, and compare by identity.
     """
 
     n_vertices: int
@@ -197,13 +244,7 @@ class FilteredComplex:
         max_scale: float,
     ) -> FilteredComplex:
         """Complex on vertices 0..n-1 from edge and triangle arrays in any order, none above max_scale (inf: no cap)."""
-        if n_vertices < 1:
-            raise ValueError("complex needs at least one vertex")
-        if n_vertices > _MAX_VERTICES:
-            raise ValueError(f"at most {_MAX_VERTICES} vertices are supported")
-        cap = float(max_scale)
-        if not cap >= 0.0:
-            raise ValueError(f"max_scale must be a nonnegative number, got {cap}")
+        cap = _checked_cap(n_vertices, max_scale)
         self = cls.__new__(cls)
         self._store(n_vertices, *_sorted_group(n_vertices, edge_vertices, edge_values, 2, cap), kind, cap)
         self._store_triangles(triangle_vertices, triangle_values)
@@ -217,22 +258,26 @@ class FilteredComplex:
         self.__dict__.update(edge_vertices=edge_vertices, edge_values=edge_values, _distances=distances, _group=group)
 
     def _store_triangles(self, triangle_vertices, triangle_values) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sort and check the triangles against the edges, and keep them."""
-        n, ev, ex = self.n_vertices, self.edge_vertices, self.edge_values
+        """Sort the triangles, find their boundary edges' rows, and keep them."""
+        n, ev = self.n_vertices, self.edge_vertices
         tv, tx = _sorted_group(n, triangle_vertices, triangle_values, 3, self.max_scale)
         triangle_edges = _edge_rows(ev[:, 0] * n + ev[:, 1], tv[:, [0, 0, 1]] * n + tv[:, [1, 2, 2]])
+        return self._keep_triangles(tv, tx, triangle_edges)
+
+    def _keep_triangles(self, tv, tx, triangle_edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Check triangles in filtration order against the edges, their boundary edges' rows (-1: missing) given,
+        and keep them."""
+        ex = self.edge_values
         missing = triangle_edges < 0
-        bad = np.flatnonzero(missing.any(axis=1))
-        if bad.size:
-            t = int(bad[0])
+        if missing.any():
+            t = int(np.flatnonzero(missing.any(axis=1))[0])
             a, b = _FACE_COLUMNS[int(np.argmax(missing[t]))]
             raise ValueError(
                 f"face {(int(tv[t, a]), int(tv[t, b]))} of {_row(tv, t)} missing: complex not face-closed"
             )
         late = ex[triangle_edges] > tx[:, None]
-        bad = np.flatnonzero(late.any(axis=1))
-        if bad.size:
-            t = int(bad[0])
+        if late.any():
+            t = int(np.flatnonzero(late.any(axis=1))[0])
             col = int(np.argmax(late[t]))
             a, b = _FACE_COLUMNS[col]
             raise ValueError(
@@ -316,13 +361,7 @@ def _capped_complexes(
     if cap < math.inf:  # select before sorting: a sparse cap keeps few of the n(n-1)/2 edges
         kept = values[0] <= cap
         keys, values = keys[kept], values.compress(kept, axis=1)  # [:, kept] is 10x slower
-    order = np.argsort(values, axis=1)  # not stable (timsort is 5x slower): ties are put in key order below
-    values = np.take_along_axis(values, order, axis=1)
-    tied = values[:, 1:] == values[:, :-1]
-    if tied.any():  # ties sort by their positions in key order: one sort of run * m + position, unique keys
-        runs = np.zeros(order.shape, dtype=np.intp)
-        np.cumsum(~tied, axis=1, out=runs[:, 1:])
-        order = np.sort(runs * order.shape[1] + order, axis=1) % order.shape[1]
+    order, values = _value_sort(values)  # ties in key order
     vertices = np.stack(np.divmod(keys[order], n), axis=-1)
     D.reshape(T, n * n)[:, :: n + 1] = np.inf
     D.flags.writeable = False
@@ -432,27 +471,22 @@ def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], c
 
 
 def _explicit_cofaces(cx: FilteredComplex) -> _Cofaces:
-    """Cofaces from the triangle arrays, by a CSR coboundary index built at the first row asked for."""
+    """Cofaces from the triangle arrays, by a CSR coboundary index: one sort of the (edge row, face) pairs lists each
+    edge's cofaces in row order, which is (value, row) order, so the first of a run is the oldest."""
     edges, values, m = cx.triangle_edges, cx.triangle_values, len(cx.edge_values)
-    first = np.full(m, len(values), dtype=np.intp)
-    np.minimum.at(first, edges.ravel(), np.repeat(np.arange(len(values)), 3))
+    faces = len(values) * 3
+    pairs = np.sort(edges.ravel() * faces + np.arange(faces))  # (edge row, face) as unique keys: a stable order
+    cofaces, starts = pairs % faces // 3, np.searchsorted(pairs // faces, np.arange(m + 1))
+    first = np.where(starts[:-1] < starts[1:], np.append(cofaces, -1)[starts[:-1]], -1)
     # faces never enter after their triangle: a boundary edge entered strictly earlier or at its value
     earlier = cx.edge_values[edges] < values[:, None]
     long = np.bincount(edges[~earlier & (earlier.sum(axis=1) == 2)[:, None]], minlength=m) > 0
     apparent = np.append(edges.max(axis=1), -1)[first] == np.arange(m)  # the youngest facet of the oldest coface
 
-    @cache
-    def index() -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
-        order = np.argsort(edges.ravel(), kind="stable")
-        return order // 3, np.searchsorted(edges.ravel()[order], np.arange(m + 1))
-
     def rows(wanted: list[int]) -> list[tuple[list[float], list[int]]]:
-        # a triangle's row sorts like (value, row), and the index lists each edge's rows in order
-        order, starts = index()
-        return [(values[t].tolist(), t.tolist()) for t in (order[starts[e] : starts[e + 1]] for e in wanted)]
+        return [(values[t].tolist(), t.tolist()) for t in (cofaces[starts[e] : starts[e + 1]] for e in wanted)]
 
-    oldest, ids = np.append(values, np.inf)[first], np.where(first < len(values), first, -1)
-    return _Cofaces(oldest, ids, long, apparent, rows, 0)
+    return _Cofaces(np.append(values, np.inf)[first], first, long, apparent, rows, 0)
 
 
 def _bridges(links: list[tuple[int, int]]) -> list[int]:
@@ -663,20 +697,28 @@ def _triangulation(
 ) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64], npt.NDArray[np.intp], npt.NDArray[np.intp]]:
     """Edge adjacency of planar triangles (t, 3), read from the triangles alone.
 
-    Returns the edges (E, 2), their half-lengths, the edge row of each face
-    (3t, `_FACE_COLUMNS` order per triangle; face 3i + j is opposite vertex
-    tris[i, 2 - j]) and the (m, 2) pairs of faces that share an edge. Raises
-    ValueError unless each edge lies in one or two triangles and n - E + t = 1,
-    as in a triangulation of the hull of all n points.
+    Returns the edges (E, 2) in key order, their half-lengths, the edge row of
+    each face (3t, `_FACE_COLUMNS` order per triangle; face 3i + j is opposite
+    vertex tris[i, 2 - j]) and the (m, 2) pairs of faces that share an edge, in
+    either order (every use reads both), all from one sort of the face keys
+    a n + b. Raises ValueError unless each edge lies in one or two triangles and
+    n - E + t = 1, as in a triangulation of the hull of all n points.
     """
     n = len(points)
     faces = tris[:, [0, 1, 0, 2, 1, 2]].reshape(-1, 2)
-    _, first, inverse = np.unique(faces[:, 0] * n + faces[:, 1], return_index=True, return_inverse=True)
-    edges, count = faces[first], np.bincount(inverse)
+    keys = faces[:, 0] * n + faces[:, 1]
+    order = np.argsort(keys)  # each edge's faces in a run
+    runs = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    np.not_equal(runs[1:], runs[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    edges, count = faces[order[starts]], np.diff(np.append(starts, len(keys)))
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
     euler, most = n - len(edges) + len(tris), count.max(initial=0)
     if most > 2 or euler != 1:
         raise ValueError(f"not a triangulation: n - E + t = {euler}, and an edge lies in {most} triangles")
-    shared = np.argsort(inverse, kind="stable")[np.repeat(count == 2, count)].reshape(-1, 2)
+    shared = order[np.repeat(count == 2, count)].reshape(-1, 2)
     half = _norms(points[edges[:, 0]] - points[edges[:, 1]]) / 2.0
     return edges, half, inverse, shared
 
@@ -701,7 +743,10 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     circle form cocircular groups; an edge is non-Gabriel iff an incident triangle's
     opposite vertex, or for a group's longest side another member, is inside its
     diametral disk. One sort of the 3t faces, then O(n + t) work besides sorting
-    each group's k members; no n x n array off the collinear path.
+    each group's k members; no n x n array off the collinear path. The edges
+    leave that sort in key order, so one value sort puts them in filtration
+    order; the triangles take one key sort and one value sort, and each face's
+    edge row is read off the first sort. Every check of `from_arrays` runs.
 
     Raises:
         ValueError: ambient dimension != 2, coincident points, a Qhull failure (its first
@@ -762,7 +807,16 @@ def build_delaunay_2d(cloud: PointCloud | npt.NDArray[np.float64]) -> FilteredCo
     blocked = _norms(points[tris[:, ::-1].reshape(-1)] - mid[inverse]) < half[inverse]
     blocked = (np.bincount(inverse[blocked], minlength=len(edges)) > 0) | np.isin(edges[:, 0] * n + edges[:, 1], diameters)
     edge_values = np.where(blocked, incident_min, half)
-    return FilteredComplex.from_arrays(n, edges, edge_values, tris, tri_values, FiltrationKind.DELAUNAY, math.inf)
+    cap = _checked_cap(n, math.inf)
+    edge_order = _value_order(edges, edge_values, _group_keys(n, edges, edge_values, cap), np.arange(len(edges)))
+    tri_keys = _group_keys(n, tris, tri_values, cap)
+    tri_order = _value_order(tris, tri_values, tri_keys, np.argsort(tri_keys))
+    place = np.empty_like(edge_order)
+    place[edge_order] = np.arange(len(edge_order))
+    cx = FilteredComplex.__new__(FilteredComplex)
+    cx._store(n, edges[edge_order], edge_values[edge_order], FiltrationKind.DELAUNAY, cap)
+    cx._keep_triangles(tris[tri_order], tri_values[tri_order], place[inverse.reshape(-1, 3)[tri_order]])
+    return cx
 
 
 def _all_collinear(points: npt.NDArray[np.float64], tol: float = 1e-12) -> bool:

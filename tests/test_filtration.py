@@ -22,6 +22,7 @@ from pointpd.filtration import (
     _edge_rows,
     _lex_smallest_triangulation,
     _meb_radius_from_sides,
+    _triangulation,
     build_cech,
     build_complex,
     build_delaunay_2d,
@@ -46,6 +47,7 @@ from oracles import (
 
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 KINDS = ["vr", "cech", "delaunay"]
+ARRAYS = ["edge_vertices", "edge_values", "triangle_vertices", "triangle_values", "triangle_edges"]
 
 
 def random_cloud(seed: int, n: int, dim: int) -> PointCloud:
@@ -146,16 +148,17 @@ class TestFilteredComplex:
         with pytest.raises(TypeError, match="from_arrays"):
             FilteredComplex(*args)
 
-    def test_is_immutable(self):
-        cx = build_vr(SQUARE)
+    @pytest.mark.parametrize("field", ARRAYS)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_is_immutable(self, kind, field):
+        cx = build_complex(SQUARE, kind)
         with pytest.raises(AttributeError):
             cx.max_scale = 2.0
+        array = getattr(cx, field)  # a VR/Cech triangle array is built on this first read
         with pytest.raises(ValueError):
-            cx.edge_values[0] = 0.0
-        with pytest.raises(ValueError):
-            cx.triangle_values[0] = 0.0  # built on this first read
+            array[0] = array[-1]
         with pytest.raises(AttributeError):
-            cx.triangle_values = cx.triangle_values[:1]
+            setattr(cx, field, array[:1])
 
     @pytest.mark.parametrize("kind", ["vr", "cech"])
     @pytest.mark.parametrize("cap", [None, 0.3])
@@ -588,7 +591,7 @@ def delaunay_reference_corpus() -> dict[str, dict[str, np.ndarray]]:
 
 
 def assert_same_complex(got: FilteredComplex, want: FilteredComplex) -> None:
-    for field in ("edge_vertices", "edge_values", "triangle_vertices", "triangle_values", "triangle_edges"):
+    for field in ARRAYS:
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
     assert got.max_scale == want.max_scale
 
@@ -675,6 +678,37 @@ class TestDelaunayReference:
         monkeypatch.setattr(scipy.spatial, "Delaunay", Overlapping)
         with pytest.raises(ValueError, match=message):
             build_delaunay_2d(kite)
+
+
+class TestTriangulation:
+    @pytest.mark.parametrize(
+        "tris, message",
+        [
+            pytest.param([[0, 1, 2], [0, 1, 3], [0, 1, 4]], "n - E + t = 1, and an edge lies in 3 triangles", id="fan"),
+            pytest.param([[0, 1, 2], [3, 4, 5]], "n - E + t = 2, and an edge lies in 1 triangles", id="disjoint"),
+        ],
+    )
+    def test_guard_rejects(self, tris, message):
+        points = np.random.default_rng(0).random((1 + max(map(max, tris)), 2))
+        with pytest.raises(ValueError, match=re.escape(f"not a triangulation: {message}")):
+            _triangulation(points, np.array(tris, dtype=np.intp))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_adjacency_from_the_faces(self, seed):
+        # against a per-face dict: edges in key order, each face's edge, and the pairs of faces on one edge
+        import scipy.spatial
+
+        points = np.random.default_rng(seed).random((40, 2))
+        tris = np.sort(scipy.spatial.Delaunay(points).simplices.astype(np.intp), axis=1)
+        edges, half, inverse, shared = _triangulation(points, tris)
+        faces = [tuple(t[list(cols)].tolist()) for t in tris for cols in _FACE_COLUMNS]
+        assert [tuple(e) for e in edges.tolist()] == sorted(set(faces))
+        assert [tuple(edges[r].tolist()) for r in inverse] == faces
+        on_edge = {}
+        for f, face in enumerate(faces):
+            on_edge.setdefault(face, []).append(f)
+        assert np.sort(shared, axis=1).tolist() == [fs for _, fs in sorted(on_edge.items()) if len(fs) == 2]
+        assert np.array_equal(half, _norms(points[edges[:, 0]] - points[edges[:, 1]]) / 2.0)
 
 
 class TestDelaunayScale:

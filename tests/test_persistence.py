@@ -200,9 +200,9 @@ class TestBoundaryReference:
 
 
 @st.composite
-def grid_clouds(draw):
+def grid_clouds(draw, dims=(2, 3)):
     """Three to twelve distinct points of a small integer grid, so distances tie often."""
-    dim = draw(st.sampled_from([2, 3]))
+    dim = draw(st.sampled_from(dims))
     n = draw(st.integers(3, 12))
     coords = st.tuples(*[st.integers(0, 4)] * dim)
     return np.array(draw(st.lists(coords, min_size=n, max_size=n, unique=True)), dtype=np.float64)
@@ -499,13 +499,13 @@ class TestTiedCloudProperties:
 
 
 @st.composite
-def scalable_clouds(draw):
+def scalable_clouds(draw, dims=(2, 3)):
     """A random or quarter-spaced grid cloud whose closest pair stays above COINCIDENT_TOL when scaled by 2**-20."""
     if draw(st.booleans()):
-        cloud = draw(grid_clouds()) / 4.0
+        cloud = draw(grid_clouds(dims)) / 4.0
     else:
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        cloud = rng.random((draw(st.integers(3, 20)), draw(st.sampled_from([2, 3]))))
+        cloud = rng.random((draw(st.integers(3, 20)), draw(st.sampled_from(dims))))
     assume(2.0**-20 * _distance_matrix(cloud)[np.triu_indices(len(cloud), 1)].min() > COINCIDENT_TOL)
     return cloud
 
@@ -539,6 +539,15 @@ class TestScalingByPowersOfTwo:
 
         scale = 2.0**k
         assert distances(scale * cloud) == [scale * d for d in distances(cloud)]
+
+    @given(cloud=scalable_clouds(dims=(2,)), k=st.integers(-10, 40))
+    def test_delaunay_pairs_and_classes_scale_exactly(self, cloud, k):
+        scale = 2.0**k
+        cx, scaled = build_complex(cloud, "delaunay"), build_complex(scale * cloud, "delaunay")
+        assert np.array_equal(scaled.edge_vertices, cx.edge_vertices)
+        for dim in (0, 1):
+            assert compute_pd(scaled, dim).pairs == scaled_pairs(compute_pd(cx, dim), scale)
+        assert np.array_equal(_edge_classes(scaled), _edge_classes(cx))
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 7")
     def test_delaunay_pairs_scale_exactly(self):
