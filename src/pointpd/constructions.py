@@ -66,6 +66,8 @@ class TailSpec:
             raise ValueError("spacing_max must be at least spacing_min")
         if not 0.0 <= self.cone_half_angle < math.pi / 4.0:
             raise ValueError("cone_half_angle must lie in [0, pi/4)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -135,6 +137,10 @@ def generate_tail(spec: TailSpec) -> PointCloud:
     (every chord's slope against the ray is under tan(cone)) and the
     angular thickness strictly under it. Both bounds are re-validated;
     a violation means a construction bug and raises.
+
+    The draws are the n - 1 gaps, then per point one uniform and k normals
+    (none when the cone or the k = dim - 1 transverse dimensions are 0),
+    in that order, so a seed gives the same tail bit for bit.
     """
     rng = np.random.default_rng(spec.seed)
     ray = spec.ray
@@ -145,20 +151,17 @@ def generate_tail(spec: TailSpec) -> PointCloud:
     proj = np.concatenate([[0.0], np.cumsum(gaps)])
     basis = _orthonormal_complement(ray.direction)
     k = basis.shape[1]
-    points = np.empty((n, ray.dim))
-    points[0] = ray.vertex
     tan_bound = math.tan(spec.cone_half_angle)
-    for i in range(1, n):
-        nearest_gap = gaps[i - 1] if i == n - 1 else min(gaps[i - 1], gaps[i])
-        radius = 0.0
-        offset = np.zeros(ray.dim)
-        if k > 0 and tan_bound > 0.0:
-            radius = rng.uniform(0.0, 1.0) * (tan_bound / 2.0) * nearest_gap
-            raw = rng.normal(size=k)
-            norm = float(np.linalg.norm(raw))
-            if norm > 0.0:
-                offset = basis @ (raw / norm * radius)
-        points[i] = ray.vertex + proj[i] * ray.direction + offset
+    offsets = np.zeros((n - 1, ray.dim))
+    if k > 0 and tan_bound > 0.0:
+        # the same doubles as uniform(0.0, 1.0) and normal(size=k), which return 0 + 1 * x
+        fraction, raw = map(np.array, zip(*[(rng.random(), rng.standard_normal(k)) for _ in range(n - 1)]))
+        radius = fraction * (tan_bound / 2.0) * np.append(np.minimum(gaps[:-1], gaps[1:]), gaps[-1])
+        norms = _row_norms(raw)[:, None]
+        unit = np.divide(raw, norms, out=np.zeros_like(raw), where=norms > 0.0)
+        # the stacked matmul is `basis @ v` per point bit for bit; `coeffs @ basis.T` is not
+        offsets = np.matmul(basis, (unit * radius[:, None])[:, :, None])[..., 0]
+    points = np.concatenate([ray.vertex[None, :], ray.vertex + proj[1:, None] * ray.direction + offsets])
     tail = PointCloud(points)
     omega = angular_deviation(tail, ray)
     theta = angular_thickness(tail, ray)

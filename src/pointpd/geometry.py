@@ -3,7 +3,8 @@
 Lengths sum their squares one coordinate at a time (`_norms`, `_distance_matrix`), so each equals
 D bit for bit; only `_row_norms`, for the angle kernels, differs. Angles between directions are
 computed with the two-argument arctangent form, which stays accurate for nearly parallel and
-nearly opposite vectors where a plain arccos of the dot product loses digits.
+nearly opposite vectors where a plain arccos of the dot product loses digits. The angle extremes rank rows
+by SIMD np.arctan2 and take math.atan2, as `oriented_angles` does on every row, only near the extreme.
 """
 
 from __future__ import annotations
@@ -150,6 +151,18 @@ def _row_norms(x: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
     return np.sqrt(np.vecdot(x, x))
 
 
+def _half_angle_sides(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64]) -> tuple[np.ndarray, np.ndarray]:
+    """The atan2 arguments |u^ - v^| and |u^ + v^| of each row u's oriented angle against v; ValueError if v or
+    some row is (numerically) zero."""
+    nu = _row_norms(rows)
+    nv = float(np.linalg.norm(v))
+    if nv < COINCIDENT_TOL or (nu < COINCIDENT_TOL).any():
+        raise ValueError("cannot measure the angle of a zero vector")
+    uh = rows / nu[:, None]
+    vh = v / nv
+    return _row_norms(uh - vh), _row_norms(uh + vh)
+
+
 def oriented_angles(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
     """oriented_angle of every row of an (m, N) array against the vector v.
 
@@ -157,14 +170,24 @@ def oriented_angles(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64]) -
     per row, and math.atan2, since SIMD np.arctan2 differs in the last bit.
     Raises ValueError if v or some row is (numerically) zero.
     """
-    nu = _row_norms(rows)
-    nv = float(np.linalg.norm(v))
-    if nv < COINCIDENT_TOL or (nu < COINCIDENT_TOL).any():
-        raise ValueError("cannot measure the angle of a zero vector")
-    uh = rows / nu[:, None]
-    vh = v / nv
-    pairs = zip(_row_norms(uh - vh).tolist(), _row_norms(uh + vh).tolist())
-    return 2.0 * np.array([math.atan2(a, b) for a, b in pairs], dtype=np.float64)
+    a, b = _half_angle_sides(rows, v)
+    return 2.0 * np.array([math.atan2(y, x) for y, x in zip(a.tolist(), b.tolist())], dtype=np.float64)
+
+
+def _extreme_angle(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64], pick=np.max, fold: bool = False) -> float:
+    """pick (np.max or np.min) of oriented_angles(rows, v), each angle phi first folded to min(phi, pi - phi) if fold.
+
+    SIMD np.arctan2 only ranks the rows; math.atan2 decides among those ranked within 1e-12 rad of the extreme. The
+    two differ by an ulp or two, under 1e-15 rad up to pi, so the exact extreme's row always ranks inside the margin.
+    """
+    a, b = _half_angle_sides(rows, v)
+
+    def angles(half: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:  # 2 * half, folded if fold
+        return np.minimum(2.0 * half, math.pi - 2.0 * half) if fold else 2.0 * half
+
+    ranked = angles(np.arctan2(a, b))
+    near = np.flatnonzero(np.abs(ranked - pick(ranked)) <= 1e-12)
+    return float(pick(angles(np.array([math.atan2(a[i], b[i]) for i in near.tolist()], dtype=np.float64))))
 
 
 def oriented_angle(u: npt.NDArray[np.float64], v: npt.NDArray[np.float64]) -> float:
@@ -226,8 +249,7 @@ def angular_deviation(points: npt.NDArray[np.float64] | PointCloud, ray: Ray) ->
     short = np.flatnonzero(_row_norms(chords) < COINCIDENT_TOL)
     if short.size:
         raise ValueError(f"coincident points at indices {i[short[0]]} and {j[short[0]]}")
-    phi = oriented_angles(chords, ray.direction)
-    return float(np.minimum(phi, math.pi - phi).max())
+    return _extreme_angle(chords, ray.direction, fold=True)
 
 
 def angular_thickness(points: npt.NDArray[np.float64] | PointCloud, ray: Ray) -> float:
@@ -252,7 +274,7 @@ def angular_thickness(points: npt.NDArray[np.float64] | PointCloud, ray: Ray) ->
     short = np.flatnonzero(_row_norms(offs) < COINCIDENT_TOL)
     if short.size:
         raise ValueError(f"point {short[0] + 1} coincides with the ray vertex")
-    return float(oriented_angles(offs, ray.direction).max(initial=0.0))
+    return _extreme_angle(offs, ray.direction) if len(offs) else 0.0
 
 
 def min_ray_angle(cloud: PointCloud, v: int, ray: Ray) -> float:
@@ -285,7 +307,7 @@ def min_ray_angle(cloud: PointCloud, v: int, ray: Ray) -> float:
     short = np.flatnonzero(_row_norms(offs) < COINCIDENT_TOL)
     if short.size:
         raise ValueError(f"point {others[short[0]]} duplicates the ray base point {v}")
-    return float(oriented_angles(offs, ray.direction).min())
+    return _extreme_angle(offs, ray.direction, np.min)
 
 
 def enclosing_radius_3(

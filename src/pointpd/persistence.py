@@ -7,7 +7,8 @@ Dim 1 reduces the coboundary matrix, which has the boundary matrix's pairs
 coface pass marks the apparent pairs in numpy, and the other columns are
 heaps of row heads, read only up to their pivots. When a column waits for a
 row, every waiting column moves on with the rows at hand, and one call
-computes all the rows they lack.
+computes all the rows they lack. When every column is apparent, as in a tail
+or a long wedge, no pivot table is built and no row is fetched.
 
 The bottleneck distance is the smallest candidate threshold (0, an L-inf
 distance between two points or a half-persistence) with a perfect matching
@@ -121,19 +122,21 @@ def compute_pd(complex: FilteredComplex, dim: int) -> PersistenceDiagram:
 
 
 def _dim1(complex: FilteredComplex) -> Generator[list[int] | PersistenceDiagram, list[tuple], None]:
-    """`compute_pd(complex, 1)`, yielding the edges whose rows it lacks, sent their rows, and the diagram last."""
+    """`compute_pd(complex, 1)`, yielding the edges whose rows it lacks, sent their rows, and the diagram last. The
+    pivot table is built, and rows are asked for, only when some column is not apparent."""
     merges, cofaces = complex._components.merges, complex._cofaces
     born = np.flatnonzero(~merges)[::-1]  # the cycle-closing edges, youngest first
     apparent, deaths = cofaces.apparent[born], cofaces.oldest_values[born]
-    # pivot triangle id -> its column: an apparent edge, whose column is its row, or a reduced column's heap
-    columns: dict[int, int | list[tuple]] = dict(zip(cofaces.oldest_ids[born[apparent]].tolist(), born[apparent].tolist()))
     others = np.flatnonzero(~apparent).tolist()  # the other columns, by position in born
+    # pivot triangle id -> its column: an apparent edge, whose column is its row, or a reduced column's heap
+    pivots = born[apparent] if others else born[:0]
+    columns: dict[int, int | list[tuple]] = dict(zip(cofaces.oldest_ids[pivots].tolist(), pivots.tolist()))
     heaps: dict[int, list[tuple]] = {at: [] for at in others}
     need: dict[int, int | list[tuple]] = {at: int(born[at]) for at in others}  # column -> what it adds next
     # a column's first pivot is its oldest coface, so the first call also brings the apparent rows there
     first = [columns[t] for t in cofaces.oldest_ids[born[others]].tolist() if t in columns]
     first = list(dict.fromkeys([*need.values(), *first]))
-    rows = dict(zip(first, (yield first)))
+    rows = dict(zip(first, (yield first))) if first else {}
 
     def settle(at: int) -> None:
         """Add to a column what its pivot meets while the rows are at hand; a missing row stays in `need`."""

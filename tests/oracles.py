@@ -711,6 +711,36 @@ def loop_min_ray_angle(pts, v: int, ray) -> float:
     return best
 
 
+def loop_generate_tail(spec):
+    """generate_tail's points, one point per loop step: uniform(0, 1), normal(size=k), a 1-D norm and `basis @ v`."""
+    from pointpd.constructions import _orthonormal_complement
+
+    rng = np.random.default_rng(spec.seed)
+    ray = spec.ray
+    n = spec.n
+    if n == 1:
+        return ray.vertex[None, :].copy()
+    gaps = rng.uniform(spec.spacing_min, spec.spacing_max, size=n - 1)
+    proj = np.concatenate([[0.0], np.cumsum(gaps)])
+    basis = _orthonormal_complement(ray.direction)
+    k = basis.shape[1]
+    points = np.empty((n, ray.dim))
+    points[0] = ray.vertex
+    tan_bound = math.tan(spec.cone_half_angle)
+    for i in range(1, n):
+        nearest_gap = gaps[i - 1] if i == n - 1 else min(gaps[i - 1], gaps[i])
+        radius = 0.0
+        offset = np.zeros(ray.dim)
+        if k > 0 and tan_bound > 0.0:
+            radius = rng.uniform(0.0, 1.0) * (tan_bound / 2.0) * nearest_gap
+            raw = rng.normal(size=k)
+            norm = float(np.linalg.norm(raw))
+            if norm > 0.0:
+                offset = basis @ (raw / norm * radius)
+        points[i] = ray.vertex + proj[i] * ray.direction + offset
+    return points
+
+
 def loop_distance_multiset(pts) -> tuple[float, ...]:
     """Sorted pairwise distances, one 1-D np.linalg.norm per pair."""
     n = len(pts)

@@ -304,6 +304,12 @@ class TestMakeTail:
         assert out == ""
         assert "spacing_max must be finite" in err
 
+    @pytest.mark.parametrize("n", ["4", "1"])
+    def test_negative_seed_named(self, capsys, n):
+        code, out, err = run(capsys, ["make-tail", "--n", n, "--seed", "-1"])
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be non-negative, got -1\n"
+
 
 class TestAttach:
     def test_outward_attachment_verifies(self, capsys, square, tmp_path):
@@ -332,6 +338,11 @@ class TestAttach:
         assert "mu >= theta + pi/2 violated" in err
         report = last_json(out)
         assert report["hypothesis_ok"] is False
+
+    def test_negative_seed_named(self, capsys, square):
+        code, out, err = run(capsys, ["attach", square, "--vertex-index", "0", "--direction=-1,-1", "--n", "4", "--seed", "-1"])
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be non-negative, got -1\n"
 
     def test_vertex_index_out_of_range(self, capsys, square):
         code, _, err = run(
@@ -477,6 +488,11 @@ class TestFamily:
         )
         assert code == 3
         assert "violated" in err
+
+    def test_negative_seed_named(self, capsys, segment):
+        code, out, err = run(capsys, ["family", "--base", segment, "--tail", "vertex=1;n=3;seed=-1"])
+        assert (code, out) == (2, "")
+        assert err == "error: seed must be non-negative, got -1\n"
 
     def test_tail_spec_validation(self, capsys, segment):
         code, _, _ = run(

@@ -23,7 +23,7 @@ from pointpd.filtration import build_complex
 from pointpd.geometry import PointCloud, Ray, angular_deviation, angular_thickness
 from pointpd.persistence import PersistenceDiagram, compute_pd
 
-from oracles import loop_distance_multiset
+from oracles import loop_distance_multiset, loop_generate_tail
 
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
 OUT_RAY = Ray([0.0, 0.0], [-1.0, -1.0])  # away from the square's interior
@@ -56,6 +56,13 @@ class TestTailSpec:
             spec(cone=math.pi / 4.0)
         with pytest.raises(ValueError, match="cone_half_angle"):
             spec(cone=-0.1)
+
+    def test_rejects_a_negative_seed_by_name(self):
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            spec(seed=-1)
+        with pytest.raises(ValueError, match=r"^seed must be non-negative, got -1$"):
+            spec(seed=-1, n=1)  # a one-point tail draws nothing, but its seed is checked all the same
+        assert generate_tail(spec(seed=0)).n_points == 5
 
 
 class TestGenerateTail:
@@ -93,6 +100,24 @@ class TestGenerateTail:
         tail = generate_tail(s)
         assert tail.dim == 3
         assert angular_thickness(tail, s.ray) <= 0.15
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_equals_the_point_loop_bit_for_bit(self, dim):
+        # the draws per point and the stacked matmul give the per-point loop's bits; `coeffs @ basis.T` does not
+        def outcome(make, s):
+            try:
+                return np.asarray(make(s)).tobytes()
+            except Exception as exc:  # equal exceptions count as equal
+                return type(exc), str(exc)
+
+        rng = np.random.default_rng(dim)
+        for case in range(300):
+            smin = float(10.0 ** rng.uniform(-2.0, 0.5))
+            ray = Ray(rng.normal(size=dim) * 10.0 ** rng.uniform(-2.0, 3.0), rng.normal(size=dim))
+            cone = (0.0, 0.001, 0.1, 0.5, 0.78)[case % 5]
+            s = TailSpec(ray, int(rng.integers(1, 61)), smin, smin * float(rng.uniform(1.0, 3.0)), cone,
+                         int(rng.integers(1 << 40)))
+            assert outcome(lambda s: generate_tail(s).points, s) == outcome(loop_generate_tail, s), (case, s)
 
 
 class TestValidateTail:

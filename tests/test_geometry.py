@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pointpd.constructions import TailSpec, generate_tail
 from pointpd.filtration import build_vr
@@ -322,6 +324,62 @@ class TestRowKernelsMatchLoops:
             tail = generate_tail(TailSpec(ray, 25, 0.5, 1.5, 0.3, int(rng.integers(1 << 30))))
             moved = Ray(ray.vertex + shift * rng.normal(size=dim), ray.direction)
             assert angular_deviation(tail, moved) == angular_deviation(tail, ray)
+
+
+@st.composite
+def tied_clouds(draw):
+    """(points, ray) with the ray's vertex at points[0], built so that many angles tie at the extremes: a cone-0
+    tail, points mirrored about an axis-aligned ray, an integer lattice, or rows repeated at 2^k scales."""
+    shape, dim = draw(st.sampled_from(["cone-0 tail", "mirrored", "lattice", "scaled"])), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if shape == "cone-0 tail":
+        ray = Ray(rng.normal(size=dim) * 10.0 ** rng.uniform(-1.0, 2.0), rng.normal(size=dim))
+        return generate_tail(TailSpec(ray, int(rng.integers(2, 40)), 0.3, 2.0, 0.0, int(rng.integers(1 << 30)))).points, ray
+    axis, sign = draw(st.integers(0, dim - 1)), draw(st.sampled_from([-1.0, 1.0]))
+    ray = Ray(np.zeros(dim), sign * np.eye(dim)[axis])
+    if shape == "mirrored":  # a transverse coordinate negated: the mirror image makes the same angles, exactly
+        half = rng.normal(size=(int(rng.integers(1, 12)), dim)) * 10.0 ** rng.uniform(-2.0, 2.0)
+        mirror = half.copy()
+        mirror[:, (axis + 1) % dim] *= -1.0
+        rows = np.concatenate([half, mirror])
+    elif shape == "lattice":
+        rows = np.unique(rng.integers(-3, 4, (int(rng.integers(2, 40)), dim)), axis=0).astype(np.float64)
+        rows = rows[(rows != 0.0).any(axis=1)]
+        rows = rows if len(rows) else np.eye(dim)
+    else:  # u and 2^k u have the same unit vector, bit for bit
+        base = rng.normal(size=(int(rng.integers(1, 6)), dim))
+        rows = np.concatenate([np.ldexp(base, k) for k in sorted(set(rng.integers(-20, 21, 4).tolist()))])
+    return np.concatenate([np.zeros((1, dim)), rng.permutation(rows)]), ray
+
+
+class TestAngleExtremesAtTies:
+    """np.arctan2 only ranks the rows: every extreme equals its loop oracle's float, ties and near-ties included."""
+
+    @given(tied_clouds())
+    def test_extremes_equal_the_loops(self, cloud):
+        pts, ray = cloud
+        assert angular_deviation(pts, ray) == loop_angular_deviation(pts, ray)
+        assert angular_thickness(pts, ray) == loop_angular_thickness(pts, ray)
+        assert min_ray_angle(PointCloud(pts), 0, ray) == loop_min_ray_angle(pts, 0, ray)
+
+    def test_ranking_tie_one_ulp_apart(self):
+        # u's exact angle is one ulp above w's, np.arctan2 misses u's by that ulp and so ranks w level with u;
+        # ranking alone would return w's angle, the first of two equal ranks
+        u = np.array([float.fromhex("-0x1.fa84ddd70b96cp-1"), float.fromhex("-0x1.50ed14fb91436p-1")])
+        w = np.array([float.fromhex("-0x1.fa84ddd70b968p-1"), float.fromhex("-0x1.50ed14fb91434p-1")])
+        ray = Ray(np.zeros(2), np.array([1.0, 0.0]))
+
+        def sides(x):
+            xh = x / float(np.linalg.norm(x))
+            return float(np.linalg.norm(xh - ray.direction)), float(np.linalg.norm(xh + ray.direction))
+
+        exact_u, exact_w = (2.0 * math.atan2(*sides(x)) for x in (u, w))
+        ranked_u, ranked_w = (2.0 * float(np.arctan2(*sides(x))) for x in (u, w))
+        assert ranked_u != exact_u and math.nextafter(exact_w, math.inf) == exact_u and ranked_w == ranked_u
+        pts = np.stack([np.zeros(2), 2.0 * w, u])  # 2w makes w's angles, and keeps the chords long
+        assert angular_thickness(pts, ray) == loop_angular_thickness(pts, ray) == exact_u
+        assert angular_deviation(pts, ray) == loop_angular_deviation(pts, ray)
+        assert min_ray_angle(PointCloud(pts), 0, ray) == loop_min_ray_angle(pts, 0, ray)
 
 
 class TestEnclosingRadius3:

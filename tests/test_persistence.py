@@ -8,9 +8,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pointpd import filtration, persistence
+from pointpd.constructions import TailSpec, generate_tail
 from pointpd.edges import EdgeClass, _edge_classes, classify_all
 from pointpd.filtration import FilteredComplex, build_complex, build_vr
-from pointpd.geometry import COINCIDENT_TOL, PointCloud, _distance_matrix
+from pointpd.geometry import COINCIDENT_TOL, PointCloud, Ray, _distance_matrix
 from pointpd.persistence import (
     PersistenceDiagram,
     bottleneck_distance,
@@ -467,6 +468,34 @@ class TestGroupedCells:
             compute_pd(cx, 1)
             single.append(len(calls))
         assert cell <= max(single) < sum(single) / 2
+
+
+def tails_from_the_origin(sizes: tuple[int, ...], seed: int) -> np.ndarray:
+    """Tails of the given sizes from the origin at equal angles apart, cone 0.1: the shared origin, then each tail's
+    other points (one tail alone, or a long wedge)."""
+    angles = 0.3 + 2.0 * math.pi * np.arange(len(sizes)) / len(sizes)
+    tails = [generate_tail(TailSpec(Ray(np.zeros(2), [math.cos(a), math.sin(a)]), m, 0.5, 1.5, 0.1, seed + k)).points
+             for k, (a, m) in enumerate(zip(angles.tolist(), sizes))]
+    return np.concatenate([tails[0]] + [t[1:] for t in tails[1:]])
+
+
+class TestNothingToReduce:
+    """A reduction whose cycle-closing edges are all apparent asks its complex for no row."""
+
+    @pytest.mark.parametrize("kind", ["vr", "cech", "delaunay"])
+    @pytest.mark.parametrize("sizes", [(30,), (20, 20, 20)], ids=["tail", "wedge"])
+    def test_tail_and_wedge_ask_for_nothing(self, kind, sizes):
+        for seed in range(3):
+            cx, calls = build_complex(tails_from_the_origin(sizes, 10 * seed), kind), []
+            cx.__dict__["_cofaces"] = cx._cofaces._replace(rows=counted_rows(cx._cofaces, calls))
+            assert list(compute_pd(cx, 1).pairs) == boundary_pd1(cx)
+            assert calls == []
+
+    def test_a_uniform_cloud_asks(self):
+        cx, calls = build_complex(np.random.default_rng(0).random((40, 2)), "vr"), []
+        cx.__dict__["_cofaces"] = cx._cofaces._replace(rows=counted_rows(cx._cofaces, calls))
+        assert list(compute_pd(cx, 1).pairs) == boundary_pd1(cx)
+        assert len(calls) >= 1
 
 
 class TestTiedCloudProperties:
