@@ -5,9 +5,9 @@ experiment hist, experiment sweep. Verdicts are emitted as JSON lines on
 stdout; clouds and experiment tables are written to files when an output
 path is given. Exit codes: 0 success, 2 malformed input, 3 a verification
 or hypothesis failure. All angles are radians. An experiment cell samples
-its clouds in trial order, builds consecutive equal-shape clouds as one group
-and reduces a group's trials in lock step; the files are the same as from one
-build per trial, so rerunning a command gives the same files.
+its clouds in trial order, builds consecutive clouds of one ambient dimension
+as one group and reduces a group's trials in lock step; the files are the same
+as from one build per trial, so rerunning a command gives the same files.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from .edges import EdgeClass, _edge_classes, classify_all
-from .filtration import FilteredComplex, FiltrationKind, build_complex
+from .filtration import FilteredComplex, FiltrationKind, _complex_groups, build_complex
 from .geometry import (
     ANGLE_TOL,
     COINCIDENT_TOL,
@@ -29,7 +29,7 @@ from .geometry import (
     angular_thickness,
     min_ray_angle,
 )
-from .persistence import PersistenceDiagram, compute_pd, diagram_equal
+from .persistence import PersistenceDiagram, _dim1_diagrams, compute_pd, diagram_equal
 
 Edge = tuple[int, int]
 
@@ -213,10 +213,12 @@ def attach_tail(
     hypothesis_ok, while verify_tail_theorem and generate_trivial_family refuse it.
 
     Raises:
-        ValueError: ray or tail not anchored at cloud[v].
+        ValueError: mixed ambient dimensions, or ray or tail not anchored at cloud[v].
     """
     if not 0 <= v < cloud.n_points:
         raise IndexError(f"vertex index {v} out of range for {cloud.n_points} points")
+    if not cloud.dim == ray.dim == tail.dim:
+        raise ValueError(f"cloud, ray and tail must share one ambient dimension, got {cloud.dim}, {ray.dim} and {tail.dim}")
     anchor = cloud.points[v]
     if float(np.linalg.norm(ray.vertex - anchor)) > COINCIDENT_TOL:
         raise ValueError("ray vertex must coincide with the attachment point")
@@ -246,20 +248,20 @@ def verify_long_wedge(
 ) -> WedgeReport:
     """Check the wedge property and the diagram sum identity.
 
-    The components must share exactly one common point, each containing
-    it exactly once; one tolerance test on every pair of points decides
-    the common point, the components' meetings and the union. Every edge
-    of the union's filtration running between two distinct components
-    must be Long; when that holds, the union's degree-1 diagram should
-    equal the multiset union of the component diagrams. Both verdicts are
-    reported; a True wedge with a failed diagram identity is a
-    theorem-violation diagnostic for the caller.
+    The components must share exactly one common point, each containing it exactly once; one tolerance test on
+    every pair of points decides the common point, the components' meetings and the union. Every edge of the
+    union's filtration running between two distinct components must be Long; when that holds, the union's
+    degree-1 diagram should equal the multiset union of the component diagrams. Both verdicts are reported; a
+    True wedge with a failed diagram identity is a theorem-violation diagnostic for the caller. The union is
+    built and checked first, on its own, then the components as one group; one call runs every reduction.
 
     Raises:
-        ValueError: no components, or the sharing precondition fails.
+        ValueError: no components, mixed ambient dimensions, or the sharing precondition fails.
     """
     if not components:
         raise ValueError("need at least one component")
+    if len(dims := list(dict.fromkeys(c.dim for c in components))) > 1:
+        raise ValueError(f"components must share one ambient dimension, got {dims[0]} and {dims[1]}")
     points = np.concatenate([c.points for c in components])
     owner = np.repeat(np.arange(len(components)), [c.n_points for c in components])
     order = np.arange(len(points))
@@ -285,21 +287,21 @@ def verify_long_wedge(
         owner[v] = -1  # the common point belongs to every component
     union = PointCloud(points[order])
 
-    union_complex = build_complex(union, kind)
+    (union_complex,) = next(_complex_groups([union], kind))
     ends = union_complex.edge_vertices
     classes = _edge_classes(union_complex)
     owners = owner[order][ends]
     bad = np.flatnonzero((owners[:, 0] != owners[:, 1]) & (owners >= 0).all(axis=1) & (classes != EdgeClass.LONG))
     offending = tuple(sorted(zip(map(tuple, ends[bad].tolist()), classes[bad].tolist())))
-    union_pd = compute_pd(union_complex, 1)
-    component_pds = tuple(compute_pd(build_complex(c, kind), 1) for c in components)
+    arms = chain.from_iterable(_complex_groups(components, kind))
+    union_pd, *component_pds = _dim1_diagrams([union_complex, *arms])
     combined = PersistenceDiagram(1, tuple(chain.from_iterable(d.pairs for d in component_pds)))
     return WedgeReport(
         is_long_wedge=not offending,
         offending_edges=offending,
         pd_union_ok=diagram_equal(union_pd, combined, tol),
         union_diagram=union_pd,
-        component_diagrams=component_pds,
+        component_diagrams=tuple(component_pds),
     )
 
 
@@ -313,20 +315,18 @@ def verify_tail_theorem(
 ) -> TailTheoremReport:
     """Attach a tail once and compare the three candidate diagram identities.
 
-    Reports attach_tail's mu, theta and union, and whether (i) the tail's
-    own diagram is empty, (ii) the union diagram equals base plus tail
-    combined, and (iii) the union diagram equals the base diagram alone.
+    Reports attach_tail's mu, theta and union, and whether (i) the tail's own diagram is empty, (ii) the union
+    diagram equals base plus tail combined, and (iii) the union diagram equals the base diagram alone. Union,
+    base and tail are built as one group, the union first, so its errors come first, and reduced in one call.
 
     Raises:
-        ValueError: attachment anchoring wrong.
+        ValueError: attachment anchoring or ambient dimensions wrong.
         HypothesisError: mu >= theta + pi/2 fails; its report is attach_tail's
             (use attach_tail directly to probe deliberate violations).
     """
     union, report = attach_tail(cloud, v, ray, tail)
     _require_hypothesis(report)
-    union_pd = compute_pd(build_complex(union, kind), 1)
-    base_pd = compute_pd(build_complex(cloud, kind), 1)
-    tail_pd = compute_pd(build_complex(tail, kind), 1)
+    union_pd, base_pd, tail_pd = _dim1_diagrams(list(chain.from_iterable(_complex_groups([union, cloud, tail], kind))))
     return TailTheoremReport(
         mu=report.mu,
         theta=report.theta,

@@ -19,13 +19,13 @@ of `from_arrays` runs on them through the same code. The `edges` and
 `triangles` views read one dimension's arrays as `FilteredSimplex` tuples;
 the builders, the reduction and the classifier never read them.
 
-VR and Cech complexes keep D in place of triangles, and their builder emits the edges in
-filtration order; a group of T clouds shares one (T, m) edge array and one stacked D. The
-dim-1 reduction and the Long test share one cached pass over D, in which an edge reads
-vertices only up to its first Long witness. Uncapped, such a complex holds all C(n, 3)
-triples, and `len(cx.triangles)` is that count, read off no distance. Reading a triangle
-array, calling `critical_scales`, iterating a tuple view or counting a capped complex's
-triangles builds all three arrays. Uncapped VR build + dim-1 pairs on 200 planar points
+VR and Cech complexes keep D in place of triangles, and their builder emits the edges in filtration order;
+a group of T clouds of one ambient dimension and any sizes shares one D stack, padded with inf to its
+largest cloud, and one (T, m) edge array, each cloud's own edges first. The dim-1 reduction and the Long
+test share one cached pass over D, in which an edge reads vertices only up to its first Long witness.
+Uncapped, such a complex holds all C(n, 3) triples, and `len(cx.triangles)` is that count, read off no
+distance. Reading a triangle array, calling `critical_scales`, iterating a tuple view or counting a capped
+complex's triangles builds all three arrays. Uncapped VR build + dim-1 pairs on 200 planar points
 (`default_rng(0)`) on a 2-core Xeon VM: 0.018 s, the median of 21, and a 6.0 MiB tracemalloc peak.
 """
 
@@ -339,24 +339,31 @@ class FilteredComplex:
 
 
 def _capped_complexes(
-    points: npt.NDArray[np.float64],
+    clouds: Sequence[npt.NDArray[np.float64]],
     kind: FiltrationKind,
     max_scale: float | None,
 ) -> list[FilteredComplex]:
-    """VR/Cech complexes of a stack of clouds (T, n, d): edges (i < j) at D/2, and every triple i < j < k whose
-    three edges are kept at the kind's value of (D_ij, D_ik, D_jk); both only where the value is at most the cap,
-    one cloud's max_scale, or inf when none is given. A NaN or negative cap would keep only the vertices, so it is
-    rejected; clouds are checked in order. The edges leave in filtration order as views of one (T, m, 2) array;
-    each complex keeps its D in place of triangle arrays, and the stack shares one D and one coface pass, run at
-    the first read. D's diagonal is inf, so the coface rule gives inf at k = i and k = j."""
-    if max_scale is not None and len(points) > 1:
-        raise ValueError(f"a scale cap takes one cloud, got {len(points)}")
+    """VR/Cech complexes of clouds (n_t, d) of one ambient dimension: edges (i < j) at D/2, and every triple i < j < k
+    whose three edges are kept at the kind's value of (D_ij, D_ik, D_jk); both only where the value is at most the
+    cap, one cloud's max_scale, or inf when none is given. A NaN or negative cap would keep only the vertices, so it
+    is rejected; clouds are checked in order. The clouds share one D stack (T, n, n), padded with inf past each
+    cloud, and the edges leave in filtration order as views of one (T, n(n - 1)/2, 2) array, each cloud's own first.
+    Each complex keeps its D in place of triangle arrays, and the stack shares one coface pass, run at the first
+    read. D's diagonal is inf, so the coface rule gives inf at k = i and k = j."""
+    if max_scale is not None and len(clouds) > 1:
+        raise ValueError(f"a scale cap takes one cloud, got {len(clouds)}")
     cap = math.inf if max_scale is None else float(max_scale)
-    D, (T, n) = _distance_matrix(points), points.shape[:2]
+    sizes = [len(points) for points in clouds]
+    T, n = len(sizes), max(sizes)
+    # a smaller cloud repeats its last point: a difference it already has, so no new overflow
+    D = _distance_matrix(np.stack([p if len(p) == n else p[np.minimum(np.arange(n), len(p) - 1)] for p in clouds]))
     keys = np.flatnonzero(np.arange(n)[:, None] < np.arange(n))  # a n + b of the pairs a < b, in key order
     values = np.take(D.reshape(T, n * n), keys, axis=1)
+    if min(sizes) < n:  # padding: inf in D, and NaN edges, which sort last and tie with nothing
+        pad = np.arange(n) >= np.array(sizes)[:, None]  # (T, n): the vertices past each cloud's size
+        D[pad], D.transpose(0, 2, 1)[pad], values[pad[:, keys % n]] = np.inf, np.inf, np.nan
     # the edge taxonomy assumes distinct points (a zero-length edge classifies meaninglessly): every builder checks
-    close = (values.min(axis=1, initial=np.inf) < COINCIDENT_TOL).tolist()
+    close = (values < COINCIDENT_TOL).any(axis=1).tolist()
     values /= 2.0
     if cap < math.inf:  # select before sorting: a sparse cap keeps few of the n(n-1)/2 edges
         kept = values[0] <= cap
@@ -365,18 +372,19 @@ def _capped_complexes(
     vertices = np.stack(np.divmod(keys[order], n), axis=-1)
     D.reshape(T, n * n)[:, :: n + 1] = np.inf
     D.flags.writeable = False
-    group_pass = cache(partial(_implicit_cofaces, D, kind, vertices, cap))  # holds no complex: no cycle
+    group_pass = cache(partial(_implicit_cofaces, D, kind, vertices, cap, sizes))  # holds no complex: no cycle
     complexes = []
-    for t in range(len(points)):
+    for t, size in enumerate(sizes):
         if close[t]:
             raise ValueError("coincident points are not allowed")
         if not cap >= 0.0:
             raise ValueError(f"max_scale must be a nonnegative number, got {cap}")
-        bad = np.flatnonzero(values[t] == np.inf)  # a distance that overflowed; ties at inf stay in key order
-        if bad.size:
+        m = min(len(keys), size * (size - 1) // 2)
+        if m and values[t, m - 1] == np.inf:  # a distance that overflowed; ties at inf stay in key order
+            bad = np.flatnonzero(values[t] == np.inf)
             raise ValueError(f"simplex value must be finite and nonnegative: {_row(vertices[t], bad[0])} at inf")
         complexes.append(FilteredComplex.__new__(FilteredComplex))
-        complexes[-1]._store(n, vertices[t], values[t], kind, cap, D[t], (group_pass, t))
+        complexes[-1]._store(size, vertices[t, :m], values[t, :m], kind, cap, D[t, :size, :size], (group_pass, t))
     return complexes
 
 
@@ -419,23 +427,28 @@ def _coface_values(D, kind: FiltrationKind, cap: float, t, i, j, k0: int = 0, k1
     return values, (e, x, y)
 
 
-def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], cap: float) -> list[_Cofaces]:
+def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], cap: float, sizes) -> list[_Cofaces]:
     """Bauer's implicit coboundary (Ripser), read lazily off D: no triangle arrays.
 
-    One pass serves a group of T complexes on clouds of n points: D (T, n, n), their edges (T, m, 2) in filtration
-    order and their one cap; the group's edge e is member e // m's edge e % m, and a lone cloud indexes D with the
-    scalar 0 rather than an array of zeros. Edge (i, j)'s oldest coface is the first k of least value, as the
-    triples {i, j, k} sort like k. A Long witness has the edge's own value, the least a coface can have, so k is read
-    in rounds of doubling width and an edge leaves at its first witness. A block keeps its first least k; a later
-    block wins only on a strictly smaller value. The edge is apparent, the youngest facet of that coface, when its
-    (D, key) comes after both (D_ik, key of (i, k)) and (D_jk, key of (j, k)): the builder's edge order, read off
-    three entries of D. `rows` recomputes rows in blocks, for edges numbered as above; its closure holds D, the kind,
-    the cap and the edges, not the complexes, so no reference cycle keeps it alive.
+    One pass serves a group of T complexes on clouds of `sizes` points: D (T, n, n), padded with inf, their edges
+    (T, m, 2) in filtration order, each cloud's own first, and their one cap; the group's edge e is member e // m's
+    edge e % m, and a lone cloud indexes D with the scalar 0 rather than an array of zeros. A cloud's own edges read
+    k up to its size, and key triangles in its base, a scalar when the sizes are equal. Edge (i, j)'s oldest coface
+    is the first k of least value, as the triples {i, j, k} sort like k. A Long witness has the edge's own value,
+    the least a coface can have, so k is read in rounds of doubling width and an edge leaves at its first witness. A
+    block keeps its first least k; a later block wins only on a strictly smaller value. The edge is apparent, the
+    youngest facet of that coface, when its (D, key) comes after both (D_ik, key of (i, k)) and (D_jk, key of
+    (j, k)): the builder's edge order, read off three entries of D. `rows` recomputes rows in blocks, for edges
+    numbered as above; its closure holds D, the kind, the cap and the edges, not the complexes, so no reference
+    cycle keeps it alive.
     """
     n, m = D.shape[1], vertices.shape[1]
     i, j = vertices.reshape(-1, 2).T
+    ragged = min(sizes) < n
+    base = np.repeat(sizes, m) if ragged else n  # per edge its cloud's size
     oldest, k, long = np.full(len(i), np.inf), np.zeros_like(i), np.zeros(len(i), dtype=bool)
-    active, k0, width = np.arange(len(i)), 0, max(8, _BLOCK // max(1, len(i)))
+    active = np.flatnonzero(j < base) if ragged else np.arange(len(i))
+    k0, width = 0, max(8, _BLOCK // max(1, len(active)))
     while active.size and k0 < n:
         k1 = min(k0 + width, n)
         step = _BLOCK // (k1 - k0)  # at least 1: the width never passes _BLOCK
@@ -447,7 +460,8 @@ def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], c
             better = least < oldest[batch]
             oldest[batch[better]], k[batch[better]] = least[better], first[better] + k0
             long[batch] = _long_witness(kind, block, *sides).any(axis=1)
-        active, k0, width = active[~long[active]], k1, min(2 * width, _BLOCK)
+        keep = ~long[active] & (base[active] > k1 if ragged else True)  # a cloud's columns end at its size
+        active, k0, width = active[keep], k1, min(2 * width, _BLOCK)
 
     def rows(edges: list[int]) -> list[tuple[list[float], list[int]]]:
         out, step = [], max(1, _BLOCK // n)
@@ -456,7 +470,8 @@ def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], c
             t = e // m if len(D) > 1 else 0
             block = _coface_values(D, kind, cap, t, i[e], j[e])[0]
             order = block.argsort(axis=1, kind="stable")  # (value, k) order is (value, id) order
-            values, ids = block[np.arange(len(e))[:, None], order], _triple_keys(i[e, None], j[e, None], order, n)
+            values = block[np.arange(len(e))[:, None], order]
+            ids = _triple_keys(i[e, None], j[e, None], order, base[e, None] if ragged else n)
             ends = np.count_nonzero(values < np.inf, axis=1).tolist()
             out.extend((values[r, :end].tolist(), ids[r, :end].tolist()) for r, end in enumerate(ends))
         return out
@@ -465,9 +480,10 @@ def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], c
     t = np.arange(len(i)) // m if len(D) > 1 else 0
     e, x, y = D[t, i, j], D[t, i, k], D[t, j, k]
     apparent = (oldest < np.inf) & ((x < e) | ((x == e) & (k < j))) & ((y < e) | ((y == e) & (k < i)))
-    ids = np.where(oldest < np.inf, _triple_keys(i, j, k, n), -1)
-    fields = zip(*(a.reshape(len(D), m) for a in (oldest, ids, long, apparent)))
-    return [_Cofaces(*member, rows, t * m) for t, member in enumerate(fields)]
+    ids = np.where(oldest < np.inf, _triple_keys(i, j, k, base), -1)
+    oldest, ids, long, apparent = (a.reshape(len(D), m) for a in (oldest, ids, long, apparent))
+    ends = [min(m, size * (size - 1) // 2) for size in sizes]  # each cloud's own edges
+    return [_Cofaces(oldest[t, :c], ids[t, :c], long[t, :c], apparent[t, :c], rows, t * m) for t, c in enumerate(ends)]
 
 
 def _explicit_cofaces(cx: FilteredComplex) -> _Cofaces:
@@ -585,7 +601,7 @@ def build_vr(
     Raises:
         ValueError: coincident points, or a NaN or negative cap.
     """
-    return _capped_complexes(_as_cloud(cloud).points[None], FiltrationKind.VR, max_scale)[0]
+    return _capped_complexes([_as_cloud(cloud).points], FiltrationKind.VR, max_scale)[0]
 
 
 def _meb_radius_from_sides(a: npt.ArrayLike, b: npt.ArrayLike, c: npt.ArrayLike) -> npt.NDArray[np.float64]:
@@ -638,7 +654,7 @@ def build_cech(
     Raises:
         ValueError: coincident points, or a NaN or negative cap.
     """
-    return _capped_complexes(_as_cloud(cloud).points[None], FiltrationKind.CECH, max_scale)[0]
+    return _capped_complexes([_as_cloud(cloud).points], FiltrationKind.CECH, max_scale)[0]
 
 
 def _lex_smallest_triangulation(cycle: list[int]) -> list[tuple[int, int, int]]:
@@ -885,16 +901,27 @@ def build_complex(
 _STACK = 2**16
 
 
-def _complex_groups(clouds: Iterable[PointCloud | npt.ArrayLike], kind: FiltrationKind) -> Iterator[list[FilteredComplex]]:
-    """`build_complex(cloud, kind)` of each cloud, in order and in groups of consecutive clouds of one shape.
-    A VR/Cech group shares one stacked D of at most _STACK entries (a larger cloud is a group of one) and one
-    coface pass."""
-    for shape, same in itertools.groupby(map(_as_cloud, clouds), key=lambda cloud: cloud.points.shape):
-        while group := list(itertools.islice(same, max(1, _STACK // shape[0] ** 2))):
-            if kind is FiltrationKind.DELAUNAY:
-                yield [build_delaunay_2d(cloud) for cloud in group]
-            else:
-                yield _capped_complexes(np.stack([cloud.points for cloud in group]), kind, None)
+def _complex_groups(clouds: Iterable[PointCloud | npt.ArrayLike], kind: FiltrationKind | str) -> Iterator[list[FilteredComplex]]:
+    """`build_complex(cloud, kind)` of each cloud, in order and in groups of consecutive clouds of one ambient
+    dimension and any sizes. A VR/Cech group shares one D stack, padded to its largest cloud, of at most _STACK
+    entries (T n^2: a larger cloud is a group of one), and one coface pass. A group leaves when the next cloud cannot
+    join it, or the clouds end."""
+    kind, group, widest = FiltrationKind(kind), [], 0
+    for cloud in map(_as_cloud, clouds):
+        if group and (cloud.dim != group[0].dim or (len(group) + 1) * max(widest, len(cloud)) ** 2 > _STACK):
+            yield _group(group, kind)
+            group, widest = [], 0
+        group.append(cloud)
+        widest = max(widest, len(cloud))
+    if group:
+        yield _group(group, kind)
+
+
+def _group(clouds: list[PointCloud], kind: FiltrationKind) -> list[FilteredComplex]:
+    """One group of `_complex_groups`: lone Delaunay builds, or one VR/Cech group build."""
+    if kind is FiltrationKind.DELAUNAY:
+        return [build_delaunay_2d(cloud) for cloud in clouds]
+    return _capped_complexes([cloud.points for cloud in clouds], kind, None)
 
 
 def critical_scales(complex: FilteredComplex) -> list[float]:

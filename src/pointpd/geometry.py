@@ -151,10 +151,9 @@ def _row_norms(x: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
     return np.sqrt(np.vecdot(x, x))
 
 
-def _half_angle_sides(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64]) -> tuple[np.ndarray, np.ndarray]:
-    """The atan2 arguments |u^ - v^| and |u^ + v^| of each row u's oriented angle against v; ValueError if v or
-    some row is (numerically) zero."""
-    nu = _row_norms(rows)
+def _half_angle_sides(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64], nu) -> tuple[np.ndarray, np.ndarray]:
+    """The atan2 arguments |u^ - v^| and |u^ + v^| of each row u's oriented angle against v, given the rows'
+    `_row_norms` nu (callers check them first); ValueError if v or some row is (numerically) zero."""
     nv = float(np.linalg.norm(v))
     if nv < COINCIDENT_TOL or (nu < COINCIDENT_TOL).any():
         raise ValueError("cannot measure the angle of a zero vector")
@@ -170,17 +169,18 @@ def oriented_angles(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64]) -
     per row, and math.atan2, since SIMD np.arctan2 differs in the last bit.
     Raises ValueError if v or some row is (numerically) zero.
     """
-    a, b = _half_angle_sides(rows, v)
+    a, b = _half_angle_sides(rows, v, _row_norms(rows))
     return 2.0 * np.array([math.atan2(y, x) for y, x in zip(a.tolist(), b.tolist())], dtype=np.float64)
 
 
-def _extreme_angle(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64], pick=np.max, fold: bool = False) -> float:
-    """pick (np.max or np.min) of oriented_angles(rows, v), each angle phi first folded to min(phi, pi - phi) if fold.
+def _extreme_angle(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64], nu, pick=np.max, fold=False) -> float:
+    """pick (np.max or np.min) of oriented_angles(rows, v), the rows' norms nu given, each angle phi first folded to
+    min(phi, pi - phi) if fold.
 
     SIMD np.arctan2 only ranks the rows; math.atan2 decides among those ranked within 1e-12 rad of the extreme. The
     two differ by an ulp or two, under 1e-15 rad up to pi, so the exact extreme's row always ranks inside the margin.
     """
-    a, b = _half_angle_sides(rows, v)
+    a, b = _half_angle_sides(rows, v, nu)
 
     def angles(half: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:  # 2 * half, folded if fold
         return np.minimum(2.0 * half, math.pi - 2.0 * half) if fold else 2.0 * half
@@ -244,12 +244,13 @@ def angular_deviation(points: npt.NDArray[np.float64] | PointCloud, ray: Ray) ->
         raise ValueError("angular deviation needs at least 2 points")
     if pts.shape[1] != ray.dim:
         raise ValueError("points and ray live in different dimensions")
-    i, j = np.triu_indices(pts.shape[0], k=1)
-    chords = pts[j] - pts[i]
-    short = np.flatnonzero(_row_norms(chords) < COINCIDENT_TOL)
+    upper = ~np.tri(pts.shape[0], dtype=bool)  # the pairs i < j, in np.triu_indices order
+    chords = np.stack([(x - x[:, None])[upper] for x in pts.T], axis=1)  # pts[j] - pts[i], a coordinate at a time
+    short = np.flatnonzero((norms := _row_norms(chords)) < COINCIDENT_TOL)
     if short.size:
+        i, j = np.nonzero(upper)
         raise ValueError(f"coincident points at indices {i[short[0]]} and {j[short[0]]}")
-    return _extreme_angle(chords, ray.direction, fold=True)
+    return _extreme_angle(chords, ray.direction, norms, fold=True)
 
 
 def angular_thickness(points: npt.NDArray[np.float64] | PointCloud, ray: Ray) -> float:
@@ -271,10 +272,10 @@ def angular_thickness(points: npt.NDArray[np.float64] | PointCloud, ray: Ray) ->
     if float(np.linalg.norm(pts[0] - ray.vertex)) > COINCIDENT_TOL:
         raise ValueError("first point must coincide with the ray vertex")
     offs = pts[1:] - pts[0]
-    short = np.flatnonzero(_row_norms(offs) < COINCIDENT_TOL)
+    short = np.flatnonzero((norms := _row_norms(offs)) < COINCIDENT_TOL)
     if short.size:
         raise ValueError(f"point {short[0] + 1} coincides with the ray vertex")
-    return _extreme_angle(offs, ray.direction) if len(offs) else 0.0
+    return _extreme_angle(offs, ray.direction, norms) if len(offs) else 0.0
 
 
 def min_ray_angle(cloud: PointCloud, v: int, ray: Ray) -> float:
@@ -304,10 +305,10 @@ def min_ray_angle(cloud: PointCloud, v: int, ray: Ray) -> float:
         raise ValueError("ray vertex must coincide with the indexed cloud point")
     others = np.delete(np.arange(cloud.n_points), v)
     offs = cloud.points[others] - base
-    short = np.flatnonzero(_row_norms(offs) < COINCIDENT_TOL)
+    short = np.flatnonzero((norms := _row_norms(offs)) < COINCIDENT_TOL)
     if short.size:
         raise ValueError(f"point {others[short[0]]} duplicates the ray base point {v}")
-    return _extreme_angle(offs, ray.direction, np.min)
+    return _extreme_angle(offs, ray.direction, norms, np.min)
 
 
 def enclosing_radius_3(

@@ -441,6 +441,14 @@ class TestVerifyWedge:
         assert out == ""
         assert "tol must be a nonnegative number" in err
 
+    def test_mixed_ambient_dimensions_rejected_by_name(self, capsys, square, tmp_path):
+        solid = tmp_path / "solid.txt"
+        solid.write_text("0 0 0\n0 1 0\n")
+        code, out, err = run(capsys, ["verify-wedge", str(solid), square])
+        assert code == 2
+        assert out == ""
+        assert "components must share one ambient dimension, got 3 and 2" in err
+
     def test_disjoint_components_rejected(self, capsys, square, tmp_path):
         far = tmp_path / "far.txt"
         far.write_text("9 9\n10 9\n")

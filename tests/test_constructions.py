@@ -18,6 +18,7 @@ from pointpd.constructions import (
     verify_long_wedge,
     verify_tail_theorem,
 )
+from pointpd import filtration
 from pointpd.edges import EdgeClass, classify_all
 from pointpd.filtration import build_complex
 from pointpd.geometry import PointCloud, Ray, angular_deviation, angular_thickness
@@ -228,6 +229,18 @@ class TestAttachTail:
         with pytest.raises(ValueError, match="tail must start"):
             attach_tail(SQUARE, 0, OUT_RAY, shifted)
 
+    def test_mixed_ambient_dimensions_rejected_by_name(self):
+        ray = Ray([0.0, 0.0, 0.0], [-1.0, -1.0, 0.0])
+        tail = generate_tail(TailSpec(ray, 4, 0.5, 1.0, 0.1, 3))
+        message = "^cloud, ray and tail must share one ambient dimension, got 2, 3 and 3$"
+        with pytest.raises(ValueError, match=message):
+            attach_tail(SQUARE, 0, ray, tail)
+        with pytest.raises(ValueError, match=message):
+            verify_tail_theorem(SQUARE, 0, ray, tail, "vr")
+        flat = generate_tail(spec(seed=3, n=4))
+        with pytest.raises(ValueError, match="^cloud, ray and tail must share one ambient dimension, got 2, 3 and 2$"):
+            attach_tail(SQUARE, 0, ray, flat)
+
 
 class TestVerifyLongWedge:
     @pytest.mark.parametrize("kind", ["vr", "cech"])
@@ -322,6 +335,14 @@ class TestVerifyLongWedge:
         c = PointCloud([[0.0, 0.0], [-1.0, -1.0], [0.0, -1.0]])
         with pytest.raises(ValueError, match="components 1 and 2 must intersect in the common point only"):
             verify_long_wedge([a, b, c], "vr")
+
+    def test_mixed_ambient_dimensions_rejected_by_name(self):
+        flat = PointCloud([[0.0, 0.0], [1.0, 0.0]])
+        solid = PointCloud([[0.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="^components must share one ambient dimension, got 3 and 2$"):
+            verify_long_wedge([solid, flat], "vr")
+        with pytest.raises(ValueError, match="^components must share one ambient dimension, got 2 and 3$"):
+            verify_long_wedge([flat, SQUARE, solid], "cech")
 
 
 def wedge_arms(seed: int, scale: float) -> list[PointCloud]:
@@ -544,3 +565,55 @@ class TestDistanceMultiset:
             assert distance_multiset(tail) == loop_distance_multiset(tail.points)
             cloud = PointCloud(rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3.0, 3.0))
             assert distance_multiset(cloud) == loop_distance_multiset(cloud.points)
+
+
+@pytest.fixture
+def coface_passes(monkeypatch) -> list[list[int]]:
+    """The cloud sizes of each coface pass run while the test runs: one list per group."""
+    passes, original = [], filtration._implicit_cofaces
+
+    def counted(D, kind, vertices, cap, sizes):
+        passes.append(list(sizes))
+        return original(D, kind, vertices, cap, sizes)
+
+    monkeypatch.setattr(filtration, "_implicit_cofaces", counted)
+    return passes
+
+
+class TestVerificationGroups:
+    """A verification builds its VR/Cech complexes as groups, the union first, and reduces them in one call."""
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    def test_one_coface_pass_per_group(self, kind, coface_passes):
+        arms = [generate_tail(spec(seed=k, n=n, cone=0.05, direction=d))
+                for k, (n, d) in enumerate([(6, (1.0, 0.0)), (9, (-1.0, 0.3)), (4, (0.0, -1.0))])]
+        verify_long_wedge(arms, kind)
+        assert coface_passes == [[17], [6, 9, 4]]  # the union alone, then the arms as one group
+        coface_passes.clear()
+        tail = generate_tail(spec(seed=11, n=5, cone=0.05))
+        verify_tail_theorem(SQUARE, 0, OUT_RAY, tail, kind)
+        assert coface_passes == [[8, 4, 5]]  # union, base and tail as one group
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    def test_coincident_points_raise_the_union_s_error(self, kind):
+        a = PointCloud([[0.0, 0.0], [1.0, 0.0], [1.0, 0.5e-12]])
+        with pytest.raises(ValueError, match="^coincident points are not allowed$"):
+            verify_long_wedge([a, PointCloud([[0.0, 0.0], [0.0, 1.0]])], kind)
+        base = PointCloud([*SQUARE.points, [1.0, 1.0 + 0.5e-12]])
+        tail = generate_tail(spec(seed=11, n=5, cone=0.05))
+        with pytest.raises(ValueError, match="^coincident points are not allowed$"):
+            verify_tail_theorem(base, 0, OUT_RAY, tail, kind)
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    def test_overflow_raises_the_union_s_error(self, kind):
+        # each arm alone is finite; the union's (1, 2) overflows, and so does the base's
+        message = "^simplex value must be finite and nonnegative: \\(1, 2\\) at inf$"
+        arms = [PointCloud([[0.0, 0.0], [1e154, 0.0]]), PointCloud([[0.0, 0.0], [-1e154, 0.0]])]
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match=message):
+            build_complex(PointCloud([[0.0, 0.0], [1e154, 0.0], [-1e154, 0.0]]), kind)
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match=message):
+            verify_long_wedge(arms, kind)
+        base = PointCloud([[0.0, 0.0], [1e154, 0.0], [0.0, 1e154]])
+        tail = generate_tail(spec(seed=11, n=5, cone=0.05))
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match=message):
+            verify_tail_theorem(base, 0, OUT_RAY, tail, kind)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from pointpd.filtration import (
     _FACE_COLUMNS,
     _MAX_VERTICES,
+    _STACK,
     FilteredComplex,
     FilteredSimplex,
     FiltrationKind,
@@ -30,9 +31,9 @@ from pointpd.filtration import (
     critical_scales,
 )
 from pointpd.constructions import TailSpec, generate_tail, validate_tail
-from pointpd.edges import classify_all, classify_edge
+from pointpd.edges import _edge_classes, classify_all, classify_edge
 from pointpd.geometry import PointCloud, Ray, _distance_matrix, _norms
-from pointpd.persistence import bottleneck_distance, compute_pd, diagram_equal
+from pointpd.persistence import _dim1_diagrams, bottleneck_distance, compute_pd, diagram_equal
 
 from oracles import (
     NEAR_EQUILATERAL,
@@ -968,3 +969,84 @@ class TestCriticalScales:
         assert scales[0] == 0.0
         assert scales == sorted(set(scales))
         assert scales == [0.0, 0.5, pytest.approx(math.sqrt(2) / 2)]
+
+
+def ragged_cloud(rng: np.random.Generator, n: int, dim: int, lattice: bool) -> np.ndarray:
+    """n uniform points in the unit cube, or n distinct points of a small integer lattice, where distances tie."""
+    if not lattice:
+        return rng.random((n, dim))
+    cells = _lattice(math.ceil(n ** (1.0 / dim)) + 1, dim)
+    return cells[rng.choice(len(cells), n, replace=False)]
+
+
+class TestRaggedGroups:
+    """Consecutive clouds of one ambient dimension and any sizes share one D stack, one coface pass and one `rows`
+    source; each member is its cloud's lone build."""
+
+    @given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(1, 45), min_size=1, max_size=6),
+           dim=st.integers(1, 4), switch=st.integers(1, 6), lattice=st.booleans(), kind=st.sampled_from(["vr", "cech"]))
+    def test_members_equal_lone_builds(self, seed, sizes, dim, switch, lattice, kind):
+        # clouds from `switch` on live one dimension up: the groups split there
+        rng = np.random.default_rng(seed)
+        clouds = [ragged_cloud(rng, n, dim if t < switch else dim % 4 + 1, lattice) for t, n in enumerate(sizes)]
+        groups = list(_complex_groups(clouds, kind))
+        members = [cx for group in groups for cx in group]
+        lones = [build_complex(points, kind) for points in clouds]
+        assert len(members) == len(clouds)
+        for cx, lone in zip(members, lones):  # rows first: a reduction on wrong rows need not end
+            assert (cx.n_vertices, cx.kind, cx.max_scale) == (lone.n_vertices, lone.kind, lone.max_scale)
+            for name in ARRAYS:  # the triangles from the member's view of the padded D stack
+                assert np.array_equal(getattr(cx, name), getattr(lone, name)), name
+            got, want = cx._cofaces, lone._cofaces
+            for field in ("oldest_values", "oldest_ids", "long", "apparent"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            m = len(lone.edge_values)
+            sample = rng.choice(m, min(m, 12), replace=False).tolist()
+            assert got.rows([got.offset + e for e in sample]) == want.rows(sample)
+            assert compute_pd(cx, 0) == compute_pd(lone, 0)
+            assert np.array_equal(_edge_classes(cx), _edge_classes(lone))
+        diagrams = [diagram for group in groups for diagram in _dim1_diagrams(group)]
+        assert diagrams == [compute_pd(lone, 1) for lone in lones] == [compute_pd(cx, 1) for cx in members]
+
+    def test_grouping_rule(self):
+        rng = np.random.default_rng(0)
+        shapes = [(10, 2), (40, 2), (12, 2), (12, 3), (300, 3), (5, 3), (150, 3), (150, 3), (60, 3), (140, 3), (7, 1)]
+        groups = list(_complex_groups((rng.random(shape) for shape in shapes), "vr"))
+        # order is kept, and a group's members share one coface pass
+        assert [cx.n_vertices for group in groups for cx in group] == [n for n, _ in shapes]
+        assert all(len({cx._cofaces.rows for cx in group}) == 1 for group in groups)
+        sizes = [[cx.n_vertices for cx in group] for group in groups]
+        # the groups split where the dimension changes, each within the budget unless it is one cloud over it
+        assert sizes == [[10, 40, 12], [12], [300], [5, 150], [150, 60], [140], [7]]
+        assert all(len(s) * max(s) ** 2 <= _STACK or len(s) == 1 for s in sizes)
+        assert 300**2 > _STACK and 3 * 150**2 > _STACK >= 2 * 150**2
+
+    @pytest.mark.parametrize("n", [10, 37, 100, 256, 257])
+    def test_equal_shapes_group_as_before(self, n):
+        # consecutive equal shapes: groups of _STACK // n^2 clouds, and at least one
+        clouds = np.random.default_rng(n).random((7, n, 2))
+        per_group = max(1, _STACK // n**2)
+        sizes = [len(group) for group in _complex_groups(clouds, "cech")]
+        assert sizes == [per_group] * (7 // per_group) + ([7 % per_group] if 7 % per_group else [])
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_coincident_pair_in_the_kth_cloud(self, kind, k):
+        rng = np.random.default_rng(k)
+        clouds = [rng.random((n, 3)) for n in (9, 14, 6)]
+        clouds[k][-1] = clouds[k][0]
+        with pytest.raises(ValueError) as lone:
+            build_complex(clouds[k], kind)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(lone.value))}$"):
+            list(_complex_groups(clouds, kind))
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    def test_overflow_in_a_ragged_group_names_the_cloud_s_edge(self, kind):
+        # only the second cloud's (1, 2) overflows: padded to the first cloud's 7 points, whose padding edges such as
+        # (0, 3) come first in key order, it names that edge, as its lone build does
+        clouds = [np.random.default_rng(1).random((7, 2)), [[0.0, 0.0], [1e154, 0.0], [-1e154, 0.0]]]
+        message = "^simplex value must be finite and nonnegative: \\(1, 2\\) at inf$"
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match=message):
+            build_complex(clouds[1], kind)
+        with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match=message):
+            list(_complex_groups(clouds, kind))

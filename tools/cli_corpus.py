@@ -239,6 +239,12 @@ def commands(cloud_points: dict[str, np.ndarray]) -> list[tuple[list[str], list[
         files = ("config.json", "histogram.csv", "raw.csv") if experiment == "hist" else ("config.json", "sweep.csv")
         argv = ["experiment", experiment, *extra, "--seed", "5", "--out", name]
         runs.append((argv, [f"{name}/{f}" for f in files]))
+    # two 3D make-tail outputs of unequal sizes that share the origin, whose wedge builds its arms as one group of
+    # unequal sizes; and a wedge of a 3D and a 2D cloud, rejected by name (exit 2)
+    for k, extra in enumerate([["--n", "7", "--seed", "8", "--direction", "1,0,0"], ["--n", "4", "--seed", "9", "--direction=-1,1,1"]]):
+        runs.append((["make-tail", "--dim", "3", "--out", f"tail3d{k}.txt"] + extra, [f"tail3d{k}.txt"]))
+    runs += [(["verify-wedge", "tail3d0.txt", "tail3d1.txt", "--kind", kind], []) for kind in ("vr", "cech")]
+    runs.append((["verify-wedge", "tail3d0.txt", "square.txt"], []))
     return runs
 
 
