@@ -52,6 +52,8 @@ class ExperimentConfig:
             raise ValueError("need at least one trial")
         if self.bins < 1:
             raise ValueError("need at least one histogram bin")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         _require_plane_for_delaunay(self.kind, [self.dim])
 
 
@@ -163,6 +165,8 @@ def gap_ratio_sweep(
     _require_plane_for_delaunay(kind, dim_range)
     if trials < 1:
         raise ValueError("need at least one trial")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     source = cloud_source or _default_source(seed)
     rows = []
     for n in n_range:

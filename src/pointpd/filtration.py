@@ -20,9 +20,10 @@ of `from_arrays` runs on them through the same code. The `edges` and
 the builders, the reduction and the classifier never read them.
 
 VR and Cech complexes keep D in place of triangles, and their builder emits the edges in filtration order;
-a group of T clouds of one ambient dimension and any sizes shares one D stack, padded with inf to its
-largest cloud, and one (T, m) edge array, each cloud's own edges first. The dim-1 reduction and the Long
-test share one cached pass over D, in which an edge reads vertices only up to its first Long witness.
+a group of T clouds of one ambient dimension and any sizes (a lone cloud is a group of one) shares one D
+stack, padded with inf to its largest cloud, and one (T, m) edge array, each cloud's own edges first. The
+dim-1 reduction and the Long test share one cached pass over D, read as one flat (T n, n) stack of rows, in
+which an edge reads its own cloud's vertices only up to its first Long witness.
 Uncapped, such a complex holds all C(n, 3) triples, and `len(cx.triangles)` is that count, read off no
 distance. Reading a triangle array, calling `critical_scales`, iterating a tuple view or counting a capped
 complex's triangles builds all three arrays. Uncapped VR build + dim-1 pairs on 200 planar points
@@ -417,10 +418,11 @@ def _long_witness(kind: FiltrationKind, values, e, x, y):
     return witness
 
 
-def _coface_values(D, kind: FiltrationKind, cap: float, t, i, j, k0: int = 0, k1: int | None = None):
-    """Values of the triangles {i, j, k} of cloud t of the stack D (T, n, n) for k in [k0, k1), inf where k is i or j
-    (D's diagonal is inf) or above the cap; and the sides (e, x, y) they were read from, for `_long_witness`."""
-    e, x, y = D[t, i, j][:, None], D[t, i, k0:k1], D[t, j, k0:k1]
+def _coface_values(D, kind: FiltrationKind, cap: float, e, ri, rj, k0: int = 0, k1: int | None = None):
+    """Values of the triangles over edges of lengths e, whose endpoints are rows ri and rj of the flat stack D (T n, n),
+    with the vertices k in [k0, k1) of their cloud: inf where k is an endpoint (D's diagonal is inf), past the cloud
+    (padding) or above the cap; and the sides (e, x, y) they were read from, for `_long_witness`."""
+    e, x, y = e[:, None], D[ri, k0:k1], D[rj, k0:k1]
     values = _triangle_values(kind, e, x, y)
     if cap < math.inf:
         np.putmask(values, values > cap, np.inf)
@@ -432,56 +434,54 @@ def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], c
 
     One pass serves a group of T complexes on clouds of `sizes` points: D (T, n, n), padded with inf, their edges
     (T, m, 2) in filtration order, each cloud's own first, and their one cap; the group's edge e is member e // m's
-    edge e % m, and a lone cloud indexes D with the scalar 0 rather than an array of zeros. A cloud's own edges read
-    k up to its size, and key triangles in its base, a scalar when the sizes are equal. Edge (i, j)'s oldest coface
-    is the first k of least value, as the triples {i, j, k} sort like k. A Long witness has the edge's own value,
-    the least a coface can have, so k is read in rounds of doubling width and an edge leaves at its first witness. A
-    block keeps its first least k; a later block wins only on a strictly smaller value. The edge is apparent, the
-    youngest facet of that coface, when its (D, key) comes after both (D_ik, key of (i, k)) and (D_jk, key of
-    (j, k)): the builder's edge order, read off three entries of D. `rows` recomputes rows in blocks, for edges
-    numbered as above; its closure holds D, the kind, the cap and the edges, not the complexes, so no reference
-    cycle keeps it alive.
+    edge e % m. D is read as one flat (T n, n) stack, where vertex a of cloud t is row t n + a, and each edge keeps
+    its endpoints' rows, its length and its cloud's size: it reads k up to that size, and keys triangles in that
+    base. Edge (i, j)'s oldest coface is the first k of least value, as the triples {i, j, k} sort like k. A Long
+    witness has the edge's own value, the least a coface can have, so k is read in rounds of doubling width and an
+    edge leaves at its first witness. A block keeps its first least k; a later block wins only on a strictly smaller
+    value. The edge is apparent, the youngest facet of that coface, when its (D, key) comes after both (D_ik, key of
+    (i, k)) and (D_jk, key of (j, k)): the builder's edge order, read off three entries of D. `rows` recomputes rows
+    in blocks, for edges numbered as above; its closure holds D, the kind, the cap and the edges, not the complexes,
+    so no reference cycle keeps it alive.
     """
-    n, m = D.shape[1], vertices.shape[1]
-    i, j = vertices.reshape(-1, 2).T
-    ragged = min(sizes) < n
-    base = np.repeat(sizes, m) if ragged else n  # per edge its cloud's size
+    T, n, m = len(sizes), D.shape[1], vertices.shape[1]
+    D, (i, j) = D.reshape(T * n, n), vertices.reshape(-1, 2).T
+    ri, rj = (vertices + (np.arange(T) * n)[:, None, None]).reshape(-1, 2).T
+    E, base = D[ri, j], np.repeat(sizes, m)  # per edge its length and its cloud's size
     oldest, k, long = np.full(len(i), np.inf), np.zeros_like(i), np.zeros(len(i), dtype=bool)
-    active = np.flatnonzero(j < base) if ragged else np.arange(len(i))
+    active = np.flatnonzero(j < base)
     k0, width = 0, max(8, _BLOCK // max(1, len(active)))
-    while active.size and k0 < n:
+    while active.size:
         k1 = min(k0 + width, n)
         step = _BLOCK // (k1 - k0)  # at least 1: the width never passes _BLOCK
         for s in range(0, len(active), step):
             batch = active[s : s + step]
-            block, sides = _coface_values(D, kind, cap, batch // m if len(D) > 1 else 0, i[batch], j[batch], k0, k1)
+            block, sides = _coface_values(D, kind, cap, E[batch], ri[batch], rj[batch], k0, k1)
             first = block.argmin(axis=1)
             least = block[np.arange(len(batch)), first]
             better = least < oldest[batch]
             oldest[batch[better]], k[batch[better]] = least[better], first[better] + k0
             long[batch] = _long_witness(kind, block, *sides).any(axis=1)
-        keep = ~long[active] & (base[active] > k1 if ragged else True)  # a cloud's columns end at its size
+        keep = ~long[active] & (base[active] > k1)  # a cloud's columns end at its size
         active, k0, width = active[keep], k1, min(2 * width, _BLOCK)
 
     def rows(edges: list[int]) -> list[tuple[list[float], list[int]]]:
         out, step = [], max(1, _BLOCK // n)
         for s in range(0, len(edges), step):
             e = np.array(edges[s : s + step], dtype=np.intp)
-            t = e // m if len(D) > 1 else 0
-            block = _coface_values(D, kind, cap, t, i[e], j[e])[0]
+            block = _coface_values(D, kind, cap, E[e], ri[e], rj[e])[0]
             order = block.argsort(axis=1, kind="stable")  # (value, k) order is (value, id) order
             values = block[np.arange(len(e))[:, None], order]
-            ids = _triple_keys(i[e, None], j[e, None], order, base[e, None] if ragged else n)
+            ids = _triple_keys(i[e, None], j[e, None], order, base[e, None])
             ends = np.count_nonzero(values < np.inf, axis=1).tolist()
             out.extend((values[r, :end].tolist(), ids[r, :end].tolist()) for r, end in enumerate(ends))
         return out
 
     # edges sort by (D, key a n + b): at a tie in D, side (i, k) precedes (i, j) iff k < j, and (j, k) iff k < i
-    t = np.arange(len(i)) // m if len(D) > 1 else 0
-    e, x, y = D[t, i, j], D[t, i, k], D[t, j, k]
-    apparent = (oldest < np.inf) & ((x < e) | ((x == e) & (k < j))) & ((y < e) | ((y == e) & (k < i)))
+    x, y = D[ri, k], D[rj, k]
+    apparent = (oldest < np.inf) & ((x < E) | ((x == E) & (k < j))) & ((y < E) | ((y == E) & (k < i)))
     ids = np.where(oldest < np.inf, _triple_keys(i, j, k, base), -1)
-    oldest, ids, long, apparent = (a.reshape(len(D), m) for a in (oldest, ids, long, apparent))
+    oldest, ids, long, apparent = (a.reshape(T, m) for a in (oldest, ids, long, apparent))
     ends = [min(m, size * (size - 1) // 2) for size in sizes]  # each cloud's own edges
     return [_Cofaces(oldest[t, :c], ids[t, :c], long[t, :c], apparent[t, :c], rows, t * m) for t, c in enumerate(ends)]
 

@@ -603,6 +603,15 @@ class TestExperimentHist:
         )
         assert code == 2
 
+    def test_negative_seed_rejected_by_name(self, capsys, tmp_path):
+        code, stdout, err = run(
+            capsys,
+            ["experiment", "hist", "--n", "8", "--N", "2", "--trials", "2",
+             "--seed", "-1", "--out", str(tmp_path / "x")],
+        )
+        assert (code, stdout, err) == (2, "", "error: seed must be non-negative, got -1\n")
+        assert not (tmp_path / "x").exists()
+
 
 class TestExperimentSweep:
     def test_grid_rows(self, capsys, tmp_path):
@@ -650,6 +659,15 @@ class TestExperimentSweep:
         )
         assert (code, stdout) == (2, "")
         assert "the Delaunay filtration requires dim = 2" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_seed_rejected_up_front(self, capsys, tmp_path):
+        code, stdout, err = run(
+            capsys,
+            ["experiment", "sweep", "--n", "3:5", "--N", "2", "--trials", "2",
+             "--seed", "-1", "--out", str(tmp_path / "x")],
+        )
+        assert (code, stdout, err) == (2, "", "error: seed must be non-negative, got -1\n")
         assert not (tmp_path / "x").exists()
 
     def test_bad_range_syntax(self, capsys, tmp_path):

@@ -92,6 +92,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="Delaunay"):
             ExperimentConfig(5, 3, 1, 0, kind="delaunay")
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70)])
+    def test_rejects_a_negative_seed_by_name(self, seed):
+        # numpy's SeedSequence would reject it too, but only at the first trial and naming neither field nor value
+        with pytest.raises(ValueError, match=f"^seed must be non-negative, got {seed}$"):
+            ExperimentConfig(5, 2, 1, seed)
+
 
 class TestPersistenceHistogram:
     def test_injected_square_every_trial(self):
@@ -197,6 +203,18 @@ class TestGapRatioSweep:
 
         with pytest.raises(ValueError, match=re.escape(message)):
             gap_ratio_sweep(n_range, dim_range, 2, 0, kind=kind, cloud_source=counting_source)
+        assert calls == []
+
+    @pytest.mark.parametrize("source", ["default", "injected"])
+    def test_rejects_a_negative_seed_before_sampling(self, source):
+        calls = []
+
+        def counting_source(n: int, dim: int, trial: int) -> PointCloud:
+            calls.append((n, dim, trial))
+            return square_source(n, dim, trial)
+
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+            gap_ratio_sweep([5, 6], [2], 2, -1, cloud_source=counting_source if source == "injected" else None)
         assert calls == []
 
 

@@ -21,6 +21,7 @@ from pointpd.filtration import (
     _capped_complexes,
     _complex_groups,
     _edge_rows,
+    _explicit_cofaces,
     _lex_smallest_triangulation,
     _meb_radius_from_sides,
     _triangulation,
@@ -318,6 +319,27 @@ class TestImplicitBuild:
             assert [field.tolist() for field in got] == fields
             assert cofaces.rows(list(range(cofaces.offset, cofaces.offset + m))) == rows
             assert sum(map(len, (values for values, _ in rows))) == 3 * len(cx.triangles) > 0
+
+    @pytest.mark.parametrize("kind", ["vr", "cech"])
+    def test_implicit_pass_equals_the_explicit_pass(self, kind):
+        # the pass read off D against the CSR coboundary of the same complex's own triangle arrays: lone clouds at
+        # five caps, and every member of one group of clouds of six sizes; a triangle row is its base-n vertex key
+        lone = [random_cloud(21, 30, 2).points, random_cloud(22, 24, 3).points, grid(), grid(0.3), _lattice(3, 3)]
+        complexes = [build_complex(points, kind, max_scale=cap) for points in lone for cap in (None, 0.5, 0.75, 1.0, 1.25)]
+        rng = np.random.default_rng(23)
+        (group,) = _complex_groups([rng.random((n, 2)) for n in (1, 2, 5, 12, 22, 30)], kind)
+        for cx in complexes + group:
+            got, want, n = cx._cofaces, _explicit_cofaces(cx), cx.n_vertices
+            for field in ("oldest_values", "long", "apparent"):
+                assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            tv = cx.triangle_vertices
+            keys = np.append((tv[:, 0] * n + tv[:, 1]) * n + tv[:, 2], -1)  # row -1 (no coface) stays -1
+            assert np.array_equal(got.oldest_ids, keys[want.oldest_ids])
+            m = len(cx.edge_values)
+            sample = rng.choice(m, min(m, 40), replace=False).tolist()
+            want_rows = [(values, keys[ids].tolist()) for values, ids in want.rows(sample)]
+            assert got.rows([got.offset + e for e in sample]) == want_rows
+        assert [cx.n_vertices for cx in group] == [1, 2, 5, 12, 22, 30]
 
 
 class TestVR:

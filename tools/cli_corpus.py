@@ -245,6 +245,9 @@ def commands(cloud_points: dict[str, np.ndarray]) -> list[tuple[list[str], list[
         runs.append((["make-tail", "--dim", "3", "--out", f"tail3d{k}.txt"] + extra, [f"tail3d{k}.txt"]))
     runs += [(["verify-wedge", "tail3d0.txt", "tail3d1.txt", "--kind", kind], []) for kind in ("vr", "cech")]
     runs.append((["verify-wedge", "tail3d0.txt", "square.txt"], []))
+    # a negative seed is rejected with the other arguments (exit 2), before any trial or output file
+    runs += [(["experiment", experiment, "--n", "8", "--N", "2", "--seed", "-1", "--out", "seed_neg"], [])
+             for experiment in ("hist", "sweep")]
     return runs
 
 
