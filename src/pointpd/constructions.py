@@ -287,7 +287,7 @@ def verify_long_wedge(
         owner[v] = -1  # the common point belongs to every component
     union = PointCloud(points[order])
 
-    (union_complex,) = next(_complex_groups([union], kind))
+    union_complex = build_complex(union, kind)
     ends = union_complex.edge_vertices
     classes = _edge_classes(union_complex)
     owners = owner[order][ends]

@@ -15,9 +15,8 @@ Vertices 0..n-1 are implicit, all at value 0. Merging the groups by
 always precede cofaces. These arrays are the complex's only representation.
 `FilteredComplex.from_arrays` takes them in any order, sorts them and checks
 them; the builders hand over their own arrays, sorted once, and every check
-of `from_arrays` runs on them through the same code. The `edges` and
-`triangles` views read one dimension's arrays as `FilteredSimplex` tuples;
-the builders, the reduction and the classifier never read them.
+of `from_arrays` runs on them through the same code. `edges` and
+`triangles` are `range`s over the rows of each dimension's arrays.
 
 VR and Cech complexes keep D in place of triangles, and their builder emits the edges in filtration order;
 a group of T clouds of one ambient dimension and any sizes (a lone cloud is a group of one) shares one D
@@ -25,9 +24,9 @@ stack, padded with inf to its largest cloud, and one (T, m) edge array, each clo
 dim-1 reduction and the Long test share one cached pass over D, read as one flat (T n, n) stack of rows, in
 which an edge reads its own cloud's vertices only up to its first Long witness.
 Uncapped, such a complex holds all C(n, 3) triples, and `len(cx.triangles)` is that count, read off no
-distance. Reading a triangle array, calling `critical_scales`, iterating a tuple view or counting a capped
-complex's triangles builds all three arrays. Uncapped VR build + dim-1 pairs on 200 planar points
-(`default_rng(0)`) on a 2-core Xeon VM: 0.018 s, the median of 21, and a 6.0 MiB tracemalloc peak.
+distance. Reading a triangle array or counting a capped complex's triangles builds all three arrays.
+Uncapped VR build + dim-1 pairs on 200 planar points (`default_rng(0)`) on a 2-core Xeon VM: 0.018 s, the
+median of 21, and a 6.0 MiB tracemalloc peak.
 """
 
 from __future__ import annotations
@@ -61,17 +60,6 @@ class FiltrationKind(str, Enum):
     DELAUNAY = "delaunay"
 
 
-class FilteredSimplex(NamedTuple):
-    """A simplex (sorted vertex tuple) with its filtration entry value."""
-
-    vertices: tuple[int, ...]
-    value: float
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-
 class _Cofaces(NamedTuple):
     """One pass over a complex's edges, shared by the dim-1 reduction and the Long test. A triangle's id is
     its row in the triangle arrays, or for VR/Cech its base-n vertex key: (value, id) sorts in filtration order."""
@@ -90,27 +78,6 @@ class _Components(NamedTuple):
     merges: npt.NDArray[np.bool_]  # the edge joins two components
     short: npt.NDArray[np.bool_]  # the edge is a bridge at its value, with every edge tied at that value present
     components: int  # left at the cap
-
-
-class _SimplexView(Sequence):
-    """Read-only `FilteredSimplex` sequence over one dimension's arrays, fetched at the first item."""
-
-    def __init__(self, length: int, arrays: Callable[[], tuple[npt.NDArray[np.intp], npt.NDArray[np.float64]]]):
-        self._length, self._arrays = length, arrays
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, idx):
-        if isinstance(idx, slice):
-            return tuple(self[k] for k in range(self._length)[idx])
-        vertices, values = self._arrays()
-        return FilteredSimplex(tuple(vertices[idx].tolist()), float(values[idx]))
-
-    def __iter__(self):
-        vertices, values = self._arrays()
-        for v, x in zip(vertices.tolist(), values.tolist()):
-            yield FilteredSimplex(tuple(v), x)
 
 
 def _row(vertices: npt.NDArray[np.intp], idx: int) -> tuple[int, ...]:
@@ -324,19 +291,17 @@ class FilteredComplex:
             f"triangles={len(self.triangles)}, kind={self.kind.value!r}, max_scale={self.max_scale!r})"
         )
 
-    @cached_property
-    def edges(self) -> Sequence[FilteredSimplex]:
-        """Edges in filtration order."""
-        arrays = self.edge_vertices, self.edge_values  # not self: a cached view never points back at the complex
-        return _SimplexView(len(self.edge_values), lambda: arrays)
+    @property
+    def edges(self) -> range:
+        """The rows of the edge arrays."""
+        return range(len(self.edge_values))
 
     @property
-    def triangles(self) -> Sequence[FilteredSimplex]:
-        """Triangles in filtration order. An uncapped VR/Cech complex holds every triple, so its count is C(n, 3) and
+    def triangles(self) -> range:
+        """The rows of the triangle arrays. An uncapped VR/Cech complex holds every triple, so its count is C(n, 3) and
         builds nothing; any other count reads `triangle_values`, which a capped complex builds at its first read."""
         every = self._distances is not None and self.max_scale == math.inf
-        count = math.comb(self.n_vertices, 3) if every else len(self.triangle_values)
-        return _SimplexView(count, lambda: (self.triangle_vertices, self.triangle_values))
+        return range(math.comb(self.n_vertices, 3) if every else len(self.triangle_values))
 
 
 def _capped_complexes(
@@ -922,8 +887,3 @@ def _group(clouds: list[PointCloud], kind: FiltrationKind) -> list[FilteredCompl
     if kind is FiltrationKind.DELAUNAY:
         return [build_delaunay_2d(cloud) for cloud in clouds]
     return _capped_complexes([cloud.points for cloud in clouds], kind, None)
-
-
-def critical_scales(complex: FilteredComplex) -> list[float]:
-    """Strictly increasing list of all distinct simplex values."""
-    return sorted({0.0, *complex.edge_values.tolist(), *complex.triangle_values.tolist()})

@@ -39,12 +39,15 @@ give the very same fields and rows.
 triangle value rounds a few ulps above diameter / sqrt(3), its bound in
 exact arithmetic: an uncapped build must keep the triangle, and the
 degree-1 class must die at its value.
+`simplices` is no oracle: it reads a complex's arrays as (vertices, value)
+tuples, for tests that compare simplices one by one.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +88,17 @@ class _Components:
             self.count -= 1
 
 
+class Simplex(NamedTuple):
+    vertices: tuple[int, ...]
+    value: float
+
+
+def simplices(cx, dim: int) -> list[Simplex]:
+    """A complex's edges (dim 1) or triangles (dim 2) in filtration order, read off its arrays."""
+    vertices, values = (cx.edge_vertices, cx.edge_values) if dim == 1 else (cx.triangle_vertices, cx.triangle_values)
+    return [Simplex(tuple(v), x) for v, x in zip(vertices.tolist(), values.tolist())]
+
+
 def oracle_pd(cx, dim: int) -> tuple[list[tuple[float, float]], list[float]]:
     """Diagram of a FilteredComplex from persistent Betti numbers.
 
@@ -95,8 +109,8 @@ def oracle_pd(cx, dim: int) -> tuple[list[tuple[float, float]], list[float]]:
     scale grid.
     """
     n = cx.n_vertices
-    edges = list(cx.edges)
-    tris = list(cx.triangles)
+    edges = simplices(cx, 1)
+    tris = simplices(cx, 2)
     scales = sorted({0.0} | {s.value for s in edges + tris})
     S = len(scales)
     idx_of = {v: i for i, v in enumerate(scales)}

@@ -16,7 +16,6 @@ from pointpd.filtration import (
     _MAX_VERTICES,
     _STACK,
     FilteredComplex,
-    FilteredSimplex,
     FiltrationKind,
     _capped_complexes,
     _complex_groups,
@@ -29,7 +28,6 @@ from pointpd.filtration import (
     build_complex,
     build_delaunay_2d,
     build_vr,
-    critical_scales,
 )
 from pointpd.constructions import TailSpec, generate_tail, validate_tail
 from pointpd.edges import _edge_classes, classify_all, classify_edge
@@ -45,6 +43,7 @@ from oracles import (
     loop_delaunay,
     masked_cofaces,
     oracle_meb3,
+    simplices,
 )
 
 SQUARE = PointCloud([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -170,7 +169,7 @@ class TestFilteredComplex:
         compute_pd(cx, 1)
         classify_all(cx)
         classify_edge(cx, 0)
-        assert len(list(cx.edges)) == len(cx.edge_values) > 0
+        assert len(simplices(cx, 1)) == len(cx.edge_values) > 0
         lazy = {"_triangles", "triangle_vertices", "triangle_values", "triangle_edges"}
         assert not lazy & set(cx.__dict__)
         count, text = len(cx.triangles), repr(cx)
@@ -182,11 +181,11 @@ class TestFilteredComplex:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_freed_without_the_cycle_collector(self, kind):
-        # the cached coface pass and the views must not point back at the complex
+        # the cached coface pass and triangle arrays must not point back at the complex
         cx = build_complex(random_cloud(5, 30, 2), kind)
         compute_pd(cx, 1)
         classify_all(cx)
-        assert len(cx.triangles) == len(list(cx.triangles)) and len(cx.edges) > 0
+        assert len(cx.triangles) == len(simplices(cx, 2)) and len(cx.edges) > 0
         ref = weakref.ref(cx)
         gc.disable()
         try:
@@ -196,17 +195,20 @@ class TestFilteredComplex:
             gc.enable()
 
     @pytest.mark.parametrize("kind", KINDS)
-    def test_views_slice_to_tuples(self, kind):
-        implicit = build_complex(random_cloud(6, 8, 2), kind)
-        explicit = FilteredComplex.from_arrays(
-            8, implicit.edge_vertices, implicit.edge_values, implicit.triangle_vertices, implicit.triangle_values, kind, 1.0
-        )
-        for cx in (implicit, explicit):
-            for view in (cx.edges, cx.triangles):
-                items = tuple(view)
-                assert view[0:2] == items[0:2] and view[1:3] == items[1:3] and view[::-3] == items[::-3]
-                assert view[:] == items and view[5:2] == () and view[-1] == items[-1]
-                assert all(isinstance(s, FilteredSimplex) for s in view[1:3])
+    @pytest.mark.parametrize("cap", [None, 0.3])
+    def test_views_are_ranges_over_the_array_rows(self, kind, cap):
+        cloud = random_cloud(6, 8, 2)
+        if cap is not None and kind == "delaunay":  # the builder takes no cap: cap its arrays
+            full = build_delaunay_2d(cloud)
+            e, t = full.edge_values <= cap, full.triangle_values <= cap
+            cx = FilteredComplex.from_arrays(
+                8, full.edge_vertices[e], full.edge_values[e], full.triangle_vertices[t], full.triangle_values[t], kind, cap
+            )
+        else:
+            cx = build_complex(cloud, kind, max_scale=cap)
+        assert type(cx.edges) is range and type(cx.triangles) is range
+        rows = range(len(cx.edge_values)), range(len(cx.triangle_values))  # builds a VR/Cech complex's triangle arrays
+        assert (cx.edges, cx.triangles) == rows and len(cx.triangles) > 0
 
     @pytest.mark.parametrize("n", [6, 60])
     def test_edge_rows_table_and_sorted_lookup_agree(self, n):
@@ -349,13 +351,13 @@ class TestVR:
         assert value_at(cx, (0, 1)) == value_at(cx, (0, 2)) == value_at(cx, (1, 3)) == value_at(cx, (2, 3)) == 0.5
         assert value_at(cx, (0, 3)) == value_at(cx, (1, 2)) == pytest.approx(root_half)
         assert len(cx.triangles) == 4
-        for tri in cx.triangles:
+        for tri in simplices(cx, 2):
             assert tri.value == pytest.approx(root_half)
         assert cx.max_scale == math.inf
 
     def test_triangle_value_is_max_edge(self):
         cx = build_vr(random_cloud(0, 7, 3))
-        for tri in cx.triangles:
+        for tri in simplices(cx, 2):
             i, j, k = tri.vertices
             assert tri.value == max(value_at(cx, (i, j)), value_at(cx, (i, k)), value_at(cx, (j, k)))
 
@@ -384,7 +386,7 @@ class TestCech:
     def test_edge_values_are_half_distance(self):
         cloud = random_cloud(2, 6, 2)
         cx = build_cech(cloud)
-        for e in cx.edges:
+        for e in simplices(cx, 1):
             i, j = e.vertices
             d = float(np.linalg.norm(cloud.points[i] - cloud.points[j]))
             assert e.value == pytest.approx(d / 2.0)
@@ -394,7 +396,7 @@ class TestCech:
     def test_triangle_values_match_enclosing_ball_oracle(self, seed, dim):
         cloud = random_cloud(seed * 13 + dim, 6, dim)
         cx = build_cech(cloud)
-        for tri in cx.triangles:
+        for tri in simplices(cx, 2):
             i, j, k = tri.vertices
             want = oracle_meb3(cloud.points[i], cloud.points[j], cloud.points[k])
             assert tri.value == pytest.approx(want, abs=1e-9)
@@ -405,7 +407,7 @@ class TestCech:
         tri = PointCloud([[0, 0], [side, 0], [side / 2, side * math.sqrt(3) / 2]])
         cx = build_cech(tri)
         assert len(cx.triangles) == 1
-        assert cx.triangles[0].value == pytest.approx(side / math.sqrt(3))
+        assert simplices(cx, 2)[0].value == pytest.approx(side / math.sqrt(3))
         cloud = random_cloud(5, 8, 3)
         cx = build_cech(cloud)
         assert len(cx.triangles) == 8 * 7 * 6 // 6
@@ -464,20 +466,20 @@ class TestCech:
         cloud = random_cloud(seed + 100, 6, 2)
         vr = build_vr(cloud)
         cech = build_cech(cloud)
-        for tri in cech.triangles:
+        for tri in simplices(cech, 2):
             assert tri.value >= value_at(vr, tri.vertices) - 1e-12
 
 
 class TestDelaunay:
     def test_square_is_canonicalized(self):
         cx = build_delaunay_2d(SQUARE)
-        tris = tuple(t.vertices for t in cx.triangles)
+        tris = tuple(t.vertices for t in simplices(cx, 2))
         assert tris == ((0, 1, 2), (1, 2, 3))
         assert [1, 2] in cx.edge_vertices.tolist()
         assert [0, 3] not in cx.edge_vertices.tolist()
         root_half = math.sqrt(2.0) / 2.0
         assert value_at(cx, (1, 2)) == pytest.approx(root_half)
-        for t in cx.triangles:
+        for t in simplices(cx, 2):
             assert t.value == pytest.approx(root_half)
         assert cx.max_scale == math.inf
 
@@ -518,13 +520,13 @@ class TestDelaunay:
         cloud = PointCloud([[0.0, 0.0], [1.0, 0.0], [3.0, 0.0], [2.0, 0.0]])
         cx = build_delaunay_2d(cloud)
         assert len(cx.triangles) == 0
-        got = {e.vertices: e.value for e in cx.edges}
+        got = {e.vertices: e.value for e in simplices(cx, 1)}
         assert got == {(0, 1): 0.5, (1, 3): 0.5, (2, 3): 0.5}
         assert cx.max_scale == math.inf
 
     def test_two_points(self):
         cx = build_delaunay_2d(PointCloud([[0.0, 0.0], [2.0, 0.0]]))
-        assert {e.vertices for e in cx.edges} == {(0, 1)}
+        assert {e.vertices for e in simplices(cx, 1)} == {(0, 1)}
         assert value_at(cx, (0, 1)) == 1.0
 
     def test_single_point(self):
@@ -544,7 +546,7 @@ class TestDelaunay:
         cloud = random_cloud(seed + 40, 9, 2)
         cx = build_delaunay_2d(cloud)
         want = {tuple(sorted(int(v) for v in t)) for t in Delaunay(cloud.points).simplices}
-        assert {t.vertices for t in cx.triangles} == want
+        assert {t.vertices for t in simplices(cx, 2)} == want
 
     def test_translation_invariant(self):
         # far from the origin Qhull used to triangulate differently
@@ -671,7 +673,7 @@ class TestDelaunayReference:
         # a convex kite: (3) lies inside the circumcircle of (0, 1, 2), so
         # the Delaunay diagonal is (1, 3), not (0, 2)
         kite = np.array([[0.0, 0.0], [1.0, -0.3], [2.0, 0.0], [1.0, 0.3]])
-        assert {t.vertices for t in build_delaunay_2d(kite).triangles} == {(0, 1, 3), (1, 2, 3)}
+        assert {t.vertices for t in simplices(build_delaunay_2d(kite), 2)} == {(0, 1, 3), (1, 2, 3)}
 
         class WrongDiagonal:
             def __init__(self, points):
@@ -828,13 +830,13 @@ class TestLexSmallestTriangulation:
         base = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         cloud = PointCloud(3.0 * base + np.array([5.0, -2.0]))
         cx = build_delaunay_2d(cloud)
-        assert tuple(t.vertices for t in cx.triangles) == ((0, 1, 2), (1, 2, 3))
+        assert tuple(t.vertices for t in simplices(cx, 2)) == ((0, 1, 2), (1, 2, 3))
 
     def test_regular_hexagon(self):
         angles = [k * math.pi / 3 for k in range(6)]
         cloud = PointCloud([[math.cos(a), math.sin(a)] for a in angles])
         cx = build_delaunay_2d(cloud)
-        got = sorted(t.vertices for t in cx.triangles)
+        got = sorted(t.vertices for t in simplices(cx, 2))
         # convex order of the ids around the circle
         order = sorted(range(6), key=lambda v: math.atan2(cloud.points[v][1], cloud.points[v][0]))
         assert got == lex_min_triangulation(order)
@@ -902,7 +904,7 @@ class TestKindAgreement:
         alpha = build_delaunay_2d(PointCloud(pts))
         assert sorted(cech.edge_vertices.tolist()) == sorted(alpha.edge_vertices.tolist())
         assert sorted(cech.triangle_vertices.tolist()) == sorted(alpha.triangle_vertices.tolist())
-        for s in (*cech.edges, *cech.triangles):
+        for s in (*simplices(cech, 1), *simplices(cech, 2)):
             assert value_at(alpha, s.vertices) == pytest.approx(s.value, abs=1e-9)
 
     def test_obtuse_triple_differs(self):
@@ -982,15 +984,7 @@ class TestBuildComplex:
         cloud = random_cloud(seed + 60, 7, 2)
         cx = build_complex(cloud, kind)
         assert cx.kind is FiltrationKind(kind)
-        assert critical_scales(cx)[-1] <= cx.max_scale + 1e-12
-
-
-class TestCriticalScales:
-    def test_sorted_distinct_with_zero(self):
-        scales = critical_scales(build_vr(SQUARE))
-        assert scales[0] == 0.0
-        assert scales == sorted(set(scales))
-        assert scales == [0.0, 0.5, pytest.approx(math.sqrt(2) / 2)]
+        assert max(cx.edge_values.max(initial=0.0), cx.triangle_values.max(initial=0.0)) <= cx.max_scale + 1e-12
 
 
 def ragged_cloud(rng: np.random.Generator, n: int, dim: int, lattice: bool) -> np.ndarray:

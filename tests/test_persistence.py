@@ -29,6 +29,7 @@ from oracles import (
     kuhn_bottleneck,
     oracle_bottleneck,
     scipy_bottleneck,
+    simplices,
 )
 from test_filtration import grid
 
@@ -1007,7 +1008,7 @@ class TestTaxonomyConnection:
     def test_deaths_are_triangle_values(self, seed):
         cloud = random_cloud(seed * 5 + 13, 8, 3)
         cx = build_complex(cloud, "cech")
-        tri_values = {t.value for t in cx.triangles}
+        tri_values = {t.value for t in simplices(cx, 2)}
         for _, death in compute_pd(cx, 1).finite_pairs:
             assert death in tri_values
 

@@ -31,7 +31,9 @@ the `arm*` clouds are the only ones whose verdict needs a matching: their
 union and combined diagrams differ but have equal pair counts, and each
 runs at one `--tol` on each side of the verdict. Each also runs at
 `--tol 0`, where the comparison is `==` and needs no matching, as does
-one wedge that holds (`seg_a.txt ray_b.txt`).
+one wedge that holds (`seg_a.txt ray_b.txt`). `right3.txt`, a right
+isosceles triangle, gets `pd --dim 1` in each kind and a Čech `classify`:
+its Čech diagram holds a bar that exact arithmetic would not.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ FIXED_CLOUDS = {
     "meet_b.txt": [[0, 0], [0, 1], [-1, -1]],
     "meet_c.txt": [[0, 0], [-1, -1], [0, -1]],
     "huge.txt": [[1e200, 0], [-1e200, 0], [0, 1e200]],
+    "right3.txt": [[0, 0], [3, 3], [3, 0]],
 }
 
 # (kind, seed, a --tol on each side of the verdict) for verify-wedge on the arms of _wedge_arms(seed): the union's
@@ -248,6 +251,10 @@ def commands(cloud_points: dict[str, np.ndarray]) -> list[tuple[list[str], list[
     # a negative seed is rejected with the other arguments (exit 2), before any trial or output file
     runs += [(["experiment", experiment, "--n", "8", "--N", "2", "--seed", "-1", "--out", "seed_neg"], [])
              for experiment in ("hist", "sweep")]
+    # a right isosceles triangle, whose Čech value rounds 3 ulps above its hypotenuse's and leaves a bar (ROADMAP
+    # item 11); VR and Delaunay give no bar. They come last, so adding them moved no earlier line
+    runs += [(["pd", "right3.txt", "--dim", "1", "--kind", kind], []) for kind in ("vr", "cech", "delaunay")]
+    runs.append((["classify", "right3.txt", "--kind", "cech"], []))
     return runs
 
 
