@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .edges import EdgeClass, _edge_classes, classify_all
+from .edges import EdgeClass, _edge_classes
 from .filtration import FilteredComplex, FiltrationKind, _complex_groups, build_complex
 from .geometry import (
     ANGLE_TOL,
@@ -198,7 +198,7 @@ def _tail_check(complex: FilteredComplex) -> TailCheck:
     failures: list[tuple[Edge, EdgeClass | None]] = [((i, i + 1), None) for i in missing]
     wrong = np.flatnonzero(classes != np.where(successive, EdgeClass.SHORT, EdgeClass.LONG))
     failures += sorted(zip(map(tuple, ends[wrong].tolist()), classes[wrong].tolist()))
-    return TailCheck(not failures, classify_all(complex), tuple(failures))
+    return TailCheck(not failures, dict(zip(map(tuple, ends.tolist()), classes.tolist())), tuple(failures))
 
 
 def attach_tail(

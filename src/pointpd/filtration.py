@@ -18,15 +18,15 @@ them; the builders hand over their own arrays, sorted once, and every check
 of `from_arrays` runs on them through the same code. `edges` and
 `triangles` are `range`s over the rows of each dimension's arrays.
 
-VR and Cech complexes keep D in place of triangles, and their builder emits the edges in filtration order;
-a group of T clouds of one ambient dimension and any sizes (a lone cloud is a group of one) shares one D
-stack, padded with inf to its largest cloud, and one (T, m) edge array, each cloud's own edges first. The
-dim-1 reduction and the Long test share one cached pass over D, read as one flat (T n, n) stack of rows, in
-which an edge reads its own cloud's vertices only up to its first Long witness.
-Uncapped, such a complex holds all C(n, 3) triples, and `len(cx.triangles)` is that count, read off no
-distance. Reading a triangle array or counting a capped complex's triangles builds all three arrays.
-Uncapped VR build + dim-1 pairs on 200 planar points (`default_rng(0)`) on a 2-core Xeon VM: 0.018 s, the
-median of 21, and a 6.0 MiB tracemalloc peak.
+VR and Cech complexes keep D in place of triangles, and their builder emits the edges in filtration order; a group of
+T clouds of one ambient dimension and any sizes (a lone cloud is a group of one) shares one D stack, padded with inf
+to its largest cloud, and one (T, m) edge array, each cloud's own edges first. The dim-1 reduction and the Long test
+share one cached pass over D, read as one flat (T n, n) stack of rows, in which an edge reads its own cloud's vertices
+only up to its first Long witness; other complexes read their triangle arrays, and both passes name a triangle by its
+base-n vertex key. Uncapped, such a complex holds all C(n, 3) triples, and `len(cx.triangles)` is that count, read off
+no distance. Reading a triangle array or counting a capped complex's triangles builds all three arrays. Uncapped VR
+build + dim-1 pairs on 200 planar points (`default_rng(0)`) on a 2-core Xeon VM: 0.018 s, the median of 21, and a
+6.0 MiB tracemalloc peak.
 """
 
 from __future__ import annotations
@@ -61,8 +61,8 @@ class FiltrationKind(str, Enum):
 
 
 class _Cofaces(NamedTuple):
-    """One pass over a complex's edges, shared by the dim-1 reduction and the Long test. A triangle's id is
-    its row in the triangle arrays, or for VR/Cech its base-n vertex key: (value, id) sorts in filtration order."""
+    """One pass over a complex's edges, shared by the dim-1 reduction and the Long test. A triangle's id is its key,
+    its vertices a < b < c read as base-n digits (a n + b) n + c: (value, id) sorts in filtration order."""
 
     oldest_values: npt.NDArray[np.float64]  # per edge, its oldest coface; inf where it has none
     oldest_ids: npt.NDArray[np.int64]  # -1 where it has none
@@ -453,8 +453,9 @@ def _implicit_cofaces(D, kind: FiltrationKind, vertices: npt.NDArray[np.intp], c
 
 def _explicit_cofaces(cx: FilteredComplex) -> _Cofaces:
     """Cofaces from the triangle arrays, by a CSR coboundary index: one sort of the (edge row, face) pairs lists each
-    edge's cofaces in row order, which is (value, row) order, so the first of a run is the oldest."""
+    edge's cofaces in row order, which is (value, key) order, so the first of a run is the oldest."""
     edges, values, m = cx.triangle_edges, cx.triangle_values, len(cx.edge_values)
+    keys = _triple_keys(*cx.triangle_vertices.T, cx.n_vertices)
     faces = len(values) * 3
     pairs = np.sort(edges.ravel() * faces + np.arange(faces))  # (edge row, face) as unique keys: a stable order
     cofaces, starts = pairs % faces // 3, np.searchsorted(pairs // faces, np.arange(m + 1))
@@ -464,10 +465,12 @@ def _explicit_cofaces(cx: FilteredComplex) -> _Cofaces:
     long = np.bincount(edges[~earlier & (earlier.sum(axis=1) == 2)[:, None]], minlength=m) > 0
     apparent = np.append(edges.max(axis=1), -1)[first] == np.arange(m)  # the youngest facet of the oldest coface
 
-    def rows(wanted: list[int]) -> list[tuple[list[float], list[int]]]:
-        return [(values[t].tolist(), t.tolist()) for t in (cofaces[starts[e] : starts[e + 1]] for e in wanted)]
+    by_edge, ids, bounds = values[cofaces], keys[cofaces], starts.tolist()
 
-    return _Cofaces(np.append(values, np.inf)[first], first, long, apparent, rows, 0)
+    def rows(wanted: list[int]) -> list[tuple[list[float], list[int]]]:
+        return [(by_edge[bounds[e] : bounds[e + 1]].tolist(), ids[bounds[e] : bounds[e + 1]].tolist()) for e in wanted]
+
+    return _Cofaces(np.append(values, np.inf)[first], np.append(keys, -1)[first], long, apparent, rows, 0)
 
 
 def _bridges(links: list[tuple[int, int]]) -> list[int]:

@@ -3,8 +3,8 @@
 Lengths sum their squares one coordinate at a time (`_norms`, `_distance_matrix`), so each equals
 D bit for bit; only `_row_norms`, for the angle kernels, differs. Angles between directions are
 computed with the two-argument arctangent form, which stays accurate for nearly parallel and
-nearly opposite vectors where a plain arccos of the dot product loses digits. The angle extremes rank rows
-by SIMD np.arctan2 and take math.atan2, as `oriented_angles` does on every row, only near the extreme.
+nearly opposite vectors where a plain arccos of the dot product loses digits. One kernel, `_extreme_angle`,
+ranks rows by SIMD np.arctan2 and takes math.atan2 only near the extreme; `oriented_angle` is its one-row case.
 """
 
 from __future__ import annotations
@@ -162,20 +162,9 @@ def _half_angle_sides(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64],
     return _row_norms(uh - vh), _row_norms(uh + vh)
 
 
-def oriented_angles(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64]) -> npt.NDArray[np.float64]:
-    """oriented_angle of every row of an (m, N) array against the vector v.
-
-    Each entry equals the scalar result bit for bit: the same float steps
-    per row, and math.atan2, since SIMD np.arctan2 differs in the last bit.
-    Raises ValueError if v or some row is (numerically) zero.
-    """
-    a, b = _half_angle_sides(rows, v, _row_norms(rows))
-    return 2.0 * np.array([math.atan2(y, x) for y, x in zip(a.tolist(), b.tolist())], dtype=np.float64)
-
-
 def _extreme_angle(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64], nu, pick=np.max, fold=False) -> float:
-    """pick (np.max or np.min) of oriented_angles(rows, v), the rows' norms nu given, each angle phi first folded to
-    min(phi, pi - phi) if fold.
+    """pick (np.max or np.min) of the rows' `oriented_angle`s against v, the rows' norms nu given, each angle phi first
+    folded to min(phi, pi - phi) if fold.
 
     SIMD np.arctan2 only ranks the rows; math.atan2 decides among those ranked within 1e-12 rad of the extreme. The
     two differ by an ulp or two, under 1e-15 rad up to pi, so the exact extreme's row always ranks inside the margin.
@@ -186,7 +175,7 @@ def _extreme_angle(rows: npt.NDArray[np.float64], v: npt.NDArray[np.float64], nu
         return np.minimum(2.0 * half, math.pi - 2.0 * half) if fold else 2.0 * half
 
     ranked = angles(np.arctan2(a, b))
-    near = np.flatnonzero(np.abs(ranked - pick(ranked)) <= 1e-12)
+    near = np.flatnonzero(~(np.abs(ranked - pick(ranked)) > 1e-12))  # a NaN angle (an inf row) stays NaN
     return float(pick(angles(np.array([math.atan2(a[i], b[i]) for i in near.tolist()], dtype=np.float64))))
 
 
@@ -197,8 +186,8 @@ def oriented_angle(u: npt.NDArray[np.float64], v: npt.NDArray[np.float64]) -> fl
     exact at 0 and pi and does not suffer the arccos cancellation near
     either end.
     """
-    u = np.asarray(u, dtype=np.float64)
-    return float(oriented_angles(u[None, :], np.asarray(v, dtype=np.float64))[0])
+    rows = np.asarray(u, dtype=np.float64)[None, :]
+    return _extreme_angle(rows, np.asarray(v, dtype=np.float64), _row_norms(rows))
 
 
 def segment_angle(

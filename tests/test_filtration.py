@@ -325,23 +325,62 @@ class TestImplicitBuild:
     @pytest.mark.parametrize("kind", ["vr", "cech"])
     def test_implicit_pass_equals_the_explicit_pass(self, kind):
         # the pass read off D against the CSR coboundary of the same complex's own triangle arrays: lone clouds at
-        # five caps, and every member of one group of clouds of six sizes; a triangle row is its base-n vertex key
+        # five caps, the 4^4 lattice and the 8x8 grid at four, and every member of one group of clouds of six sizes
         lone = [random_cloud(21, 30, 2).points, random_cloud(22, 24, 3).points, grid(), grid(0.3), _lattice(3, 3)]
-        complexes = [build_complex(points, kind, max_scale=cap) for points in lone for cap in (None, 0.5, 0.75, 1.0, 1.25)]
+        caps = (0.5, 0.75, 1.0, 1.25)
+        complexes = [build_complex(points, kind, max_scale=cap) for points in lone for cap in (None, *caps)]
+        grids = (_lattice(4, 4), _lattice(8, 2))
+        complexes += [build_complex(points, kind, max_scale=cap) for points in grids for cap in caps]
         rng = np.random.default_rng(23)
         (group,) = _complex_groups([rng.random((n, 2)) for n in (1, 2, 5, 12, 22, 30)], kind)
         for cx in complexes + group:
-            got, want, n = cx._cofaces, _explicit_cofaces(cx), cx.n_vertices
-            for field in ("oldest_values", "long", "apparent"):
+            got, want = cx._cofaces, _explicit_cofaces(cx)
+            for field in ("oldest_values", "oldest_ids", "long", "apparent"):
                 assert np.array_equal(getattr(got, field), getattr(want, field)), field
-            tv = cx.triangle_vertices
-            keys = np.append((tv[:, 0] * n + tv[:, 1]) * n + tv[:, 2], -1)  # row -1 (no coface) stays -1
-            assert np.array_equal(got.oldest_ids, keys[want.oldest_ids])
-            m = len(cx.edge_values)
-            sample = rng.choice(m, min(m, 40), replace=False).tolist()
-            want_rows = [(values, keys[ids].tolist()) for values, ids in want.rows(sample)]
-            assert got.rows([got.offset + e for e in sample]) == want_rows
+            edges = list(range(len(cx.edge_values)))
+            assert got.rows([got.offset + e for e in edges]) == want.rows(edges)
         assert [cx.n_vertices for cx in group] == [1, 2, 5, 12, 22, 30]
+
+
+def reordered_cech() -> FilteredComplex:
+    """A capped Cech complex rebuilt by `from_arrays` from its arrays in reverse order."""
+    cx = build_cech(random_cloud(28, 24, 2), max_scale=0.35)
+    arrays = (cx.edge_vertices, cx.edge_values, cx.triangle_vertices, cx.triangle_values)
+    return FilteredComplex.from_arrays(24, *(a[::-1] for a in arrays), "cech", 0.35)
+
+
+# complexes of every kind and shape whose coface ids must decode; the 5x5 grid's Delaunay complex has cocircular groups
+ID_CASES = {
+    "delaunay_random": lambda: [build_delaunay_2d(random_cloud(25, 40, 2))],
+    "delaunay_grid": lambda: [build_delaunay_2d(grid())],
+    "vr": lambda: [build_vr(random_cloud(26, 20, 3))],
+    "vr_capped": lambda: [build_vr(random_cloud(27, 30, 2), max_scale=0.4)],
+    "cech": lambda: [build_cech(random_cloud(26, 20, 3))],
+    "cech_capped": lambda: [build_cech(random_cloud(27, 30, 2), max_scale=0.4)],
+    "cech_ragged": lambda: next(_complex_groups([random_cloud(29 + n, n, 2) for n in (3, 9, 16, 24)], "cech")),
+    "from_arrays": lambda: [reordered_cech()],
+}
+
+
+class TestTriangleIds:
+    """Both coface passes name a triangle by its key (a n + b) n + c, so an id decodes to the triangle it names."""
+
+    @pytest.mark.parametrize("case", ID_CASES)
+    def test_an_id_decodes_to_its_triangle(self, case):
+        for cx in ID_CASES[case]():
+            cofaces, n = cx._cofaces, cx.n_vertices
+            value_of = dict(zip(map(tuple, cx.triangle_vertices.tolist()), cx.triangle_values.tolist()))
+            assert np.array_equal(cofaces.oldest_ids == -1, cofaces.oldest_values == np.inf)
+            edges = cx.edge_vertices.tolist()
+            rows = cofaces.rows([cofaces.offset + e for e in range(len(edges))])
+            assert sum(len(ids) for _, ids in rows) == 3 * len(value_of)
+            oldest = zip(cofaces.oldest_values.tolist(), cofaces.oldest_ids.tolist())
+            for edge, (values, ids), (first_value, first_id) in zip(edges, rows, oldest, strict=True):
+                named = list(zip(values, ids)) + ([(first_value, first_id)] if first_id >= 0 else [])
+                for value, t in named:
+                    a, b, c = t // (n * n), t // n % n, t % n
+                    assert 0 <= a < b < c < n and set(edge) <= {a, b, c}, (case, edge, t)
+                    assert value_of[a, b, c] == value, (case, edge, t)
 
 
 class TestVR:

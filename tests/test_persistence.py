@@ -233,13 +233,10 @@ def assert_matches_triangle_arrays(cx, explicit) -> None:
     """A VR/Cech complex's implicit cofaces, pairs and classes are those of the complex from its triangle arrays."""
     # the first k of least value is the lex-smallest triple among tied oldest cofaces
     got, want = cx._cofaces, explicit._cofaces
-    assert np.array_equal(got.oldest_values, want.oldest_values)
-    n, has = cx.n_vertices, want.oldest_ids >= 0
-    rows = explicit.triangle_vertices[want.oldest_ids[has]]
-    assert np.array_equal(got.oldest_ids[has], (rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2])
-    assert np.array_equal(got.oldest_ids[~has], want.oldest_ids[~has])
-    assert np.array_equal(got.long, want.long)
-    assert np.array_equal(got.apparent, want.apparent)
+    for field in ("oldest_values", "oldest_ids", "long", "apparent"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    edges = list(range(len(cx.edge_values)))
+    assert got.rows([got.offset + e for e in edges]) == want.rows(edges)
     assert compute_pd(cx, 1).pairs == tuple(boundary_pd1(explicit)) == compute_pd(explicit, 1).pairs
     assert classify_all(cx) == classify_all(explicit)
 

@@ -33,7 +33,9 @@ runs at one `--tol` on each side of the verdict. Each also runs at
 `--tol 0`, where the comparison is `==` and needs no matching, as does
 one wedge that holds (`seg_a.txt ray_b.txt`). `right3.txt`, a right
 isosceles triangle, gets `pd --dim 1` in each kind and a Čech `classify`:
-its Čech diagram holds a bar that exact arithmetic would not.
+its Čech diagram holds a bar that exact arithmetic would not. `line.txt`, six
+points on one line listed out of order, and a `make-tail --cone 0` tail run
+the Delaunay builder's collinear path complex, which no other cloud reaches.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ FIXED_CLOUDS = {
     "meet_c.txt": [[0, 0], [-1, -1], [0, -1]],
     "huge.txt": [[1e200, 0], [-1e200, 0], [0, 1e200]],
     "right3.txt": [[0, 0], [3, 3], [3, 0]],
+    "line.txt": [[2, 4], [0, 0], [5, 10], [1, 2], [4, 8], [3, 6]],
 }
 
 # (kind, seed, a --tol on each side of the verdict) for verify-wedge on the arms of _wedge_arms(seed): the union's
@@ -255,6 +258,10 @@ def commands(cloud_points: dict[str, np.ndarray]) -> list[tuple[list[str], list[
     # item 11); VR and Delaunay give no bar. They come last, so adding them moved no earlier line
     runs += [(["pd", "right3.txt", "--dim", "1", "--kind", kind], []) for kind in ("vr", "cech", "delaunay")]
     runs.append((["classify", "right3.txt", "--kind", "cech"], []))
+    # six points on y = 2x out of order, and an exactly collinear tail: Delaunay's collinear path complex
+    runs += [(["pd", "line.txt", "--dim", d, "--kind", "delaunay"], []) for d in ("0", "1")]
+    runs.append((["classify", "line.txt", "--kind", "delaunay"], []))
+    runs.append((["make-tail", "--n", "8", "--cone", "0", "--kind", "delaunay"], []))
     return runs
 
 
